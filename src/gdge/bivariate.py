@@ -23,13 +23,19 @@ from .dge import (
     SERIES_CAP,
     DgeParams,
     SeriesCapError,
+    _base_logs,
+    _biv_logpmf,
+    _cdf_logs,
+    _evaluate,
     _ge_inverse,
+    _log_den,
     _maybe_scalar,
+    _nonneg,
     dge_cdf,
     dge_pmf,
     pow1m,
 )
-from .univariate import UgdgeParams, ugdge_mgf, ugdge_pgf
+from .univariate import UgdgeParams, _argmax_scan, ugdge_mgf, ugdge_pgf
 
 __all__ = [
     "BgdgeParams",
@@ -50,11 +56,6 @@ __all__ = [
     "bgdge_pgf",
     "bgdge_mgf",
 ]
-
-#: Cancellation floor: joint-pmf values above this negative threshold are
-#: treated as roundoff and clamped to 0; anything more negative is a bug.
-_PMF_FLOOR = -1e-13
-
 
 @dataclass(frozen=True)
 class BgdgeParams:
@@ -99,41 +100,35 @@ def bgdge_cdf(params: BgdgeParams, x, y):
 def prob_eq_le(params: BgdgeParams, x, y):
     """``P(X = x, Y <= y)`` for integer x >= 0 and integer y >= -1.
 
-    Differencing this in y gives the joint pmf; the y = -1 boundary value
-    is 0, so callers never special-case the lattice edge.
+    Equals ``theta*(u - u_)*b / ((1 - tau*u*b)(1 - tau*u_*b))`` with b the
+    base-2 CDF at y; the y = -1 boundary value is 0, so callers never
+    special-case the lattice edge.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be a nonnegative integer")
     if np.any(y < -1):
         raise ValueError("y must be an integer >= -1")
-    a1, p1 = params.m1.alpha, params.m1.p
-    a2, p2 = params.m2.alpha, params.m2.p
-    tau = 1.0 - params.theta
-    u = pow1m(p1, x + 1.0, a1)     # base-1 CDF at x
-    u_ = pow1m(p1, x, a1)          # base-1 CDF at x-1
-    b = pow1m(p2, np.maximum(y + 1.0, 0.0), a2)  # base-2 CDF at y, 0 at y=-1
-    out = params.theta * b * np.maximum(u - u_, 0.0) / (
-        (1.0 - tau * u * b) * (1.0 - tau * u_ * b)
-    )
-    return _maybe_scalar(out)
+    a1, p1, a2, p2, th = params.as_tuple()
+
+    def row(x, y):
+        lu, lu_, lg = _cdf_logs(a1, p1, x)
+        lb = a2 * _base_logs(p2, y + 1.0)[1]  # log base-2 CDF at y, -inf at y = -1
+        return np.exp(lg + lb + math.log(th) - _log_den(th, lu + lb) - _log_den(th, lu_ + lb))
+
+    return _evaluate(row, _nonneg(x, "prob_eq_le"), y)
 
 
 def bgdge_pmf(params: BgdgeParams, x, y):
-    """Joint pmf by differencing ``P(X = x, Y <= y)`` in y.
+    """Joint pmf on nonnegative integer cells, exact deep in the tails.
 
-    Tiny negative values from cancellation (above ``-1e-13``) are clamped to
-    0; anything more negative raises ``FloatingPointError``.
+    The four-corner difference of the joint CDF is evaluated in closed form
+    as a product of positive factors (see `dge._biv_logpmf`).
     """
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("y must be a nonnegative integer")
-    out = np.asarray(prob_eq_le(params, x, y) - prob_eq_le(params, x, y - 1.0))
-    if np.any(out < _PMF_FLOOR):
-        worst = float(np.min(out))
-        raise FloatingPointError(f"joint pmf evaluated to {worst:g}, beyond the roundoff floor")
-    return _maybe_scalar(np.maximum(out, 0.0))
+    a1, p1, a2, p2, th = params.as_tuple()
+
+    def pmf(x, y):
+        return np.exp(_biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), th))
+
+    return _evaluate(pmf, _nonneg(x, "bgdge_pmf"), _nonneg(y, "bgdge_pmf"))
 
 
 def marginal_params(params: BgdgeParams, axis: str) -> UgdgeParams:
@@ -178,12 +173,13 @@ def cond_cdf_given_eq(params: BgdgeParams, x, y: int):
     """
     if y < 0:
         raise ValueError(f"y must be a nonnegative integer, got {y!r}")
-    f2 = float(dge_pmf(params.m2, y))
-    if not f2 > 0.0:
-        raise ValueError(f"marginal base pmf vanished at y={y}; conditional undefined")
     tau = 1.0 - params.theta
     b = float(dge_cdf(params.m2, y))
     b_ = float(dge_cdf(params.m2, y - 1))
+    # the joint CDF difference below resolves nothing once b and b_ coincide
+    if not b > b_:
+        raise ValueError(f"marginal base pmf vanished at y={y}; conditional undefined")
+    f2 = float(dge_pmf(params.m2, y))
     num = np.asarray(bgdge_cdf(params, x, y)) - np.asarray(bgdge_cdf(params, x, y - 1))
     out = (1.0 - tau * b) * (1.0 - tau * b_) * num / (params.theta * f2)
     return _maybe_scalar(np.clip(out, 0.0, 1.0))
@@ -199,7 +195,8 @@ def _corner_cdfs(params: BgdgeParams, x: int, y: int):
     v = float(pow1m(p2, float(y) + 1.0, a2))
     v_ = float(pow1m(p2, float(y), a2))
     pm = float(bgdge_pmf(params, x, y))
-    if not pm > 0.0:
+    # the latent-count terms u^n - u_^n and v^n - v_^n vanish with the increments
+    if not (u > u_ and v > v_ and pm > 0.0):
         raise ValueError(f"joint pmf vanished at {(x, y)}; conditional law undefined")
     return u, u_, v, v_, 1.0 - th, th, pm
 
@@ -228,18 +225,8 @@ def biv_cond_n_argmax(params: BgdgeParams, x: int, y: int, n_cap: int = SERIES_C
     u, u_, v, v_, tau, th, pm = _corner_cdfs(params, x, y)
     if tau == 0.0:
         return 1
-    best_n, best_t = 1, (u - u_) * (v - v_)
-    n = 1
-    while True:
-        n += 1
-        if n > n_cap:
-            raise SeriesCapError("argmax scan exceeded the term cap")
-        env = tau ** (n - 1) * (u * v) ** n
-        if env <= best_t:
-            return best_n
-        t = tau ** (n - 1) * (u ** n - u_ ** n) * (v ** n - v_ ** n)
-        if t > best_t:
-            best_n, best_t = n, t
+    parts = [(np.array([u]), np.array([u_])), (np.array([v]), np.array([v_]))]
+    return int(_argmax_scan(parts, tau, n_cap)[0])
 
 
 def biv_cond_n_mean(params: BgdgeParams, x: int, y: int, eps: float = 1e-12) -> float:
@@ -307,23 +294,6 @@ def biv_compound_geometric_params(params: BgdgeParams, q: float) -> BgdgeParams:
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q!r}")
     return BgdgeParams(params.m1, params.m2, q * params.theta)
-
-
-def _pmf_rectangle(params: BgdgeParams, nx: int, ny: int) -> np.ndarray:
-    """Joint pmf on ``[0, nx) x [0, ny)`` as an (nx, ny) array."""
-    a1, p1, a2, p2, th = params.as_tuple()
-    tau = 1.0 - th
-    ax = pow1m(p1, np.arange(nx + 1, dtype=float), a1)   # base-1 CDF at -1..nx-1
-    by = pow1m(p2, np.arange(ny + 1, dtype=float), a2)
-
-    def joint(a, b):
-        w = np.outer(a, b)
-        return th * w / (1.0 - tau * w)
-
-    f = joint(ax[1:], by[1:]) - joint(ax[:-1], by[1:]) - joint(ax[1:], by[:-1]) + joint(ax[:-1], by[:-1])
-    if np.any(f < _PMF_FLOOR):
-        raise FloatingPointError("joint pmf rectangle evaluated beyond the roundoff floor")
-    return np.maximum(f, 0.0)
 
 
 def _given_count_pgf(alpha: float, p: float, n: int, z: float, eps: float) -> float:

@@ -17,6 +17,8 @@ Numerical conventions used throughout the package:
   and large ``t``;
 * ``0**alpha`` is taken to be 0 for every ``alpha > 0``, so the pmf needs no
   special case at the origin;
+* no pmf is formed by subtracting CDFs, which crowd 1 in the tail: the
+  log-space kernel at the end of this module keeps full relative precision;
 * all evaluation functions are pure and accept scalars or arrays; samplers
   take a caller-supplied ``numpy.random.Generator`` and hold no hidden state.
 """
@@ -34,7 +36,6 @@ __all__ = [
     "GeParams",
     "DgeParams",
     "pow1m",
-    "co_pow1m",
     "ge_cdf",
     "ge_sample",
     "dge_pmf",
@@ -71,17 +72,6 @@ def pow1m(p, t, alpha):
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore"):
         return np.exp(alpha * np.log1p(-np.power(p, t)))
-
-
-def co_pow1m(p, t, alpha):
-    """``1 - (1 - p**t) ** alpha``, the survival-side complement of pow1m.
-
-    Evaluated as ``-expm1(alpha * log1p(-p**t))`` so that values near 0
-    (large ``t``) keep full relative precision.
-    """
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        return -np.expm1(alpha * np.log1p(-np.power(p, t)))
 
 
 @dataclass(frozen=True)
@@ -149,14 +139,8 @@ def ge_sample(params: GeParams, u):
 
 def dge_pmf(params: DgeParams, x):
     """pmf ``(1 - p**(x+1))**alpha - (1 - p**x)**alpha`` on integers ``x >= 0``."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("dge_pmf is defined on nonnegative integers")
-    out = np.maximum(
-        pow1m(params.p, x + 1.0, params.alpha) - pow1m(params.p, x, params.alpha),
-        0.0,
-    )
-    return _maybe_scalar(out)
+    al, p = params.alpha, params.p
+    return _evaluate(lambda x: np.exp(_cdf_logs(al, p, x)[2]), _nonneg(x, "dge_pmf"))
 
 
 def dge_cdf(params: DgeParams, x):
@@ -168,13 +152,13 @@ def dge_cdf(params: DgeParams, x):
 
 def dge_hazard(params: DgeParams, x):
     """Discrete hazard ``pmf(x) / P(X >= x)`` on integers ``x >= 0``."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("dge_hazard is defined on nonnegative integers")
-    surv = co_pow1m(params.p, x, params.alpha)  # 1 - cdf(x-1), cancellation-free
-    if np.any(np.asarray(surv) <= 0.0):
-        raise ValueError("survival underflowed to zero; hazard undefined here")
-    return _maybe_scalar(dge_pmf(params, x) / surv)
+    al, p = params.alpha, params.p
+
+    def hazard(x):
+        _, lv, lg = _cdf_logs(al, p, x)
+        return np.exp(lg) / _survival(lv)
+
+    return _evaluate(hazard, _nonneg(x, "dge_hazard"))
 
 
 def dge_sample(params: DgeParams, rng: np.random.Generator, size=None):
@@ -187,3 +171,111 @@ def dge_sample(params: DgeParams, rng: np.random.Generator, size=None):
     if size is None:
         return int(np.floor(y))
     return np.floor(y).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# log-space pmf kernel, shared by the evaluators and the fitter
+#
+# Every pmf in the package is a difference of CDFs that crowd 1 in the tail.
+# The kernel never subtracts them: the base gap, the compounding denominators
+# and the four-corner joint difference are each rewritten as products of
+# factors that are evaluated to full relative precision.  Inputs are float
+# arrays of integer values x >= 0.
+
+#: Public evaluators run the kernel on slices of this many elements, so the
+#: temporaries of a call on millions of points stay a few hundred kilobytes.
+_CHUNK = 1 << 14
+
+
+def _nonneg(x, what):
+    """``x`` as a float array, rejecting negative values."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError(f"{what} is defined on nonnegative integers")
+    return x
+
+
+def _evaluate(fn, *args):
+    """``fn`` over the broadcast of the float arrays ``args``, chunk by chunk.
+
+    Returns a float for 0-d input, else an array of the broadcast shape.
+    """
+    arrays = np.broadcast_arrays(*args)
+    flat = [a.ravel() for a in arrays]
+    out = np.empty(flat[0].size)
+    for i in range(0, out.size, _CHUNK):
+        out[i:i + _CHUNK] = fn(*(f[i:i + _CHUNK] for f in flat))
+    return _maybe_scalar(out.reshape(arrays[0].shape))
+
+
+def _base_logs(p, x):
+    """Shape-free pieces of the base CDF at ``x``.
+
+    Returns ``l1 = log(1 - p^(x+1))``, ``l0 = log(1 - p^x)`` (-inf at 0) and
+    ``r = l1 - l0``, formed as ``log1p(p^x (1-p) / (1-p^x))`` (inf at 0) so
+    that it keeps full relative precision where ``l1`` and ``l0`` nearly agree.
+    """
+    with np.errstate(divide="ignore"):
+        px = np.power(p, x)
+        q = 0.0 - np.expm1(x * math.log(p))  # 1 - p^x, and +0.0 (not -0.0) at x = 0
+        r = np.log1p(px * (1.0 - p) / q)
+        return np.log1p(-np.power(p, x + 1.0)), np.log1p(-px), r
+
+
+def _log_gap(l1, r, shape):
+    """``log[(1 - p^(x+1))^shape - (1 - p^x)^shape]`` from `_base_logs` pieces.
+
+    The difference is ``-A(x) * expm1(-shape * r)``; ``shape`` may be an array.
+    """
+    with np.errstate(divide="ignore"):
+        return shape * l1 + np.log(-np.expm1(-shape * r))
+
+
+def _cdf_logs(alpha, p, x):
+    """``log A(x)``, ``log A(x-1)`` and ``log(A(x) - A(x-1))`` of the base law."""
+    l1, l0, r = _base_logs(p, x)
+    return alpha * l1, alpha * l0, _log_gap(l1, r, alpha)
+
+
+def _log_den(theta, lw):
+    """``log(1 - (1 - theta) w)`` from ``log w``, as ``log(theta - (1 - theta) expm1(log w))``."""
+    return np.log(theta - (1.0 - theta) * np.expm1(lw))
+
+
+def _survival(lv):
+    """``1 - v`` from ``log v``, cancellation-free; raises where it underflows."""
+    surv = -np.expm1(lv)
+    if np.any(surv <= 0.0):
+        raise ValueError("survival underflowed to zero; hazard undefined here")
+    return surv
+
+
+def _uni_logpmf(alpha, p, theta, x):
+    """Log-pmf ``log[theta (u - v) / ((1 - tau u)(1 - tau v))]`` of the compounded law."""
+    lu, lv, lg = _cdf_logs(alpha, p, x)
+    if theta == 1.0:
+        return lg
+    return lg + math.log(theta) - _log_den(theta, lu) - _log_den(theta, lv)
+
+
+def _biv_logpmf(tx, ty, theta):
+    """Joint log-pmf from the `_cdf_logs` triples of the two coordinates.
+
+    With u, u_ (v, v_) the base CDFs of x at x, x-1 (of y at y, y-1) the
+    four-corner difference of ``theta w / (1 - tau w)`` is exactly
+
+        theta (u - u_)(v - v_) (1 - tau^2 u u_ v v_) / prod_corners (1 - tau w),
+
+    a product of positive factors; ``1 - tau^2 P`` is taken as
+    ``theta (2 - theta) - tau^2 expm1(log P)``.
+    """
+    (lu, lu_, gx), (lv, lv_, gy) = tx, ty
+    out = gx + gy
+    if theta == 1.0:
+        return out
+    tau = 1.0 - theta
+    out += math.log(theta) + np.log(theta * (2.0 - theta) - tau * tau * np.expm1(lu + lu_ + lv + lv_))
+    for a in (lu, lu_):
+        for b in (lv, lv_):
+            out -= _log_den(theta, a + b)
+    return out

@@ -26,21 +26,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.stats import chi2
 
-from .bivariate import BgdgeParams, bgdge_cdf, marginal_params
-from .dge import SeriesCapError, pow1m
+from .bivariate import BgdgeParams, bgdge_cdf, bgdge_pmf, marginal_params
 from .fitting import (
-    ASCENT_SLACK,
     BivDataset,
     EmConfig,
     _as_counts,
     _biv_ll,
-    _log_shape,
-    _logit,
-    _shape_from_w,
-    _unit_from_w,
+    _distinct,
+    _em,
+    _polish,
     e_step,
     fit_biv_mle,
     m_step_pair,
@@ -103,27 +99,6 @@ def chi2_sf_reference(x: float, df: int) -> float:
 # likelihood-ratio tests
 
 
-def _pooled_ll(xf, yf, alpha, p, th):
-    return _biv_ll(xf, yf, alpha, p, alpha, p, th)
-
-
-def _polish_pooled(xf, yf, start, maxfev=3000):
-    al0, p0, th0 = start
-    w0 = np.array([_log_shape(al0), _logit(p0), _logit(th0)])
-
-    def neg(w):
-        return -_pooled_ll(xf, yf, _shape_from_w(w[0]), _unit_from_w(w[1]), _unit_from_w(w[2]))
-
-    res = minimize(
-        neg,
-        w0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-10, "maxfev": maxfev},
-    )
-    out = (_shape_from_w(res.x[0]), _unit_from_w(res.x[1]), _unit_from_w(res.x[2]))
-    return out, -float(res.fun)
-
-
 def _fit_pooled_null(data: BivDataset, cfg: EmConfig):
     """Constrained ML fit with a single shared (shape, p) across coordinates.
 
@@ -132,41 +107,30 @@ def _fit_pooled_null(data: BivDataset, cfg: EmConfig):
     the same imputed count), followed by the same multi-start polish and
     boundary comparison as the unconstrained pipeline.
     """
-    xf = data.x.astype(float)
-    yf = data.y.astype(float)
+    cells = _distinct(data.x, data.y)[:3]
     m = len(data)
-    pooled_vals = np.concatenate([xf, yf])
+    pooled_vals = np.concatenate([data.x, data.y])
+
+    def ll(al, p, th):
+        return _biv_ll(cells, al, p, al, p, th)
 
     al, p = m_step_pair(pooled_vals, np.ones(2 * m), cfg)
     base = (al, p)
-    ll_base = _pooled_ll(xf, yf, al, p, 1.0)
+    ll_base = ll(al, p, 1.0)
 
-    th = 0.5
-    ll_prev = _pooled_ll(xf, yf, al, p, th)
-    for _ in range(cfg.max_iter):
-        omega = BgdgeParams.from_values(al, p, al, p, th)
-        try:
-            ns = e_step(omega, data, cfg)
-        except SeriesCapError:
-            break
-        k = float(np.asarray(ns, dtype=float).sum())
-        th_new = min(m / k, 1.0)
-        nn = np.asarray(ns, dtype=float)
-        al_new, p_new = m_step_pair(pooled_vals, np.concatenate([nn, nn]), cfg)
-        ll = _pooled_ll(xf, yf, al_new, p_new, th_new)
-        if ll < ll_prev - ASCENT_SLACK:
-            break
-        change = max(abs(al_new - al), abs(p_new - p), abs(th_new - th))
-        rel = abs(ll - ll_prev) / max(1.0, abs(ll_prev))
-        al, p, th = al_new, p_new, th_new
-        ll_prev = ll
-        if rel < cfg.ll_rel_tol and change < cfg.param_tol:
-            break
-
-    candidates = [((al, p, th), ll_prev)]
-    candidates.append(_polish_pooled(xf, yf, (al, p, th)))
+    (al, p, th), trace, _ = _em(
+        ll,
+        lambda q: e_step(BgdgeParams.from_values(q[0], q[1], q[0], q[1], q[2]), data, cfg),
+        lambda ns: m_step_pair(pooled_vals, np.concatenate([ns, ns]), cfg),
+        (al, p, 0.5),
+        m,
+        cfg,
+        stop_on_cap=True,
+    )
+    candidates = [((al, p, th), trace[-1])]
+    candidates.append(_polish(ll, (al, p, th), 3000))
     for th0 in (0.2, 0.5, 0.8):
-        candidates.append(_polish_pooled(xf, yf, (base[0], base[1], th0)))
+        candidates.append(_polish(ll, (base[0], base[1], th0), 3000))
     candidates.append(((base[0], base[1], 1.0), ll_base))
     (al, p, th), ll_best = max(candidates, key=lambda c: c[1])
     if ll_base >= ll_best - 1e-7:
@@ -216,11 +180,9 @@ def test_independence(data: BivDataset, cfg: EmConfig | None = None) -> TestResu
     cfg = cfg or EmConfig()
     if len(data) < 5:
         warnings.warn("very small sample: asymptotic LRT reference is unreliable", stacklevel=2)
-    xf = data.x.astype(float)
-    yf = data.y.astype(float)
-    a1, p1 = m_step_pair(xf, np.ones(len(data)), cfg)
-    a2, p2 = m_step_pair(yf, np.ones(len(data)), cfg)
-    ll_null = _biv_ll(xf, yf, a1, p1, a2, p2, 1.0)
+    a1, p1 = m_step_pair(data.x, np.ones(len(data)), cfg)
+    a2, p2 = m_step_pair(data.y, np.ones(len(data)), cfg)
+    ll_null = _biv_ll(_distinct(data.x, data.y)[:3], a1, p1, a2, p2, 1.0)
     full = fit_biv_mle(data, cfg, compute_se=False)
     raw = 2.0 * (full.loglik - ll_null)
     if raw < -1e-6:
@@ -320,23 +282,7 @@ def _expected_rectangle(params: BgdgeParams, m: int, x_max: int, y_max: int, fol
     column's to its last row, and the joint upper-corner mass to the corner,
     so the table totals exactly m.
     """
-    a1, p1, a2, p2, th = params.as_tuple()
-    tau = 1.0 - th
-    ax = pow1m(p1, np.arange(x_max + 2, dtype=float), a1)  # base-1 CDF at -1..x_max
-    by = pow1m(p2, np.arange(y_max + 2, dtype=float), a2)
-
-    def joint(a, b):
-        w = np.outer(a, b)
-        return th * w / (1.0 - tau * w)
-
-    f = (
-        joint(ax[1:], by[1:])
-        - joint(ax[:-1], by[1:])
-        - joint(ax[1:], by[:-1])
-        + joint(ax[:-1], by[:-1])
-    )
-    f = np.maximum(f, 0.0)
-    exp = m * f
+    exp = m * bgdge_pmf(params, np.arange(x_max + 1)[:, None], np.arange(y_max + 1))
     if fold:
         mx = marginal_params(params, "x")
         my = marginal_params(params, "y")

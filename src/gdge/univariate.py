@@ -24,14 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dge import (
+    _CHUNK,
     SERIES_CAP,
     DgeParams,
     SeriesCapError,
+    _cdf_logs,
+    _evaluate,
     _ge_inverse,
+    _log_den,
     _maybe_scalar,
-    co_pow1m,
+    _nonneg,
+    _survival,
+    _uni_logpmf,
     dge_cdf,
-    dge_pmf,
     pow1m,
 )
 
@@ -90,35 +95,10 @@ def ugdge_cdf(params: UgdgeParams, x):
     return _maybe_scalar(params.theta * a / (1.0 - tau * a))
 
 
-def _cdf_pair(params: UgdgeParams, x):
-    """Base CDF at x and at x-1 for integer x >= 0 (as float arrays)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("defined on nonnegative integers only")
-    u = pow1m(params.p, x + 1.0, params.alpha)
-    v = pow1m(params.p, x, params.alpha)
-    return x, u, v
-
-
-def _cdf_gap(alpha, p, xs, u, v):
-    """Base-CDF increment ``u - v``, cancellation-free on both ends.
-
-    Direct subtraction loses digits once u and v crowd 1 (deep x); the
-    complementary difference loses them when both are near 0 (small x with
-    large shape).  Branch on v: each side is evaluated where it is stable.
-    """
-    direct = np.maximum(u - v, 0.0)
-    comp = np.maximum(co_pow1m(p, xs, alpha) - co_pow1m(p, xs + 1.0, alpha), 0.0)
-    return np.where(v > 0.5, comp, direct)
-
-
 def ugdge_pmf(params: UgdgeParams, x):
     """pmf ``theta*(u - v) / ((1 - tau*u)(1 - tau*v))``, u/v base CDF at x, x-1."""
-    x, u, v = _cdf_pair(params, x)
-    tau = 1.0 - params.theta
-    gap = _cdf_gap(params.alpha, params.p, x, u, v)
-    out = params.theta * gap / ((1.0 - tau * u) * (1.0 - tau * v))
-    return _maybe_scalar(out)
+    al, p, th = params.as_tuple()
+    return _evaluate(lambda x: np.exp(_uni_logpmf(al, p, th, x)), _nonneg(x, "ugdge_pmf"))
 
 
 def ugdge_hazard(params: UgdgeParams, x):
@@ -127,14 +107,13 @@ def ugdge_hazard(params: UgdgeParams, x):
     Simplifies to ``theta*(u - v) / ((1 - tau*u)(1 - v))``; the ``1 - v``
     factor is evaluated cancellation-free.
     """
-    x, u, v = _cdf_pair(params, x)
-    tau = 1.0 - params.theta
-    one_minus_v = co_pow1m(params.p, x, params.alpha)
-    if np.any(np.asarray(one_minus_v) <= 0.0):
-        raise ValueError("survival underflowed to zero; hazard undefined here")
-    gap = _cdf_gap(params.alpha, params.p, x, u, v)
-    out = params.theta * gap / ((1.0 - tau * u) * one_minus_v)
-    return _maybe_scalar(out)
+    al, p, th = params.as_tuple()
+
+    def hazard(x):
+        lu, lv, lg = _cdf_logs(al, p, x)
+        return th * np.exp(lg - _log_den(th, lu)) / _survival(lv)
+
+    return _evaluate(hazard, _nonneg(x, "ugdge_hazard"))
 
 
 def hazard_weight(params: UgdgeParams, x):
@@ -150,9 +129,13 @@ def hazard_weight(params: UgdgeParams, x):
 
 def pmf_weight(params: UgdgeParams, x):
     """Factor taking the base pmf at x to the compounded pmf at x."""
-    _, u, v = _cdf_pair(params, x)
-    tau = 1.0 - params.theta
-    return _maybe_scalar(params.theta / ((1.0 - tau * u) * (1.0 - tau * v)))
+    al, p, th = params.as_tuple()
+
+    def weight(x):
+        lu, lv, _ = _cdf_logs(al, p, x)
+        return th * np.exp(-_log_den(th, lu) - _log_den(th, lv))
+
+    return _evaluate(weight, _nonneg(x, "pmf_weight"))
 
 
 def ugdge_quantile(params: UgdgeParams, gamma: float) -> int:
@@ -225,20 +208,15 @@ def _power_weighted_sum(params: UgdgeParams, z: float, eps: float) -> float:
     q = p * abs(z)
     if not q < 1.0:
         raise ValueError(f"series diverges: p * |weight| = {q:g} >= 1")
-    tau = 1.0 - th
     total = 0.0
     block = 1024
     start = 0
     tail_const = 1.01 * al / th
     while start <= SERIES_CAP:
         xs = np.arange(start, start + block, dtype=float)
-        u = pow1m(p, xs + 1.0, al)
-        v = pow1m(p, xs, al)
-        pm = th * _cdf_gap(al, p, xs, u, v) / ((1.0 - tau * u) * (1.0 - tau * v))
-        # pm * z**x in log space: the factors can under/overflow separately
+        # pmf * z**x in log space: the factors can under/overflow separately
         # (z = e^t may exceed 1) while their product stays tame
-        with np.errstate(divide="ignore"):
-            terms = np.exp(np.log(pm) + xs * math.log(abs(z)))
+        terms = np.exp(_uni_logpmf(al, p, th, xs) + xs * math.log(abs(z)))
         if z < 0.0:
             terms = np.where(xs % 2 == 0, terms, -terms)
         total += float(terms.sum())
@@ -319,8 +297,9 @@ def _uv_scalar(params: UgdgeParams, x: int):
     u = float(pow1m(p, float(x) + 1.0, al))
     v = float(pow1m(p, float(x), al))
     tau = 1.0 - th
-    pm = th * (u - v) / ((1.0 - tau * u) * (1.0 - tau * v))
-    if not pm > 0.0:
+    pm = ugdge_pmf(params, x)
+    # the latent-count terms u^n - v^n vanish with the increment u - v
+    if not (u > v and pm > 0.0):
         raise ValueError(f"pmf vanished at x={x}; conditional law undefined")
     return u, v, tau, th, pm
 
@@ -339,28 +318,60 @@ def cond_n_pmf(params: UgdgeParams, x: int, n):
     return _maybe_scalar(out)
 
 
+def _argmax_scan(parts, tau: float, n_cap: int) -> np.ndarray:
+    """Smallest mode over n >= 1 of ``tau^(n-1) * prod_j (hi_j^n - lo_j^n)``, per cell.
+
+    ``parts`` holds one (hi, lo) pair of base-CDF arrays per coordinate.  The
+    decreasing envelope ``tau^(n-1) * prod_j hi_j^n`` bounds every later
+    term, so a cell is settled, with a certificate, at the first n whose
+    envelope falls to the cell's running maximum.  Counts are scanned in
+    blocks of growing length, at most `_CHUNK` terms in all, for all
+    unsettled cells at once; a cell still unsettled at ``n_cap`` raises
+    `SeriesCapError`.
+    """
+    hi_prod = math.prod(hi for hi, _ in parts)
+    best_t = math.prod(hi - lo for hi, lo in parts)
+    if np.any(best_t <= 0.0):
+        i = int(np.argmax(best_t <= 0.0))
+        raise FloatingPointError(f"zero-probability cell {i} in the latent-count scan")
+    best_n = np.ones(best_t.shape, dtype=np.int64)
+    todo = np.arange(best_t.size)
+    n0, block = 2, 16
+    while todo.size:
+        if n0 > n_cap:
+            raise SeriesCapError("latent-count scan exceeded n_cap without a certificate")
+        ns = np.arange(n0, min(n0 + block, n_cap + 1), dtype=float)
+        lead = tau ** (ns - 1.0)
+        env = lead * hi_prod[todo, None] ** ns
+        t = math.prod([lead, *(hi[todo, None] ** ns - lo[todo, None] ** ns for hi, lo in parts)])
+        prev = best_t[todo]
+        # running maximum before each column: settle at the first column whose
+        # envelope does not exceed it; only the columns before that count
+        before = np.maximum.accumulate(np.column_stack([prev, t[:, :-1]]), axis=1)
+        stop = env <= before
+        settled = stop.any(axis=1)
+        first_stop = np.where(settled, stop.argmax(axis=1), ns.size)
+        t = np.where(np.arange(ns.size) < first_stop[:, None], t, -np.inf)
+        j = t.argmax(axis=1)
+        top = t[np.arange(todo.size), j]
+        better = top > prev
+        best_t[todo[better]] = top[better]
+        best_n[todo[better]] = n0 + j[better]
+        todo = todo[~settled]
+        n0 += ns.size
+        block = min(2 * block, max(16, _CHUNK // max(todo.size, 1)))
+    return best_n
+
+
 def cond_n_argmax(params: UgdgeParams, x: int, n_cap: int = SERIES_CAP) -> int:
     """Most likely latent count given the observed maximum, smallest on ties.
 
-    Scans ``t(n) = tau^(n-1) * (u^n - v^n)`` upward; the decreasing envelope
-    ``tau^(n-1) * u^n`` dominates every remaining term, so the scan stops with
-    a certificate the first time the envelope falls to the incumbent.
+    Scans ``t(n) = tau^(n-1) * (u^n - v^n)`` upward with `_argmax_scan`.
     """
     u, v, tau, th, pm = _uv_scalar(params, x)
     if tau == 0.0:
         return 1
-    best_n, best_t = 1, (u - v)
-    n = 1
-    while True:
-        n += 1
-        if n > n_cap:
-            raise SeriesCapError("argmax scan exceeded the term cap")
-        env = tau ** (n - 1) * u ** n
-        if env <= best_t:
-            return best_n
-        t = tau ** (n - 1) * (u ** n - v ** n)
-        if t > best_t:
-            best_n, best_t = n, t
+    return int(_argmax_scan([(np.array([u]), np.array([v]))], tau, n_cap)[0])
 
 
 def cond_n_mean(params: UgdgeParams, x: int, eps: float = 1e-12) -> float:

@@ -26,8 +26,10 @@ from .dge import (
     _base_logs,
     _biv_logpmf,
     _cdf_logs,
+    _den,
     _evaluate,
     _ge_inverse,
+    _log_cdf,
     _log_den,
     _maybe_scalar,
     _nonneg,
@@ -91,10 +93,13 @@ class BivCell:
 
 def bgdge_cdf(params: BgdgeParams, x, y):
     """Joint CDF ``theta*A*B / (1 - (1-theta)*A*B)``; 0 off the support."""
-    a = np.asarray(dge_cdf(params.m1, x))
-    b = np.asarray(dge_cdf(params.m2, y))
-    w = a * b
-    return _maybe_scalar(params.theta * w / (1.0 - (1.0 - params.theta) * w))
+    a1, p1, a2, p2, th = params.as_tuple()
+
+    def cdf(x, y):
+        lw = _log_cdf(a1, p1, x) + _log_cdf(a2, p2, y)
+        return th * np.exp(lw) / _den(th, lw)
+
+    return _evaluate(cdf, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def prob_eq_le(params: BgdgeParams, x, y):

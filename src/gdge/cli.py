@@ -103,8 +103,8 @@ def _load_biv(path: str) -> BivDataset:
     return data
 
 
-def _make_cfg(args) -> EmConfig:
-    cfg = EmConfig()
+def _make_cfg(args, cfg: EmConfig) -> EmConfig:
+    """``cfg`` with the ``--max-iter`` and ``--tol`` options of ``args`` applied."""
     if getattr(args, "max_iter", None) is not None:
         if args.max_iter < 1:
             raise _InputError("--max-iter must be >= 1")
@@ -182,7 +182,7 @@ def _test_pairs(result, prefix: str = ""):
 
 
 def _cmd_fit(args) -> int:
-    cfg = _make_cfg(args)
+    cfg = _make_cfg(args, EmConfig())
     mode = "biv" if args.biv else "uni"
     pairs = [("command", "fit"), ("mode", mode), ("data", args.data)]
     if args.no_polish and args.init is None:
@@ -215,7 +215,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    cfg = _make_cfg(args)
+    cfg = _make_cfg(args, EmConfig())
     data = _load_biv(args.data)
     pairs = [("command", "test"), ("data", args.data), ("m", len(data))]
     if args.test in ("equal", "both"):
@@ -318,15 +318,7 @@ def _cmd_simulate(args) -> int:
             sizes.append(int(part))
         except ValueError:
             raise _InputError(f"--sizes has a non-integer entry {part!r}") from None
-    cfg = fast_sim_config()
-    if args.max_iter is not None:
-        if args.max_iter < 1:
-            raise _InputError("--max-iter must be >= 1")
-        cfg = replace(cfg, max_iter=args.max_iter)
-    if args.tol is not None:
-        if not args.tol > 0:
-            raise _InputError("--tol must be positive")
-        cfg = replace(cfg, ll_rel_tol=args.tol)
+    cfg = _make_cfg(args, fast_sim_config())
     try:
         spec = SimSpec(
             true_params=truth,

@@ -145,9 +145,7 @@ def dge_pmf(params: DgeParams, x):
 
 def dge_cdf(params: DgeParams, x):
     """Right-continuous step CDF; 0 below the support (negative ``x`` allowed)."""
-    x = np.asarray(x, dtype=float)
-    t = np.maximum(np.floor(x) + 1.0, 0.0)
-    return _maybe_scalar(pow1m(params.p, t, params.alpha))
+    return _maybe_scalar(np.exp(_log_cdf(params.alpha, params.p, np.asarray(x, dtype=float))))
 
 
 def dge_hazard(params: DgeParams, x):
@@ -237,9 +235,24 @@ def _cdf_logs(alpha, p, x):
     return alpha * l1, alpha * l0, _log_gap(l1, r, alpha)
 
 
+def _log_cdf(alpha, p, x):
+    """``log A(x)`` of the base law at real ``x``: -inf below the support."""
+    with np.errstate(divide="ignore"):
+        return alpha * np.log1p(-np.power(p, np.maximum(np.floor(x) + 1.0, 0.0)))
+
+
+def _den(theta, lw):
+    """``1 - (1 - theta) w`` from ``log w``, as ``theta - (1 - theta) expm1(log w)``.
+
+    Both terms are nonnegative, so the sum keeps full relative precision
+    where ``w`` crowds 1 and theta is small.
+    """
+    return theta - (1.0 - theta) * np.expm1(lw)
+
+
 def _log_den(theta, lw):
-    """``log(1 - (1 - theta) w)`` from ``log w``, as ``log(theta - (1 - theta) expm1(log w))``."""
-    return np.log(theta - (1.0 - theta) * np.expm1(lw))
+    """``log(1 - (1 - theta) w)`` from ``log w``, by `_den`."""
+    return np.log(_den(theta, lw))
 
 
 def _survival(lv):

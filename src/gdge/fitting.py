@@ -15,9 +15,13 @@ Mode imputation is not guaranteed to increase the observed likelihood, so
 each accepted iterate is guarded: a step that would lower the observed
 log-likelihood by more than a small slack is rejected and iteration stops.
 
-`fit_uni_mle` / `fit_biv_mle` wrap the EM core in a multi-start pipeline
-with a simplex polish and an explicit boundary comparison against the
-theta = 1 (pure base law / independence) submodel, and report standard
+Every maximum-likelihood fit -- univariate (`fit_uni_mle`), bivariate
+(`fit_biv_mle`) and the equal-margins null of the likelihood-ratio test --
+runs through one search, `_fit_mle`: EM from a start, Nelder-Mead polishes
+of its endpoint and of a few fixed starts in a bounded log/logit box, and a
+boundary comparison against the model's theta = 1 submodel (pure base law /
+independence).  A model only supplies its log-likelihood, its E- and
+M-steps, its theta = 1 fit and its start.  The public fits report standard
 errors from the finite-difference observed information.
 
 Count data hold few distinct values, so every likelihood, E-step and
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -139,8 +144,6 @@ class EmConfig:
     inner_tol: float = 1e-7
     p_grid: int = 64
     e_step: str = "argmax"  # or "expected"
-    polish_theta_grid: tuple = (0.15, 0.35, 0.55, 0.75, 0.95)
-    biv_polish_theta_grid: tuple = (0.25, 0.75)
     polish_maxfev: int = 4000
 
     def __post_init__(self):
@@ -493,21 +496,14 @@ def m_step_pair(values, counts, cfg: EmConfig | None = None):
 # EM drivers
 
 
-def _finish_report(
-    params,
-    names,
-    ll,
-    iters,
-    converged,
-    trace,
-    stop_reason,
-    method,
-    notes,
-    se_fn,
-    compute_se,
-):
+_UNI_NAMES = ("alpha", "p", "theta")
+_BIV_NAMES = ("alpha1", "p1", "alpha2", "p2", "theta")
+
+
+def _finish_report(params, data, ll, iters, trace, stop_reason, method, notes, compute_se):
+    names = _UNI_NAMES if isinstance(params, UgdgeParams) else _BIV_NAMES
     if compute_se:
-        se, se_notes = se_fn(params)
+        se, se_notes = std_errors(params, data)
         notes = tuple(notes) + tuple(se_notes)
     else:
         se = tuple(math.nan for _ in names)
@@ -518,13 +514,13 @@ def _finish_report(
     )
     return FitReport(
         params=params,
-        param_names=tuple(names),
+        param_names=names,
         estimates=tuple(float(e) for e in est),
         std_errors=tuple(float(s) for s in se),
         ci95=ci,
         loglik=float(ll),
         iters=int(iters),
-        converged=bool(converged),
+        converged=stop_reason != "max_iter",
         ll_trace=tuple(float(t) for t in trace),
         stop_reason=stop_reason,
         method=method,
@@ -532,19 +528,37 @@ def _finish_report(
     )
 
 
-_UNI_NAMES = ("alpha", "p", "theta")
-_BIV_NAMES = ("alpha1", "p1", "alpha2", "p2", "theta")
+def _uni_model(xi, cfg: EmConfig):
+    """The univariate law on counts ``xi``: ``(ll, em)`` for `_em` and `_fit_mle`."""
+    cells = _distinct(xi)[:2]
+    return lambda *q: _uni_ll(cells, *q), (
+        lambda q: e_step_uni(UgdgeParams.from_values(*q), xi, cfg),
+        lambda ns: m_step_pair(xi, ns, cfg),
+        xi.size,
+    )
 
 
-def _em(ll, impute, m_step, start, m: int, cfg: EmConfig, stop_on_cap: bool = False):
+def _biv_model(data: BivDataset, cfg: EmConfig):
+    """The bivariate law on ``data``: ``(ll, em)`` for `_em` and `_fit_mle`."""
+    cells = _distinct(data.x, data.y)[:3]
+    return lambda *q: _biv_ll(cells, *q), (
+        lambda q: e_step(BgdgeParams.from_values(*q), data, cfg),
+        lambda ns: m_step_pair(data.x, ns, cfg) + m_step_pair(data.y, ns, cfg),
+        len(data),
+    )
+
+
+def _em(ll, em, start, cfg: EmConfig, stop_on_cap: bool = False):
     """EM iterations with the ascent guard, one loop for every model.
 
-    ``impute(params)`` gives the latent counts, ``m_step(counts)`` the
-    (shape, p) pairs and theta is ``m / sum(counts)``.  A latent-count scan
-    past its cap raises `SeriesCapError`, or with ``stop_on_cap`` ends the
-    iteration at the current iterate.  Returns ``(params, trace, stop)``;
-    the iterate's log-likelihood is ``trace[-1]``.
+    ``em`` is ``(impute, m_step, m)``: ``impute(params)`` gives the latent
+    counts, ``m_step(counts)`` the (shape, p) pairs and theta is
+    ``m / sum(counts)``.  A latent-count scan past its cap raises
+    `SeriesCapError`, or with ``stop_on_cap`` ends the iteration at the
+    current iterate.  Returns ``(params, trace, stop)``; the iterate's
+    log-likelihood is ``trace[-1]``.
     """
+    impute, m_step, m = em
     params = tuple(start)
     trace = [ll(*params)]
     stop = "max_iter"
@@ -576,18 +590,9 @@ def em_fit_uni(x, init: UgdgeParams, cfg: EmConfig | None = None, compute_se: bo
     """EM for the univariate law from a given start, with ascent guard."""
     cfg = cfg or EmConfig()
     xi = _as_counts(x)
-    cells = _distinct(xi)[:2]
-    est, trace, stop = _em(
-        lambda *q: _uni_ll(cells, *q),
-        lambda q: e_step_uni(UgdgeParams.from_values(*q), xi, cfg),
-        lambda ns: m_step_pair(xi, ns, cfg),
-        init.as_tuple(),
-        xi.size,
-        cfg,
-    )
+    est, trace, stop = _em(*_uni_model(xi, cfg), init.as_tuple(), cfg)
     return _finish_report(
-        UgdgeParams.from_values(*est), _UNI_NAMES, trace[-1], len(trace) - 1, stop != "max_iter",
-        trace, stop, "em", (), lambda q: std_errors(q, xi), compute_se,
+        UgdgeParams.from_values(*est), xi, trace[-1], len(trace) - 1, trace, stop, "em", (), compute_se
     )
 
 
@@ -596,23 +601,14 @@ def em_fit_biv(
 ) -> FitReport:
     """EM for the bivariate law from a given start, with ascent guard."""
     cfg = cfg or EmConfig()
-    cells = _distinct(data.x, data.y)[:3]
-    est, trace, stop = _em(
-        lambda *q: _biv_ll(cells, *q),
-        lambda q: e_step(BgdgeParams.from_values(*q), data, cfg),
-        lambda ns: m_step_pair(data.x, ns, cfg) + m_step_pair(data.y, ns, cfg),
-        init.as_tuple(),
-        len(data),
-        cfg,
-    )
+    est, trace, stop = _em(*_biv_model(data, cfg), init.as_tuple(), cfg)
     return _finish_report(
-        BgdgeParams.from_values(*est), _BIV_NAMES, trace[-1], len(trace) - 1, stop != "max_iter",
-        trace, stop, "em", (), lambda q: std_errors(q, data), compute_se,
+        BgdgeParams.from_values(*est), data, trace[-1], len(trace) - 1, trace, stop, "em", (), compute_se
     )
 
 
 # ---------------------------------------------------------------------------
-# polish and pipelines
+# the maximum-likelihood pipeline
 
 
 # The simplex refinement searches a generous compact box.  The likelihood
@@ -623,6 +619,9 @@ def em_fit_biv(
 # and unit-interval parameters in [1e-6, 1 - 1e-6].
 _W_SHAPE_LO, _W_SHAPE_HI = math.log(1e-3), math.log(1e3)
 _W_UNIT = 13.815510557964274  # logit(1 - 1e-6)
+
+#: Compounding probabilities at which the theta = 1 fit seeds a polish.
+_POLISH_THETAS = (0.25, 0.75)
 
 
 def _to_w(v: float, is_shape: bool) -> float:
@@ -640,7 +639,7 @@ def _from_w(w: float, is_shape: bool) -> float:
     return float(expit(min(max(w, -_W_UNIT), _W_UNIT)))
 
 
-def _polish(ll, start, maxfev: int, xatol: float = 1e-7, fatol: float = 1e-10):
+def _polish(ll, start, maxfev: int):
     """Simplex refinement of ``ll(*params)`` in box-bounded log/logit coordinates.
 
     Shapes sit at the even positions before the last; every other
@@ -655,72 +654,107 @@ def _polish(ll, start, maxfev: int, xatol: float = 1e-7, fatol: float = 1e-10):
         lambda w: -ll(*params(w)),
         np.array([_to_w(v, s) for v, s in zip(start, is_shape)]),
         method="Nelder-Mead",
-        options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
+        options={"xatol": 1e-6, "fatol": 1e-9, "maxfev": maxfev},
     )
     return params(res.x), -float(res.fun)
 
 
-def _extend_trace(trace, ll_final):
-    trace = list(trace)
-    if ll_final >= trace[-1]:
-        trace.append(ll_final)
-    return trace
+class _Fit(NamedTuple):
+    """What `_fit_mle` found: the estimate, the EM record and the theta = 1 fit."""
+
+    est: tuple
+    loglik: float
+    iters: int
+    trace: list
+    stop: str
+    notes: list
+    base: tuple
+    ll_base: float
+
+
+def _fit_mle(ll, start, base, em, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
+    """The maximum-likelihood search shared by every model.
+
+    ``ll(*params)`` is the model's log-likelihood, ``em`` its `_em` steps and
+    ``base`` its fit on the theta = 1 submodel.  EM runs from ``start`` and
+    stops at its last iterate if a latent-count scan passes its cap.  The
+    candidates, in order: the EM endpoint, its simplex polish, a polish of
+    ``base`` moved to each theta of `_POLISH_THETAS`, and a polish of each of
+    ``extra_starts``.  The first best candidate wins, unless ``base`` comes
+    within `_SNAP_SLACK` of it: ties go to the smaller model.
+    """
+    ll_base = ll(*base)
+    est, trace, stop = _em(ll, em, start, cfg, stop_on_cap=True)
+    notes = []
+    if stop == "em_series_cap":
+        notes.append("EM imputation scan exceeded its cap; polished from the last EM iterate")
+    starts = [est, *((*base[:-1], th) for th in _POLISH_THETAS), *extra_starts]
+    candidates = [(est, trace[-1])] + [_polish(ll, tuple(s), cfg.polish_maxfev) for s in starts]
+    est, ll_best = max(candidates, key=lambda c: c[1])
+    if ll_base >= ll_best - _SNAP_SLACK:
+        est, ll_best = base, ll_base
+        notes.append(f"theta at boundary 1 ({submodel} submodel at least as likely)")
+    iters = len(trace) - 1
+    if ll_best >= trace[-1]:
+        trace.append(ll_best)
+    return _Fit(tuple(float(v) for v in est), ll_best, iters, trace, stop, notes, base, ll_base)
+
+
+def _fit_uni(xi, cfg: EmConfig, init: UgdgeParams | None = None, shape_p=None) -> _Fit:
+    """`_fit_mle` of the univariate law; ``shape_p`` is its theta = 1 fit if known."""
+    ll, em = _uni_model(xi, cfg)
+    base = (*(shape_p or m_step_pair(xi, np.ones(xi.size), cfg)), 1.0)
+    start = init.as_tuple() if init is not None else (*base[:2], 0.5)
+    return _fit_mle(ll, start, base, em, cfg, "base-law")
+
+
+def _fit_biv(data: BivDataset, cfg: EmConfig, init: BgdgeParams | None = None, extra_starts=()) -> _Fit:
+    """`_fit_mle` of the bivariate law.
+
+    The default start fits each margin by `_fit_uni` and averages their
+    compounding estimates.
+    """
+    ones = np.ones(len(data))
+    margins = [m_step_pair(c, ones, cfg) for c in (data.x, data.y)]
+    base = (*margins[0], *margins[1], 1.0)
+    if init is None:
+        f1, f2 = (_fit_uni(c, cfg, shape_p=sp).est for c, sp in zip((data.x, data.y), margins))
+        start = (*f1[:2], *f2[:2], min(1.0, 0.5 * (f1[2] + f2[2])))
+    else:
+        start = init.as_tuple()
+    ll, em = _biv_model(data, cfg)
+    return _fit_mle(ll, start, base, em, cfg, "independence", extra_starts)
+
+
+def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
+    """`_fit_mle` of the bivariate law with one (shape, p) shared by both coordinates.
+
+    Each pair enters the M-step twice, with its x and with its y, at the same
+    imputed count.  The fit's ``est`` and ``base`` are five-parameter tuples.
+    """
+    ll, (impute, _, m) = _biv_model(data, cfg)
+    both = np.concatenate([data.x, data.y])
+
+    def tie(q):
+        return (q[0], q[1], q[0], q[1], q[2])
+
+    em = (lambda q: impute(tie(q)), lambda ns: m_step_pair(both, np.concatenate([ns, ns]), cfg), m)
+    base = (*m_step_pair(both, np.ones(both.size), cfg), 1.0)
+    fit = _fit_mle(lambda *q: ll(*tie(q)), (*base[:2], 0.5), base, em, cfg, "equal-margins")
+    return fit._replace(est=tie(fit.est), base=tie(fit.base))
 
 
 def fit_uni_mle(x, cfg: EmConfig | None = None, init: UgdgeParams | None = None, compute_se: bool = True) -> FitReport:
-    """Full univariate ML pipeline: base fit, EM, multi-start polish, boundary check.
+    """Univariate maximum likelihood through `_fit_mle`.
 
-    The theta = 1 submodel (pure base law) is an honest candidate: if its
-    likelihood comes within a tie-break slack of the best interior candidate,
-    the boundary fit is reported.
+    EM starts from ``init`` or, by default, from the theta = 1 fit with
+    theta = 0.5.  The theta = 1 submodel (pure base law) wins ties within a
+    slack, and the report's notes then say so.
     """
-    cfg = cfg or EmConfig()
     xi = _as_counts(x)
-    cells = _distinct(xi)[:2]
-
-    def ll(*q):
-        return _uni_ll(cells, *q)
-
-    al_d, p_d = m_step_pair(xi, np.ones(xi.size), cfg)
-    ll_dge = ll(al_d, p_d, 1.0)
-
-    start = init if init is not None else UgdgeParams.from_values(al_d, p_d, 0.5)
-    notes = []
-    try:
-        em = em_fit_uni(xi, start, cfg, compute_se=False)
-        seed, seed_ll = em.estimates, em.loglik
-        em_iters, em_conv, em_trace, em_stop = em.iters, em.converged, em.ll_trace, em.stop_reason
-    except SeriesCapError:
-        # An extreme start can make the latent-count scan uncertifiable;
-        # fall back to direct refinement from the start point.
-        seed = start.as_tuple()
-        seed_ll = ll(*seed)
-        em_iters, em_conv, em_trace, em_stop = 0, True, (seed_ll,), "em_series_cap"
-        notes.append("EM imputation scan exceeded its cap; direct refinement only")
-
-    candidates = [(seed, seed_ll)]
-    candidates.append(_polish(ll, seed, 3000))
-    for th0 in cfg.polish_theta_grid:
-        candidates.append(_polish(ll, (al_d, p_d, th0), 3000))
-    est, ll_best = max(candidates, key=lambda c: c[1])
-
-    if ll_dge >= ll_best - _SNAP_SLACK:
-        est, ll_best = (al_d, p_d, 1.0), ll_dge
-        notes.append("theta at boundary 1 (base-law submodel at least as likely)")
-    params = UgdgeParams.from_values(*est)
-    return _finish_report(
-        params,
-        _UNI_NAMES,
-        ll_best,
-        em_iters,
-        em_conv,
-        _extend_trace(em_trace, ll_best),
-        em_stop,
-        "em+polish",
-        notes,
-        lambda q: std_errors(q, xi),
-        compute_se,
-    )
+    f = _fit_uni(xi, cfg or EmConfig(), init)
+    params = UgdgeParams.from_values(*f.est)
+    return _finish_report(params, xi, f.loglik, f.iters, f.trace, f.stop, "em+polish", f.notes, compute_se)
 
 
 def fit_biv_mle(
@@ -730,71 +764,16 @@ def fit_biv_mle(
     extra_starts=(),
     compute_se: bool = True,
 ) -> FitReport:
-    """Full bivariate ML pipeline.
+    """Bivariate maximum likelihood through `_fit_mle`.
 
-    Default initialization fits each marginal by `fit_uni_mle` and averages
-    their compounding estimates.  Candidates: the EM endpoint, its polish,
-    polishes from the independent base fits at a small theta grid, any
-    caller-supplied ``extra_starts`` (5-tuples), and the theta = 1
-    independence submodel, which wins ties within a slack.
+    EM starts from ``init`` or, by default, from the margins' univariate
+    fits with their compounding estimates averaged.  ``extra_starts``
+    (5-tuples) are polished as further candidates; the theta = 1
+    independence submodel wins ties within a slack.
     """
-    cfg = cfg or EmConfig()
-    cells = _distinct(data.x, data.y)[:3]
-
-    def ll(*q):
-        return _biv_ll(cells, *q)
-
-    def polish(start):
-        return _polish(ll, start, cfg.polish_maxfev, xatol=1e-6, fatol=1e-9)
-
-    a1d, p1d = m_step_pair(data.x, np.ones(len(data)), cfg)
-    a2d, p2d = m_step_pair(data.y, np.ones(len(data)), cfg)
-    ll_null = ll(a1d, p1d, a2d, p2d, 1.0)
-
-    if init is None:
-        f1 = fit_uni_mle(data.x, cfg, compute_se=False)
-        f2 = fit_uni_mle(data.y, cfg, compute_se=False)
-        th0 = min(1.0, 0.5 * (f1.estimates[2] + f2.estimates[2]))
-        init = BgdgeParams.from_values(
-            f1.estimates[0], f1.estimates[1], f2.estimates[0], f2.estimates[1], th0
-        )
-    notes = []
-    try:
-        em = em_fit_biv(data, init, cfg, compute_se=False)
-        seed, seed_ll = em.estimates, em.loglik
-        em_iters, em_conv, em_trace, em_stop = em.iters, em.converged, em.ll_trace, em.stop_reason
-    except SeriesCapError:
-        seed = init.as_tuple()
-        seed_ll = ll(*seed)
-        em_iters, em_conv, em_trace, em_stop = 0, True, (seed_ll,), "em_series_cap"
-        notes.append("EM imputation scan exceeded its cap; direct refinement only")
-
-    candidates = [(seed, seed_ll)]
-    candidates.append(polish(seed))
-    for th0 in cfg.biv_polish_theta_grid:
-        candidates.append(polish((a1d, p1d, a2d, p2d, th0)))
-    for s in extra_starts:
-        candidates.append(polish(tuple(s)))
-    candidates.append(((a1d, p1d, a2d, p2d, 1.0), ll_null))
-    est, ll_best = max(candidates, key=lambda c: c[1])
-
-    if ll_null >= ll_best - _SNAP_SLACK:
-        est, ll_best = (a1d, p1d, a2d, p2d, 1.0), ll_null
-        notes.append("theta at boundary 1 (independence submodel at least as likely)")
-    params = BgdgeParams.from_values(*est)
-    return _finish_report(
-        params,
-        _BIV_NAMES,
-        ll_best,
-        em_iters,
-        em_conv,
-        _extend_trace(em_trace, ll_best),
-        em_stop,
-        "em+polish",
-        notes,
-        lambda q: std_errors(q, data),
-        compute_se,
-    )
+    f = _fit_biv(data, cfg or EmConfig(), init, extra_starts)
+    params = BgdgeParams.from_values(*f.est)
+    return _finish_report(params, data, f.loglik, f.iters, f.trace, f.stop, "em+polish", f.notes, compute_se)
 
 
 # ---------------------------------------------------------------------------

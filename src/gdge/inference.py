@@ -8,8 +8,10 @@ Two nested comparisons come up for the bivariate model:
   parameter value sits on the boundary of its range, so the LRT statistic is
   a 50/50 mixture of a point mass at 0 and chi-square with 1 df.
 
-Both tests refit the alternative through the multi-start pipeline with the
-null optimum injected as an extra start, which keeps the models numerically
+Both fits of each test run through the fitting module's one
+maximum-likelihood search.  The independence null is the full fit's own
+theta = 1 submodel; the equal-margins null is fitted first and its optimum
+is a further start of the full fit, which keeps the models numerically
 nested (the full likelihood can never fall below the null beyond slack).
 
 Goodness of fit bins the support, compares observed against model-expected
@@ -29,18 +31,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .bivariate import BgdgeParams, bgdge_cdf, bgdge_pmf, marginal_params
-from .fitting import (
-    BivDataset,
-    EmConfig,
-    _as_counts,
-    _biv_ll,
-    _distinct,
-    _em,
-    _polish,
-    e_step,
-    fit_biv_mle,
-    m_step_pair,
-)
+from .fitting import BivDataset, EmConfig, _as_counts, _fit_biv, _fit_equal_margins
 from .univariate import UgdgeParams, ugdge_cdf, ugdge_pmf
 
 __all__ = [
@@ -99,43 +90,27 @@ def chi2_sf_reference(x: float, df: int) -> float:
 # likelihood-ratio tests
 
 
-def _fit_pooled_null(data: BivDataset, cfg: EmConfig):
-    """Constrained ML fit with a single shared (shape, p) across coordinates.
-
-    EM with the E-step at the tied parameters and the M-step run on the
-    concatenated observations (each pair contributes its x and its y with
-    the same imputed count), followed by the same multi-start polish and
-    boundary comparison as the unconstrained pipeline.
-    """
-    cells = _distinct(data.x, data.y)[:3]
-    m = len(data)
-    pooled_vals = np.concatenate([data.x, data.y])
-
-    def ll(al, p, th):
-        return _biv_ll(cells, al, p, al, p, th)
-
-    al, p = m_step_pair(pooled_vals, np.ones(2 * m), cfg)
-    base = (al, p)
-    ll_base = ll(al, p, 1.0)
-
-    (al, p, th), trace, _ = _em(
-        ll,
-        lambda q: e_step(BgdgeParams.from_values(q[0], q[1], q[0], q[1], q[2]), data, cfg),
-        lambda ns: m_step_pair(pooled_vals, np.concatenate([ns, ns]), cfg),
-        (al, p, 0.5),
-        m,
-        cfg,
-        stop_on_cap=True,
+def _lrt(data: BivDataset, full, null_params, ll_null, reference: str, p_value) -> TestResult:
+    """The test of a full fit (a fitting-module fit record) against a null."""
+    if len(data) < 5:
+        warnings.warn("very small sample: asymptotic LRT reference is unreliable", stacklevel=3)
+    raw = 2.0 * (full.loglik - ll_null)
+    if raw < -1e-6:
+        warnings.warn(
+            f"null log-likelihood exceeded the full fit by {-raw / 2.0:g}; "
+            "treating the statistic as 0",
+            stacklevel=3,
+        )
+    stat = max(0.0, raw)
+    return TestResult(
+        statistic=stat,
+        reference=reference,
+        p_value=p_value(stat),
+        ll_full=float(full.loglik),
+        ll_null=float(ll_null),
+        full_params=full.est,
+        null_params=tuple(null_params),
     )
-    candidates = [((al, p, th), trace[-1])]
-    candidates.append(_polish(ll, (al, p, th), 3000))
-    for th0 in (0.2, 0.5, 0.8):
-        candidates.append(_polish(ll, (base[0], base[1], th0), 3000))
-    candidates.append(((base[0], base[1], 1.0), ll_base))
-    (al, p, th), ll_best = max(candidates, key=lambda c: c[1])
-    if ll_base >= ll_best - 1e-7:
-        (al, p, th), ll_best = (base[0], base[1], 1.0), ll_base
-    return (al, p, th), ll_best
 
 
 def test_equal_marginals(data: BivDataset, cfg: EmConfig | None = None) -> TestResult:
@@ -145,62 +120,27 @@ def test_equal_marginals(data: BivDataset, cfg: EmConfig | None = None) -> TestR
     Reference law: chi-square with 2 df.
     """
     cfg = cfg or EmConfig()
-    if len(data) < 5:
-        warnings.warn("very small sample: asymptotic LRT reference is unreliable", stacklevel=2)
-    (al0, p0, th0), ll_null = _fit_pooled_null(data, cfg)
-    full = fit_biv_mle(
-        data, cfg, extra_starts=[(al0, p0, al0, p0, th0)], compute_se=False
-    )
-    raw = 2.0 * (full.loglik - ll_null)
-    if raw < -1e-6:
-        warnings.warn(
-            f"null log-likelihood exceeded the full fit by {-raw / 2.0:g}; "
-            "treating the statistic as 0",
-            stacklevel=2,
-        )
-    stat = max(0.0, raw)
-    return TestResult(
-        statistic=stat,
-        reference="chi2(2)",
-        p_value=chi2_sf(stat, 2),
-        ll_full=float(full.loglik),
-        ll_null=float(ll_null),
-        full_params=full.estimates,
-        null_params=(al0, p0, al0, p0, th0),
-    )
+    null = _fit_equal_margins(data, cfg)
+    full = _fit_biv(data, cfg, extra_starts=[null.est])
+    return _lrt(data, full, null.est, null.loglik, "chi2(2)", lambda stat: chi2_sf(stat, 2))
 
 
 def test_independence(data: BivDataset, cfg: EmConfig | None = None) -> TestResult:
     """LRT of independent coordinates (compounding probability pinned to 1).
 
-    The null value sits on the parameter boundary, so the reference law is
-    the 50/50 mixture of a point mass at 0 and chi-square with 1 df:
-    p = 1 when the statistic is 0, else half the chi-square(1) tail.
+    The null is the full fit's own theta = 1 submodel.  Its value sits on
+    the parameter boundary, so the reference law is the 50/50 mixture of a
+    point mass at 0 and chi-square with 1 df: p = 1 when the statistic is
+    0, else half the chi-square(1) tail.
     """
-    cfg = cfg or EmConfig()
-    if len(data) < 5:
-        warnings.warn("very small sample: asymptotic LRT reference is unreliable", stacklevel=2)
-    a1, p1 = m_step_pair(data.x, np.ones(len(data)), cfg)
-    a2, p2 = m_step_pair(data.y, np.ones(len(data)), cfg)
-    ll_null = _biv_ll(_distinct(data.x, data.y)[:3], a1, p1, a2, p2, 1.0)
-    full = fit_biv_mle(data, cfg, compute_se=False)
-    raw = 2.0 * (full.loglik - ll_null)
-    if raw < -1e-6:
-        warnings.warn(
-            f"null log-likelihood exceeded the full fit by {-raw / 2.0:g}; "
-            "treating the statistic as 0",
-            stacklevel=2,
-        )
-    stat = max(0.0, raw)
-    p_value = 1.0 if stat <= 0.0 else 0.5 * chi2_sf(stat, 1)
-    return TestResult(
-        statistic=stat,
-        reference="0.5*{0} + 0.5*chi2(1)",
-        p_value=p_value,
-        ll_full=float(full.loglik),
-        ll_null=float(ll_null),
-        full_params=full.estimates,
-        null_params=(a1, p1, a2, p2, 1.0),
+    full = _fit_biv(data, cfg or EmConfig())
+    return _lrt(
+        data,
+        full,
+        full.base,
+        full.ll_base,
+        "0.5*{0} + 0.5*chi2(1)",
+        lambda stat: 1.0 if stat <= 0.0 else 0.5 * chi2_sf(stat, 1),
     )
 
 

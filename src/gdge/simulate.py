@@ -27,17 +27,12 @@ _PARAM_NAMES = ("alpha1", "p1", "alpha2", "p2", "theta")
 def fast_sim_config() -> EmConfig:
     """A lighter search budget for replicated fitting.
 
-    Coarser inner tolerances and fewer restarts than the single-fit default;
-    the polish stage still tightens each candidate, so point estimates move
-    by far less than Monte Carlo noise while wall time drops severalfold.
+    A coarser M-step (inner tolerance and p grid) and half the polish
+    evaluation budget of the single-fit default; the polish stage still
+    tightens each candidate, so point estimates move by far less than Monte
+    Carlo noise while wall time drops severalfold.
     """
-    return EmConfig(
-        inner_tol=1e-5,
-        p_grid=32,
-        polish_theta_grid=(0.35, 0.75),
-        biv_polish_theta_grid=(0.25, 0.75),
-        polish_maxfev=2000,
-    )
+    return EmConfig(inner_tol=1e-5, p_grid=32, polish_maxfev=2000)
 
 
 @dataclass(frozen=True)

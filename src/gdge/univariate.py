@@ -29,8 +29,10 @@ from .dge import (
     DgeParams,
     SeriesCapError,
     _cdf_logs,
+    _den,
     _evaluate,
     _ge_inverse,
+    _log_cdf,
     _log_den,
     _maybe_scalar,
     _nonneg,
@@ -90,9 +92,13 @@ class UgdgeParams:
 
 def ugdge_cdf(params: UgdgeParams, x):
     """CDF ``theta*A / (1 - (1-theta)*A)`` with A the base CDF at x."""
-    a = np.asarray(dge_cdf(params.base, x))
-    tau = 1.0 - params.theta
-    return _maybe_scalar(params.theta * a / (1.0 - tau * a))
+    al, p, th = params.as_tuple()
+
+    def cdf(x):
+        la = _log_cdf(al, p, x)
+        return th * np.exp(la) / _den(th, la)
+
+    return _evaluate(cdf, np.asarray(x, dtype=float))
 
 
 def ugdge_pmf(params: UgdgeParams, x):
@@ -123,8 +129,8 @@ def hazard_weight(params: UgdgeParams, x):
     ``theta / (1 - (1-theta) * A(x))`` — an increasing function of x that
     climbs from roughly theta to 1, so compounding damps early hazards most.
     """
-    a = np.asarray(dge_cdf(params.base, x))
-    return _maybe_scalar(params.theta / (1.0 - (1.0 - params.theta) * a))
+    al, p, th = params.as_tuple()
+    return _evaluate(lambda x: th / _den(th, _log_cdf(al, p, x)), np.asarray(x, dtype=float))
 
 
 def pmf_weight(params: UgdgeParams, x):

@@ -9,6 +9,7 @@ from gdge import (
     BgdgeParams,
     BivDataset,
     EmConfig,
+    SeriesCapError,
     UgdgeParams,
     bgdge_pmf,
     bgdge_sample,
@@ -215,6 +216,35 @@ def test_biv_mle_beats_both_em_endpoints(football):
     init = BgdgeParams.from_values(4.6587, 0.2618, 6.8029, 0.1683, 0.6638)
     em_only = em_fit_biv(football, init, compute_se=False)
     assert direct.loglik >= em_only.loglik - 1e-9
+
+
+# EM from theta = 1e-5 meets latent-count modes far past a scan cap of 100:
+# the pipeline keeps the last EM iterate and polishes on from there
+CAP_CFG = EmConfig(n_cap=100)
+
+
+def test_uni_mle_polishes_on_when_em_scan_passes_its_cap(football):
+    init = UgdgeParams.from_values(0.05, 0.5, 1e-5)
+    with pytest.raises(SeriesCapError):
+        e_step_uni(init, football.y, CAP_CFG)
+    rep = fit_uni_mle(football.y, CAP_CFG, init=init, compute_se=False)
+    assert rep.stop_reason == "em_series_cap"
+    assert any("exceeded its cap" in note for note in rep.notes)
+    ll_start = observed_loglik_uni(init, football.y)
+    assert rep.ll_trace[0] == pytest.approx(ll_start, rel=1e-12)
+    assert rep.loglik >= ll_start
+
+
+def test_biv_mle_polishes_on_when_em_scan_passes_its_cap(football):
+    init = BgdgeParams.from_values(0.05, 0.5, 0.05, 0.5, 1e-5)
+    with pytest.raises(SeriesCapError):
+        e_step(init, football, CAP_CFG)
+    rep = fit_biv_mle(football, CAP_CFG, init=init, compute_se=False)
+    assert rep.stop_reason == "em_series_cap"
+    assert any("exceeded its cap" in note for note in rep.notes)
+    ll_start = observed_loglik_biv(init, football)
+    assert rep.ll_trace[0] == pytest.approx(ll_start, rel=1e-12)
+    assert rep.loglik >= ll_start
 
 
 # ---------------------------------------------------------------------------

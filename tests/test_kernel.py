@@ -13,6 +13,7 @@ from gdge import (
     EmConfig,
     SeriesCapError,
     UgdgeParams,
+    bgdge_cdf,
     bgdge_pmf,
     bgdge_sample,
     biv_cond_n_argmax,
@@ -23,10 +24,12 @@ from gdge import (
     dge_pmf,
     e_step,
     e_step_uni,
+    hazard_weight,
     latent_weighted_loglik,
     observed_loglik_biv,
     observed_loglik_uni,
     profile_alpha_max,
+    ugdge_cdf,
     ugdge_pmf,
     ugdge_sample,
 )
@@ -134,6 +137,32 @@ def test_bivariate_kernel_property(a1, p1, a2, p2, theta, x, y):
     want = ref_biv_pmf(a1, p1, a2, p2, theta, x, y)
     if want > TINY:
         assert_close(bgdge_pmf(BgdgeParams.from_values(a1, p1, a2, p2, theta), x, y), [want])
+
+
+def ref_base(alpha, p, x):
+    """Base CDF ``(1 - p^(x+1))^alpha`` in mpmath; 0 below the support."""
+    return (1 - mp.mpf(p) ** (x + 1)) ** mp.mpf(alpha) if x >= 0 else mp.mpf(0)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1e-4, 1e-6])
+@pytest.mark.parametrize("law,grid", [((1.5, 0.4), np.arange(-1, 40)), DEEP_UNI[2]])
+def test_cdfs_and_hazard_weight_match_reference_at_small_theta(law, grid, theta):
+    # each is a ratio over 1 - (1 - theta) A, which cancels at small theta
+    # where A crowds 1 unless it is formed from log A
+    alpha, p = law
+    gx, gy = np.meshgrid(grid[::2], grid[::2], indexing="ij")
+    with mp.workdps(REF_DPS):
+        th = mp.mpf(theta)
+        cdf = [float(ref_cdf(alpha, p, theta, int(x))) for x in grid]
+        weight = [float(th / (1 - (1 - th) * ref_base(alpha, p, int(x)))) for x in grid]
+        joint = []
+        for x, y in zip(gx.ravel(), gy.ravel()):
+            w = ref_base(alpha, p, int(x)) * ref_base(2.0, 0.3, int(y))
+            joint.append(float(th * w / (1 - (1 - th) * w)))
+    uni = UgdgeParams.from_values(alpha, p, theta)
+    assert_close(ugdge_cdf(uni, grid), cdf)
+    assert_close(hazard_weight(uni, grid), weight)
+    assert_close(bgdge_cdf(BgdgeParams.from_values(alpha, p, 2.0, 0.3, theta), gx, gy), joint)
 
 
 def test_latent_count_laws_refuse_cells_the_cdfs_cannot_resolve():

@@ -42,6 +42,8 @@ from .univariate import UgdgeParams, ugdge_cdf, ugdge_pmf, ugdge_sample
 __all__ = ["main"]
 
 _UNI_ORDER = "alpha,p,theta"
+_MAX_ITER_HELP = "iteration cap of each L-BFGS-B run, or of EM with fit --no-polish"
+_TOL_HELP = "relative log-likelihood tolerance of each L-BFGS-B start, or of EM with fit --no-polish"
 _BIV_ORDER = "alpha1,p1,alpha2,p2,theta"
 
 
@@ -370,9 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--init", metavar="VALS", default=None,
                     help=f"starting point, comma-separated ({_UNI_ORDER} or {_BIV_ORDER})")
     sp.add_argument("--no-polish", action="store_true",
-                    help="plain EM from --init, without the multi-start refinement")
-    sp.add_argument("--max-iter", type=int, default=None, help="EM iteration cap")
-    sp.add_argument("--tol", type=float, default=None, help="relative log-likelihood tolerance")
+                    help="plain EM from --init, without the multi-start gradient search")
+    sp.add_argument("--max-iter", type=int, default=None, help=_MAX_ITER_HELP)
+    sp.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     sp.add_argument("--gof", action="store_true", help="append a chi-square goodness-of-fit block")
     _add_gof_flags(sp)
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -382,8 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("data", help="CSV dataset with header 'x,y'")
     sp.add_argument("--test", choices=("equal", "indep", "both"), default="both",
                     help="equal marginal laws, independence, or both (default)")
-    sp.add_argument("--max-iter", type=int, default=None, help="EM iteration cap")
-    sp.add_argument("--tol", type=float, default=None, help="relative log-likelihood tolerance")
+    sp.add_argument("--max-iter", type=int, default=None, help=_MAX_ITER_HELP)
+    sp.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     sp.set_defaults(func=_cmd_test)
 
@@ -422,8 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", default="25,100", help="comma-separated sample sizes")
     sp.add_argument("--reps", type=int, default=200, help="replications per size (default 200)")
     sp.add_argument("--seed", type=int, default=20260822, help="master seed")
-    sp.add_argument("--max-iter", type=int, default=None, help="EM iteration cap")
-    sp.add_argument("--tol", type=float, default=None, help="relative log-likelihood tolerance")
+    sp.add_argument("--max-iter", type=int, default=None, help=_MAX_ITER_HELP)
+    sp.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     sp.add_argument("--progress", action="store_true", help="print progress to stdout")
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     sp.set_defaults(func=_cmd_simulate)

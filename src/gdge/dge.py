@@ -292,3 +292,48 @@ def _biv_logpmf(tx, ty, theta):
         for b in (lv, lv_):
             out -= _log_den(theta, a + b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# gradient of the kernel: a log-pmf holds a coordinate's (alpha, p) through
+# log(u - v) and through the compounding factor h(log u, log v, ..., theta)
+
+
+def _coord_partials(alpha, p, x, c1, c0):
+    """Partials in (alpha, p) of ``log(u - v) + h`` for one coordinate, u, v its base CDF at x, x - 1.
+
+    ``c1 - 1`` and ``c0`` are the partials of h in ``log u`` and ``log v``; ``log(u - v) = log u +
+    log(1 - exp(-alpha r))`` (`_log_gap`), ``dr/dp = p^x / (1-p^(x+1)) (x (1-p) / (p (1-p^x)) - 1)``.
+    """
+    l1, l0, r = _base_logs(p, x)
+    lp = math.log(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        px, q0, q1 = np.exp(x * lp), -np.expm1(x * lp), -np.expm1((x + 1.0) * lp)
+        dlr = 1.0 / np.expm1(alpha * r)  # d log(1 - exp(-z)) / dz at z = alpha r
+        d_alpha = c1 * l1 + np.where(x > 0, c0 * l0 + r * dlr, 0.0)
+        d_p = -c1 * (x + 1.0) * px / q1 + np.where(
+            x > 0, px / q1 * (x * (1.0 - p) / (p * q0) - 1.0) * dlr - c0 * x * px / (p * q0), 0.0)
+    return d_alpha, alpha * d_p
+
+
+def _uni_logpmf_grad(alpha, p, theta, x):
+    """Partials of `_uni_logpmf` in (alpha, p, theta), an array of shape (3, x.size)."""
+    lu, lv, _ = _cdf_logs(alpha, p, x)
+    eu, ev = (np.exp(lw) / _den(theta, lw) for lw in (lu, lv))
+    tau = 1.0 - theta
+    return np.array([*_coord_partials(alpha, p, x, 1.0 + tau * eu, tau * ev), 1.0 / theta - eu - ev])
+
+
+def _biv_logpmf_grad(x, y, a1, p1, a2, p2, theta):
+    """Partials of `_biv_logpmf` in (alpha1, p1, alpha2, p2, theta), shape (5, cells)."""
+    (lu, lu_, _), (lv, lv_, _) = _cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y)
+    tau = 1.0 - theta
+    lprod = lu + lu_ + lv + lv_
+    ratio = np.exp(lprod) / (theta * (2.0 - theta) - tau * tau * np.expm1(lprod))  # P / (1 - tau^2 P)
+    e = [[np.exp(a + b) / _den(theta, a + b) for b in (lv, lv_)] for a in (lu, lu_)]
+    k = tau * tau * ratio
+    return np.array([
+        *_coord_partials(a1, p1, x, 1.0 - k + tau * (e[0][0] + e[0][1]), tau * (e[1][0] + e[1][1]) - k),
+        *_coord_partials(a2, p2, y, 1.0 - k + tau * (e[0][0] + e[1][0]), tau * (e[0][1] + e[1][1]) - k),
+        1.0 / theta + 2.0 * tau * ratio - sum(map(sum, e)),
+    ])

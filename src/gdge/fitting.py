@@ -1,32 +1,25 @@
-"""Maximum-likelihood fitting of the compounded laws by EM.
-
-The latent-count construction makes EM natural: if each observation's
-geometric count n_i were known, the complete-data likelihood would separate
-into a Bernoulli-style factor for theta and, per coordinate, a weighted
-base-law likelihood whose x_i carries weight n_i.  The fitter alternates
-
-  E-step   impute each n_i by the conditional mode given the observation
-           (config-switchable to the conditional mean),
-  M-step   theta <- m / sum(n_i), and per coordinate a profile search:
-           inner 1-D shape maximization (the weighted log-likelihood is
-           unimodal in the shape), outer grid-plus-golden search over p.
-
-Mode imputation is not guaranteed to increase the observed likelihood, so
-each accepted iterate is guarded: a step that would lower the observed
-log-likelihood by more than a small slack is rejected and iteration stops.
+"""Maximum-likelihood fitting of the compounded laws.
 
 Every maximum-likelihood fit -- univariate (`fit_uni_mle`), bivariate
 (`fit_biv_mle`) and the equal-margins null of the likelihood-ratio test --
-runs through one search, `_fit_mle`: EM from a start, Nelder-Mead polishes
-of its endpoint and of a few fixed starts in a bounded log/logit box, and a
-boundary comparison against the model's theta = 1 submodel (pure base law /
-independence).  A model only supplies its log-likelihood, its E- and
-M-steps, its theta = 1 fit and its start.  The public fits report standard
-errors from the finite-difference observed information.
+runs through one search, `_fit_mle`: L-BFGS-B (Byrd, Lu, Nocedal and Zhu
+1995) on the analytic gradient of the `dge` kernel, in bounded log/logit
+coordinates, from a few starts, and Newton steps on a Hessian from
+differences of the gradient.  The theta = 1 submodel (pure base law /
+independence) wins ties.  Standard errors come from the same kind of Hessian.
 
-Count data hold few distinct values, so every likelihood, E-step and
-M-step works on the distinct values (or pairs, or value-count pairs) with
-their multiplicities, found once per call by `_distinct`.
+EM, the paper's algorithm, stays as `em_fit_uni`/`em_fit_biv`.  Given each
+observation's latent geometric count n_i, the complete-data likelihood
+separates into a Bernoulli-style factor for theta and, per coordinate, a
+base-law likelihood in which x_i carries shape n_i * alpha.  The E-step
+imputes each n_i by its conditional mode (or mean); the M-step sets
+theta = m / sum(n_i) and maximizes each coordinate's weighted likelihood by
+a profile search (shape inside, grid-plus-golden over p), which at unit
+counts is also the theta = 1 fit.  Mode imputation is not monotone, so a
+step that lowers the observed log-likelihood by more than a slack ends EM.
+
+Likelihoods, E- and M-steps work on distinct values, pairs or value-count
+pairs with their multiplicities (`_distinct`).
 """
 
 from __future__ import annotations
@@ -38,11 +31,19 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from .bivariate import BgdgeParams
-from .dge import SeriesCapError, _base_logs, _biv_logpmf, _cdf_logs, _log_gap, _uni_logpmf
-from .univariate import UgdgeParams, _argmax_scan
+from .dge import (
+    _base_logs,
+    _biv_logpmf,
+    _biv_logpmf_grad,
+    _cdf_logs,
+    _log_gap,
+    _uni_logpmf,
+    _uni_logpmf_grad,
+)
+from .univariate import UgdgeParams, _argmax_scan, _cond_n_mean
 
 __all__ = [
     "BivDataset",
@@ -76,15 +77,6 @@ _P_EPS = 1e-3
 #: Optimizer-facing log-likelihoods count a cell of smaller log-probability
 #: (numerically vanishing) at this value, so a search never sees -inf.
 _LOG_FLOOR = math.log(1e-300)
-
-#: The fitter's likelihoods take a difference ``hi - lo`` of CDF values
-#: directly where it exceeds this fraction of ``hi`` (relative error below
-#: about 5e-12) and through the exact log-space kernel of `dge` elsewhere.
-#: The direct form is the arithmetic of the Serie A reports that the test
-#: suite pins to ten digits; the likelihood is flat to its last bits near the
-#: optimum, so the simplex and golden searches reproduce those digits only on
-#: that arithmetic.  It is kept wherever it is accurate.
-_DIRECT_MIN = 1e-4
 
 
 def _as_counts(x, name="x") -> np.ndarray:
@@ -135,7 +127,7 @@ class BivDataset:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Tolerances and search budgets for the EM fitter."""
+    """Tolerances and budgets; ``max_iter`` and ``ll_rel_tol`` (as ``ftol``) also bound each L-BFGS-B run."""
 
     ll_rel_tol: float = 1e-8
     param_tol: float = 1e-6
@@ -144,7 +136,6 @@ class EmConfig:
     inner_tol: float = 1e-7
     p_grid: int = 64
     e_step: str = "argmax"  # or "expected"
-    polish_maxfev: int = 4000
 
     def __post_init__(self):
         if not (self.ll_rel_tol > 0 and self.param_tol > 0 and self.inner_tol > 0):
@@ -194,60 +185,24 @@ def _distinct(*cols):
     return (*cells, w.astype(float), inv.reshape(-1))
 
 
-def _base_cdfs(alpha, p, x):
-    """Base CDF at x and at x - 1."""
-    l1, l0, _ = _base_logs(p, x)
-    return np.exp(alpha * l1), np.exp(alpha * l0)
+def _ll_and_grad(logpmf, grad, w):
+    """Weighted sums of cell log-pmfs and their partials (rows of ``grad``), floored at `_LOG_FLOOR`."""
+    low = logpmf < _LOG_FLOOR
+    return float(w @ np.where(low, _LOG_FLOOR, logpmf)), np.where(low, 0.0, grad) @ w
 
 
-def _patched_log(q, redo, exact):
-    """``log(q)``, with the entries flagged in ``redo`` taken from ``exact(redo)``."""
-    if not np.count_nonzero(redo):
-        return np.log(q)
-    q[redo] = 1.0
-    out = np.log(q)
-    out[redo] = exact(redo)
-    return out
-
-
-def _fit_uni_logpmf(alpha, p, theta, x):
-    """Log-pmf as the fitter has always formed it, exact kernel where that cancels."""
-    u, v = _base_cdfs(alpha, p, x)
-    tau = 1.0 - theta
-    gap = u - v
-    den = 1.0 - tau * u
-    redo = (gap <= _DIRECT_MIN * u) | (den <= _DIRECT_MIN)
-    pm = theta * gap / (den * (1.0 - tau * v))
-    return _patched_log(pm, redo, lambda k: _uni_logpmf(alpha, p, theta, x[k]))
-
-
-def _fit_biv_logpmf(x, y, a1, p1, a2, p2, th):
-    """Joint log-pmf as the fitter has always formed it, exact kernel where that cancels."""
-    u, u_ = _base_cdfs(a1, p1, x)
-    b, b_ = _base_cdfs(a2, p2, y)
-    tau = 1.0 - th
-    num = th * (u - u_)
-    den = 1.0 - tau * u * b
-    redo = (u - u_ <= _DIRECT_MIN * u) | (b - b_ <= _DIRECT_MIN * b) | (den <= _DIRECT_MIN)
-    g_hi = num * b / (den * (1.0 - tau * u_ * b))
-    g_lo = num * b_ / ((1.0 - tau * u * b_) * (1.0 - tau * u_ * b_))
-    return _patched_log(
-        g_hi - g_lo,
-        redo,
-        lambda k: _biv_logpmf(_cdf_logs(a1, p1, x[k]), _cdf_logs(a2, p2, y[k]), th),
-    )
-
-
-def _uni_ll(cells, alpha: float, p: float, theta: float) -> float:
-    """Optimizer-facing log-likelihood on ``(values, weights)``; never -inf."""
+def _uni_ll(cells, q):
+    """Log-likelihood on ``(values, weights)`` and its gradient in (alpha, p, theta)."""
     x, w = cells
-    return float(w @ np.maximum(_fit_uni_logpmf(alpha, p, theta, x), _LOG_FLOOR))
+    return _ll_and_grad(_uni_logpmf(*q, x), _uni_logpmf_grad(*q, x), w)
 
 
-def _biv_ll(cells, a1, p1, a2, p2, th) -> float:
-    """Optimizer-facing log-likelihood on ``(x, y, weights)``; never -inf."""
+def _biv_ll(cells, q):
+    """Log-likelihood on ``(x, y, weights)`` and its gradient in (alpha1, p1, alpha2, p2, theta)."""
     x, y, w = cells
-    return float(w @ np.maximum(_fit_biv_logpmf(x, y, a1, p1, a2, p2, th), _LOG_FLOOR))
+    a1, p1, a2, p2, th = q
+    logpmf = _biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), th)
+    return _ll_and_grad(logpmf, _biv_logpmf_grad(x, y, *q), w)
 
 
 def _checked_ll(logpmf, w, where) -> float:
@@ -274,17 +229,6 @@ def observed_loglik_biv(params: BgdgeParams, data: BivDataset) -> float:
     )
 
 
-def _latent_logpmf(l1, l0, r, shape):
-    """Per-value terms of the weighted base log-likelihood, from `_base_logs` pieces.
-
-    ``log[(1 - p^(x+1))^shape - (1 - p^x)^shape]``, by direct difference
-    where that keeps its digits and by the exact kernel elsewhere.
-    """
-    hi = np.exp(shape * l1)
-    gap = hi - np.exp(shape * l0)
-    return _patched_log(gap, gap <= _DIRECT_MIN * hi, lambda k: _log_gap(l1[k], r[k], shape[k]))
-
-
 def _weighted_sum(terms, w=None) -> float:
     total = terms.sum() if w is None else w @ terms
     return float(total) if total > -math.inf else -math.inf
@@ -298,7 +242,8 @@ def latent_weighted_loglik(values, counts, alpha: float, p: float) -> float:
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     shape = np.broadcast_to(np.asarray(counts, dtype=float) * alpha, v.shape)
-    return _weighted_sum(_latent_logpmf(*_base_logs(p, v), shape))
+    l1, _, r = _base_logs(p, v)
+    return _weighted_sum(_log_gap(l1, r, shape))
 
 
 def complete_loglik(omega: BgdgeParams, data: BivDataset, counts) -> float:
@@ -331,13 +276,20 @@ def complete_loglik(omega: BgdgeParams, data: BivDataset, counts) -> float:
 # E-step
 
 
-def _impute(parts, tau, cfg: EmConfig, inv):
-    """Latent counts per distinct cell, expanded to the observations by ``inv``.
+def _e_step(theta, coords, cfg: EmConfig | None):
+    """Latent counts of the observations, given ``(shape, p, counts)`` per coordinate, per distinct cell.
 
-    ``parts`` holds one (hi, lo) base-CDF pair per coordinate; the
-    conditional mean sums over the corners ``prod_j (hi_j or lo_j)`` with
-    alternating signs.
-    """
+    The mean is the closed form `_cond_n_mean` for one coordinate, an alternating sum over the
+    corners ``prod_j (hi_j or lo_j)`` of the base CDFs for a pair."""
+    cfg = cfg or EmConfig()
+    if theta >= 1.0:
+        return np.ones(coords[0][2].size, dtype=np.int64)
+    *cells, _, inv = _distinct(*(x for _, _, x in coords))
+    logs = [_cdf_logs(alpha, p, c)[:2] for (alpha, p, _), c in zip(coords, cells)]
+    if cfg.e_step == "expected" and len(logs) == 1:
+        return _cond_n_mean(theta, *logs[0])[inv]
+    tau = 1.0 - theta
+    parts = [(np.exp(hi), np.exp(lo)) for hi, lo in logs]
     if cfg.e_step == "argmax":
         return _argmax_scan(parts, tau, cfg.n_cap)[inv]
     corners = [(1.0, 1.0)]
@@ -355,25 +307,15 @@ def e_step(omega: BgdgeParams, data: BivDataset, cfg: EmConfig | None = None):
 
     Default: the conditional mode (smallest maximizer), an int64 array.
     With ``cfg.e_step == "expected"``: the conditional mean, a float array.
-    Each distinct pair is evaluated once.
     """
-    cfg = cfg or EmConfig()
     a1, p1, a2, p2, th = omega.as_tuple()
-    if th >= 1.0:
-        return np.ones(len(data), dtype=np.int64)
-    cx, cy, _, inv = _distinct(data.x, data.y)
-    return _impute([_base_cdfs(a1, p1, cx), _base_cdfs(a2, p2, cy)], 1.0 - th, cfg, inv)
+    return _e_step(th, [(a1, p1, data.x), (a2, p2, data.y)], cfg)
 
 
 def e_step_uni(params: UgdgeParams, x, cfg: EmConfig | None = None):
     """Univariate specialization of `e_step`."""
-    cfg = cfg or EmConfig()
     alpha, p, th = params.as_tuple()
-    xi = _as_counts(x)
-    if th >= 1.0:
-        return np.ones(xi.size, dtype=np.int64)
-    vals, _, inv = _distinct(xi)
-    return _impute([_base_cdfs(alpha, p, vals)], 1.0 - th, cfg, inv)
+    return _e_step(th, [(alpha, p, _as_counts(x))], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +356,10 @@ def _profile(p: float, cells, inner_tol: float):
     shape probe then costs a handful of array operations on the cells.
     """
     x, n, w = cells
-    l1, l0, r = _base_logs(p, x)
+    l1, _, r = _base_logs(p, x)
 
     def g(alpha):
-        return _weighted_sum(_latent_logpmf(l1, l0, r, n * alpha), w)
+        return _weighted_sum(_log_gap(l1, r, n * alpha), w)
 
     a, b, c = 0.5, 1.0, 2.0
     ga, gb, gc = g(a), g(b), g(c)
@@ -500,14 +442,17 @@ _UNI_NAMES = ("alpha", "p", "theta")
 _BIV_NAMES = ("alpha1", "p1", "alpha2", "p2", "theta")
 
 
-def _finish_report(params, data, ll, iters, trace, stop_reason, method, notes, compute_se):
+def _finish_report(params, data, iters, trace, stop_reason, converged, method, notes, compute_se):
+    """The `FitReport` of an estimate whose log-likelihood is ``trace[-1]``."""
     names = _UNI_NAMES if isinstance(params, UgdgeParams) else _BIV_NAMES
+    est = params.as_tuple()
+    notes = [*notes, *(f"{name} = {v:g} on the edge of the search box"
+                       for name, v, edge in zip(names, est, _on_bound(np.array(est))) if edge)]
     if compute_se:
         se, se_notes = std_errors(params, data)
-        notes = tuple(notes) + tuple(se_notes)
+        notes += se_notes
     else:
         se = tuple(math.nan for _ in names)
-    est = params.as_tuple()
     ci = tuple(
         (e - 1.96 * s, e + 1.96 * s) if math.isfinite(s) else (math.nan, math.nan)
         for e, s in zip(est, se)
@@ -518,9 +463,9 @@ def _finish_report(params, data, ll, iters, trace, stop_reason, method, notes, c
         estimates=tuple(float(e) for e in est),
         std_errors=tuple(float(s) for s in se),
         ci95=ci,
-        loglik=float(ll),
+        loglik=float(trace[-1]),
         iters=int(iters),
-        converged=stop_reason != "max_iter",
+        converged=bool(converged),
         ll_trace=tuple(float(t) for t in trace),
         stop_reason=stop_reason,
         method=method,
@@ -529,9 +474,9 @@ def _finish_report(params, data, ll, iters, trace, stop_reason, method, notes, c
 
 
 def _uni_model(xi, cfg: EmConfig):
-    """The univariate law on counts ``xi``: ``(ll, em)`` for `_em` and `_fit_mle`."""
+    """The univariate law on counts ``xi``: its log-likelihood with gradient, and its `_em` steps."""
     cells = _distinct(xi)[:2]
-    return lambda *q: _uni_ll(cells, *q), (
+    return lambda q: _uni_ll(cells, q), (
         lambda q: e_step_uni(UgdgeParams.from_values(*q), xi, cfg),
         lambda ns: m_step_pair(xi, ns, cfg),
         xi.size,
@@ -539,40 +484,30 @@ def _uni_model(xi, cfg: EmConfig):
 
 
 def _biv_model(data: BivDataset, cfg: EmConfig):
-    """The bivariate law on ``data``: ``(ll, em)`` for `_em` and `_fit_mle`."""
+    """The bivariate law on ``data``, as `_uni_model`."""
     cells = _distinct(data.x, data.y)[:3]
-    return lambda *q: _biv_ll(cells, *q), (
+    return lambda q: _biv_ll(cells, q), (
         lambda q: e_step(BgdgeParams.from_values(*q), data, cfg),
         lambda ns: m_step_pair(data.x, ns, cfg) + m_step_pair(data.y, ns, cfg),
         len(data),
     )
 
 
-def _em(ll, em, start, cfg: EmConfig, stop_on_cap: bool = False):
-    """EM iterations with the ascent guard, one loop for every model.
+def _em(ll, em, start, cfg: EmConfig):
+    """EM iterations with the ascent guard, one loop for every model; returns ``(params, trace, stop)``.
 
-    ``em`` is ``(impute, m_step, m)``: ``impute(params)`` gives the latent
-    counts, ``m_step(counts)`` the (shape, p) pairs and theta is
-    ``m / sum(counts)``.  A latent-count scan past its cap raises
-    `SeriesCapError`, or with ``stop_on_cap`` ends the iteration at the
-    current iterate.  Returns ``(params, trace, stop)``; the iterate's
-    log-likelihood is ``trace[-1]``.
+    ``ll(params)[0]`` is the log-likelihood; ``em`` is ``(impute, m_step, m)``: ``impute(params)``
+    gives the latent counts, ``m_step(counts)`` the (shape, p) pairs and theta is ``m / sum(counts)``.
     """
     impute, m_step, m = em
     params = tuple(start)
-    trace = [ll(*params)]
+    trace = [ll(params)[0]]
     stop = "max_iter"
     for _ in range(cfg.max_iter):
-        try:
-            ns = impute(params)
-        except SeriesCapError:
-            if not stop_on_cap:
-                raise
-            stop = "em_series_cap"
-            break
+        ns = impute(params)
         k = float(np.asarray(ns, dtype=float).sum())
         new = (*m_step(ns), min(m / k, 1.0))
-        ll_new = ll(*new)
+        ll_new = ll(new)[0]
         if ll_new < trace[-1] - ASCENT_SLACK:
             stop = "ll_decrease"
             break
@@ -591,9 +526,8 @@ def em_fit_uni(x, init: UgdgeParams, cfg: EmConfig | None = None, compute_se: bo
     cfg = cfg or EmConfig()
     xi = _as_counts(x)
     est, trace, stop = _em(*_uni_model(xi, cfg), init.as_tuple(), cfg)
-    return _finish_report(
-        UgdgeParams.from_values(*est), xi, trace[-1], len(trace) - 1, trace, stop, "em", (), compute_se
-    )
+    params = UgdgeParams.from_values(*est)
+    return _finish_report(params, xi, len(trace) - 1, trace, stop, stop != "max_iter", "em", (), compute_se)
 
 
 def em_fit_biv(
@@ -602,110 +536,154 @@ def em_fit_biv(
     """EM for the bivariate law from a given start, with ascent guard."""
     cfg = cfg or EmConfig()
     est, trace, stop = _em(*_biv_model(data, cfg), init.as_tuple(), cfg)
-    return _finish_report(
-        BgdgeParams.from_values(*est), data, trace[-1], len(trace) - 1, trace, stop, "em", (), compute_se
-    )
+    params = BgdgeParams.from_values(*est)
+    return _finish_report(params, data, len(trace) - 1, trace, stop, stop != "max_iter", "em", (), compute_se)
 
 
 # ---------------------------------------------------------------------------
 # the maximum-likelihood pipeline
 
 
-# The simplex refinement searches a generous compact box.  The likelihood
-# has an escape ridge where shape and compounding go to zero together while
-# approaching a limit law outside the family; without bounds the search can
-# run down that ridge indefinitely (and push later latent-count scans past
-# their certificates), so parameters are confined to shape in [1e-3, 1e3]
-# and unit-interval parameters in [1e-6, 1 - 1e-6].
-_W_SHAPE_LO, _W_SHAPE_HI = math.log(1e-3), math.log(1e3)
-_W_UNIT = 13.815510557964274  # logit(1 - 1e-6)
+# The search box.  On an escape ridge shape and compounding go to zero together
+# toward a limit law outside the family, and an unbounded search would follow
+# it indefinitely: shapes stay in [1e-3, 1e3], probabilities in [1e-6, 1 - 1e-6].
+_W_SHAPE = (math.log(1e-3), math.log(1e3))
+_W_UNIT = (-13.815510557964274, 13.815510557964274)  # logit(1e-6), logit(1 - 1e-6)
 
-#: Compounding probabilities at which the theta = 1 fit seeds a polish.
-_POLISH_THETAS = (0.25, 0.75)
+#: Compounding probabilities at which the theta = 1 fit seeds a search.
+_START_THETAS = (0.25, 0.75)
 
+#: The fit converges when no component of the projected gradient of the
+#: log-likelihood, in the search coordinates, exceeds this.
+_GTOL = 1e-6
 
-def _to_w(v: float, is_shape: bool) -> float:
-    """Search coordinate of a parameter: log of a shape, logit of a probability."""
-    if is_shape:
-        return math.log(min(max(v, 1e-3), 1e3))
-    v = min(max(v, 1e-6), 1.0 - 1e-6)
-    return math.log(v / (1.0 - v))
+#: Step, in the search coordinates, of the gradient differences that give a Hessian.
+_HESS_STEP = 1e-4
 
 
-def _from_w(w: float, is_shape: bool) -> float:
-    """Parameter at a search coordinate, clamped into the box."""
-    if is_shape:
-        return math.exp(min(max(w, _W_SHAPE_LO), _W_SHAPE_HI))
-    return float(expit(min(max(w, -_W_UNIT), _W_UNIT)))
+def _box(q, free=slice(None)):
+    """Search coordinates of ``q[free]``, their bounds, and which of them are shapes.
 
-
-def _polish(ll, start, maxfev: int):
-    """Simplex refinement of ``ll(*params)`` in box-bounded log/logit coordinates.
-
-    Shapes sit at the even positions before the last; every other
-    parameter lies in the unit interval.  Returns ``(params, ll)``.
+    A shape (the even positions before the last) is searched as its log, a
+    probability as its logit.
     """
-    is_shape = [i % 2 == 0 and i < len(start) - 1 for i in range(len(start))]
+    i = np.arange(len(q))[free]
+    shape = (i % 2 == 0) & (i < len(q) - 1)
+    v = np.asarray(q, dtype=float)[free]
+    w = np.where(shape, np.log(v), logit(v))
+    return w, np.where(shape, _W_SHAPE[0], _W_UNIT[0]), np.where(shape, _W_SHAPE[1], _W_UNIT[1]), shape
 
-    def params(w):
-        return tuple(_from_w(v, s) for v, s in zip(w, is_shape))
 
-    res = minimize(
-        lambda w: -ll(*params(w)),
-        np.array([_to_w(v, s) for v, s in zip(start, is_shape)]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-9, "maxfev": maxfev},
-    )
-    return params(res.x), -float(res.fun)
+def _on_bound(q) -> np.ndarray:
+    """Which parameters sit on an edge of the search box."""
+    w, lo, hi, _ = _box(q)
+    return (np.abs(w - lo) <= 1e-8) | (np.abs(w - hi) <= 1e-8)
+
+
+def _grad_hessian(grad, x, h):
+    """Symmetrized Hessian at ``x`` from central differences of ``grad`` with steps ``h``."""
+    cols = np.array([(grad(x + e) - grad(x - e)) / (2.0 * s) for s, e in zip(h, np.diag(h))])
+    return 0.5 * (cols + cols.T)
+
+
+def _search(ll, starts, free, cfg: EmConfig):
+    """Maximize ``ll(params)``, a log-likelihood with its gradient, over the ``free`` parameters.
+
+    The others stay as in the first start.  L-BFGS-B runs from each start to
+    the relative tolerance ``cfg.ll_rel_tol``, then from the first best
+    endpoint, restarted at most three times, until the projected gradient
+    falls to `_GTOL`; up to three Newton steps on the coordinates no bound
+    holds finish, each kept unless the likelihood falls by more than its
+    rounding.  Returns ``(params, ll, stop, iterations, trace)``: ``stop`` is
+    "converged" when the end passes `_GTOL`; ``trace`` is the log-likelihood
+    at the winning start, its first endpoint and the end.
+    """
+    q0 = np.array(starts[0], dtype=float)
+    lo, hi, shape = _box(q0, free)[1:]
+
+    def f(w):  # -ll and its gradient in the search coordinates
+        q = q0.copy()
+        q[free] = np.where(shape, np.exp(w), expit(w))
+        value, grad = ll(q)
+        return -value, -grad[free] * np.where(shape, q[free], q[free] * (1.0 - q[free]))
+
+    def climb(w0, ftol):
+        opts = {"maxiter": cfg.max_iter, "ftol": ftol, "gtol": _GTOL}
+        return minimize(f, w0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)), options=opts)
+
+    def held(w, g):  # on a bound that the descent direction -g pushes beyond
+        return ((w <= lo) & (g > 0.0)) | ((w >= hi) & (g < 0.0))
+
+    def passes(w, g):  # the projected-gradient test
+        return bool(np.all(np.abs(np.where(held(w, g), 0.0, g)) <= _GTOL))
+
+    w0s = [np.clip(_box(q, free)[0], lo, hi) for q in starts]
+    runs = [climb(w0, cfg.ll_rel_tol) for w0 in w0s]
+    best = min(range(len(runs)), key=lambda i: runs[i].fun)
+    res, nit = runs[best], runs[best].nit
+    for _ in range(3):  # a fresh memory takes L-BFGS-B past a stall on a flat ridge
+        res = climb(res.x, 0.0)
+        nit += res.nit
+        if passes(res.x, res.jac):
+            break
+    w, (fw, g), steps = res.x, f(res.x), 0
+    hess = _grad_hessian(lambda v: f(v)[1], w, np.full(w.size, _HESS_STEP))
+    for _ in range(3):
+        move, step = ~held(w, g), np.zeros_like(w)
+        try:
+            step[move] = np.linalg.solve(hess[np.ix_(move, move)], g[move])
+        except np.linalg.LinAlgError:
+            break
+        trial = np.clip(w - step, lo, hi)
+        ft, gt = f(trial)
+        if not ft <= fw + 1e-14 * abs(fw):  # the rounding of a log-likelihood near its maximum
+            break
+        w, fw, g, steps = trial, ft, gt, steps + 1
+    stop = "converged" if passes(w, g) else "max_iter" if res.nit >= cfg.max_iter else "gradient_above_tol"
+    q0[free] = np.where(shape, np.exp(w), expit(w))
+    trace = [-f(w0s[best])[0], -runs[best].fun, -fw]
+    return tuple(float(v) for v in q0), -fw, stop, nit + steps, trace
 
 
 class _Fit(NamedTuple):
-    """What `_fit_mle` found: the estimate, the EM record and the theta = 1 fit."""
+    """What `_fit_mle` found: the estimate, its search record and the theta = 1 fit."""
 
     est: tuple
     loglik: float
+    stop: str
     iters: int
     trace: list
-    stop: str
     notes: list
     base: tuple
     ll_base: float
 
 
-def _fit_mle(ll, start, base, em, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
+def _fit_mle(ll, start, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
     """The maximum-likelihood search shared by every model.
 
-    ``ll(*params)`` is the model's log-likelihood, ``em`` its `_em` steps and
-    ``base`` its fit on the theta = 1 submodel.  EM runs from ``start`` and
-    stops at its last iterate if a latent-count scan passes its cap.  The
-    candidates, in order: the EM endpoint, its simplex polish, a polish of
-    ``base`` moved to each theta of `_POLISH_THETAS`, and a polish of each of
-    ``extra_starts``.  The first best candidate wins, unless ``base`` comes
-    within `_SNAP_SLACK` of it: ties go to the smaller model.
+    ``ll(params)`` is the model's log-likelihood with its gradient and
+    ``base`` its fit on the theta = 1 submodel, which `_search` first refines
+    with theta held at 1.  The starts, in order: ``start``, ``base`` moved to
+    each theta of `_START_THETAS`, and ``extra_starts``.  The best endpoint
+    wins, unless ``base`` comes within `_SNAP_SLACK` of it: ties go to the
+    smaller model.
     """
-    ll_base = ll(*base)
-    est, trace, stop = _em(ll, em, start, cfg, stop_on_cap=True)
+    base, ll_base, base_stop, base_iters, _ = _search(ll, [(*base[:-1], 1.0)], slice(-1), cfg)
+    starts = [start, *((*base[:-1], th) for th in _START_THETAS), *extra_starts]
+    est, ll_best, stop, iters, trace = _search(ll, starts, slice(None), cfg)
     notes = []
-    if stop == "em_series_cap":
-        notes.append("EM imputation scan exceeded its cap; polished from the last EM iterate")
-    starts = [est, *((*base[:-1], th) for th in _POLISH_THETAS), *extra_starts]
-    candidates = [(est, trace[-1])] + [_polish(ll, tuple(s), cfg.polish_maxfev) for s in starts]
-    est, ll_best = max(candidates, key=lambda c: c[1])
     if ll_base >= ll_best - _SNAP_SLACK:
-        est, ll_best = base, ll_base
+        est, ll_best, stop, iters = base, ll_base, base_stop, base_iters
+        trace.append(ll_base)
         notes.append(f"theta at boundary 1 ({submodel} submodel at least as likely)")
-    iters = len(trace) - 1
-    if ll_best >= trace[-1]:
-        trace.append(ll_best)
-    return _Fit(tuple(float(v) for v in est), ll_best, iters, trace, stop, notes, base, ll_base)
+    return _Fit(est, ll_best, stop, iters, trace, notes, base, ll_base)
 
 
 def _fit_uni(xi, cfg: EmConfig, init: UgdgeParams | None = None, shape_p=None) -> _Fit:
     """`_fit_mle` of the univariate law; ``shape_p`` is its theta = 1 fit if known."""
-    ll, em = _uni_model(xi, cfg)
     base = (*(shape_p or m_step_pair(xi, np.ones(xi.size), cfg)), 1.0)
     start = init.as_tuple() if init is not None else (*base[:2], 0.5)
-    return _fit_mle(ll, start, base, em, cfg, "base-law")
+    return _fit_mle(_uni_model(xi, cfg)[0], start, base, cfg, "base-law")
 
 
 def _fit_biv(data: BivDataset, cfg: EmConfig, init: BgdgeParams | None = None, extra_starts=()) -> _Fit:
@@ -722,39 +700,43 @@ def _fit_biv(data: BivDataset, cfg: EmConfig, init: BgdgeParams | None = None, e
         start = (*f1[:2], *f2[:2], min(1.0, 0.5 * (f1[2] + f2[2])))
     else:
         start = init.as_tuple()
-    ll, em = _biv_model(data, cfg)
-    return _fit_mle(ll, start, base, em, cfg, "independence", extra_starts)
+    return _fit_mle(_biv_model(data, cfg)[0], start, base, cfg, "independence", extra_starts)
+
+
+_TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five bivariate parameters
 
 
 def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
     """`_fit_mle` of the bivariate law with one (shape, p) shared by both coordinates.
 
-    Each pair enters the M-step twice, with its x and with its y, at the same
-    imputed count.  The fit's ``est`` and ``base`` are five-parameter tuples.
+    The fit's ``est`` and ``base`` are five-parameter tuples.
     """
-    ll, (impute, _, m) = _biv_model(data, cfg)
+    ll = _biv_model(data, cfg)[0]
+
+    def tied(q):
+        value, grad = ll(np.asarray(q)[_TIE])
+        return value, np.bincount(_TIE, weights=grad, minlength=3)
+
     both = np.concatenate([data.x, data.y])
-
-    def tie(q):
-        return (q[0], q[1], q[0], q[1], q[2])
-
-    em = (lambda q: impute(tie(q)), lambda ns: m_step_pair(both, np.concatenate([ns, ns]), cfg), m)
     base = (*m_step_pair(both, np.ones(both.size), cfg), 1.0)
-    fit = _fit_mle(lambda *q: ll(*tie(q)), (*base[:2], 0.5), base, em, cfg, "equal-margins")
-    return fit._replace(est=tie(fit.est), base=tie(fit.base))
+    fit = _fit_mle(tied, (*base[:2], 0.5), base, cfg, "equal-margins")
+    return fit._replace(est=tuple(np.asarray(fit.est)[_TIE]), base=tuple(np.asarray(fit.base)[_TIE]))
+
+
+_METHOD = "lbfgsb+newton"
 
 
 def fit_uni_mle(x, cfg: EmConfig | None = None, init: UgdgeParams | None = None, compute_se: bool = True) -> FitReport:
     """Univariate maximum likelihood through `_fit_mle`.
 
-    EM starts from ``init`` or, by default, from the theta = 1 fit with
-    theta = 0.5.  The theta = 1 submodel (pure base law) wins ties within a
-    slack, and the report's notes then say so.
+    The search starts from ``init`` or, by default, from the theta = 1 fit
+    with theta = 0.5.  The theta = 1 submodel (pure base law) wins ties
+    within a slack, and the report's notes then say so.
     """
     xi = _as_counts(x)
     f = _fit_uni(xi, cfg or EmConfig(), init)
     params = UgdgeParams.from_values(*f.est)
-    return _finish_report(params, xi, f.loglik, f.iters, f.trace, f.stop, "em+polish", f.notes, compute_se)
+    return _finish_report(params, xi, f.iters, f.trace, f.stop, f.stop == "converged", _METHOD, f.notes, compute_se)
 
 
 def fit_biv_mle(
@@ -766,96 +748,54 @@ def fit_biv_mle(
 ) -> FitReport:
     """Bivariate maximum likelihood through `_fit_mle`.
 
-    EM starts from ``init`` or, by default, from the margins' univariate
-    fits with their compounding estimates averaged.  ``extra_starts``
-    (5-tuples) are polished as further candidates; the theta = 1
+    The search starts from ``init`` or, by default, from the margins'
+    univariate fits with their compounding estimates averaged.
+    ``extra_starts`` (5-tuples) are further starts; the theta = 1
     independence submodel wins ties within a slack.
     """
     f = _fit_biv(data, cfg or EmConfig(), init, extra_starts)
     params = BgdgeParams.from_values(*f.est)
-    return _finish_report(params, data, f.loglik, f.iters, f.trace, f.stop, "em+polish", f.notes, compute_se)
+    return _finish_report(params, data, f.iters, f.trace, f.stop, f.stop == "converged", _METHOD, f.notes, compute_se)
 
 
 # ---------------------------------------------------------------------------
 # standard errors
 
 
-def _hessian(f, w0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    k = w0.size
-    hess = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            wpp = w0.copy()
-            wpm = w0.copy()
-            wmp = w0.copy()
-            wmm = w0.copy()
-            wpp[i] += h[i]
-            wpp[j] += h[j]
-            wpm[i] += h[i]
-            wpm[j] -= h[j]
-            wmp[i] -= h[i]
-            wmp[j] += h[j]
-            wmm[i] -= h[i]
-            wmm[j] -= h[j]
-            val = (f(wpp) - f(wpm) - f(wmp) + f(wmm)) / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-    return hess
-
-
 def std_errors(params, data):
-    """Finite-difference observed-information standard errors.
+    """Observed-information standard errors.
 
-    Returns ``(se, notes)`` where se aligns with the parameter order of the
-    given record.  A boundary compounding estimate (theta = 1) is pinned:
-    its se is NaN and the information is taken over the remaining
-    parameters.  Non-invertible or non-positive information yields NaNs
-    with an explanatory note rather than an exception.
+    The information is `_grad_hessian` of the log-likelihood, with steps of
+    `_HESS_STEP` in the search coordinates.  Returns ``(se, notes)``, se in
+    the order of the record's parameters.  Theta on its boundary 1, or a
+    parameter on an edge of the search box, is pinned: its se is NaN and the
+    information is taken over the rest.  Non-invertible or non-positive
+    information yields NaNs with an explanatory note, not an exception.
     """
     if isinstance(params, BgdgeParams):
-        w0 = np.array(params.as_tuple())
-        cells = _distinct(data.x, data.y)[:3]
-
-        def full(w):
-            return _biv_ll(cells, *w)
-
-        bounded_above = [False, True, False, True, True]
+        ll, names = _biv_model(data, EmConfig())[0], _BIV_NAMES
     elif isinstance(params, UgdgeParams):
-        w0 = np.array(params.as_tuple())
-        cells = _distinct(_as_counts(data))[:2]
-
-        def full(w):
-            return _uni_ll(cells, *w)
-
-        bounded_above = [False, True, True]
+        ll, names = _uni_model(_as_counts(data), EmConfig())[0], _UNI_NAMES
     else:
         raise TypeError(f"unsupported parameter record {type(params).__name__}")
 
-    notes = []
-    k = w0.size
-    active = list(range(k))
-    if w0[-1] >= 1.0:
-        active = active[:-1]
+    q = np.array(params.as_tuple())
+    free = ~_on_bound(q)
+    notes = [f"{name} on the edge of the search box: its standard error is undefined (reported NaN)"
+             for name, f in zip(names, free) if not f]
+    if q[-1] == 1.0:
+        free[-1] = False
         notes.append("theta at boundary 1: its standard error is undefined (reported NaN)")
+    se = np.full(q.size, math.nan)
+    if np.any(free):
 
-    h = np.maximum(1e-4, 1e-4 * np.abs(w0))
-    for i in range(k):
-        h[i] = min(h[i], w0[i] / 4.0)
-        if bounded_above[i]:
-            h[i] = min(h[i], (1.0 - w0[i]) / 4.0)
-    se = np.full(k, math.nan)
-    if active:
-        idx = np.array(active)
-        if np.any(h[idx] <= 0.0):
-            notes.append("a parameter sits on its domain edge; information not computed")
-            return tuple(se), notes
+        def grad(v):
+            at = q.copy()
+            at[free] = v
+            return -ll(at)[1][free]
 
-        def restricted(wa):
-            w = w0.copy()
-            w[idx] = wa
-            return full(w)
-
-        hess = _hessian(restricted, w0[idx].copy(), h[idx])
-        info = -hess
+        v = q[free]
+        info = _grad_hessian(grad, v, _HESS_STEP * np.where(_box(q, free)[3], v, v * (1.0 - v)))
         try:
             cov = np.linalg.inv(info)
         except np.linalg.LinAlgError:
@@ -868,5 +808,5 @@ def std_errors(params, data):
                 "some standard errors unavailable"
             )
         with np.errstate(invalid="ignore"):
-            se[idx] = np.where(diag > 0.0, np.sqrt(np.abs(diag)), math.nan)
+            se[free] = np.where(diag > 0.0, np.sqrt(np.abs(diag)), math.nan)
     return tuple(float(s) for s in se), notes

@@ -3,9 +3,9 @@
 Each replication draws a dataset at the true parameters, fits it with the
 full multi-start pipeline (default initialization rule: marginal fits plus
 averaged compounding), and records the estimates.  Replications that fail
-numerically or do not converge are excluded and counted.  Seed streams are
-derived from (master seed, sample size, replication index), so results are
-independent of execution order.
+numerically or do not converge are excluded and counted, by reason.  Seed
+streams are derived from (master seed, sample size, replication index), so
+results are independent of execution order.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ _PARAM_NAMES = ("alpha1", "p1", "alpha2", "p2", "theta")
 def fast_sim_config() -> EmConfig:
     """A lighter search budget for replicated fitting.
 
-    A coarser M-step (inner tolerance and p grid) and half the polish
-    evaluation budget of the single-fit default; the polish stage still
-    tightens each candidate, so point estimates move by far less than Monte
-    Carlo noise while wall time drops severalfold.
+    A coarser M-step (inner tolerance and p grid) for the theta = 1 fits
+    that seed the gradient search.  The search itself, and its convergence
+    test, are those of the single-fit default.
     """
-    return EmConfig(inner_tol=1e-5, p_grid=32, polish_maxfev=2000)
+    return EmConfig(inner_tol=1e-5, p_grid=32)
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,7 @@ class SimTable:
     ae: dict  # n -> tuple of averages
     mse: dict  # n -> tuple of mean squared errors
     excluded: dict  # n -> count of dropped replications
+    excluded_by: dict  # n -> {"error": numerical failures, "nonconverged": failed convergence tests}
     metadata: dict
 
     def report_pairs(self):
@@ -80,6 +80,7 @@ class SimTable:
             for i, name in enumerate(self.param_names):
                 pairs.append((f"mse_n{n}_{name}", self.mse[n][i]))
             pairs.append((f"excluded_n{n}", self.excluded[n]))
+            pairs.extend((f"excluded_{why}_n{n}", count) for why, count in self.excluded_by[n].items())
         return pairs
 
 
@@ -88,11 +89,11 @@ def run_simulation(spec: SimSpec, progress: bool = False) -> SimTable:
     truth = spec.true_params.as_tuple()
     ae = {}
     mse = {}
-    excluded = {}
+    excluded_by = {}
     t0 = time.monotonic()
     for n in spec.sample_sizes:
         kept = []
-        dropped = 0
+        dropped = excluded_by[n] = {"error": 0, "nonconverged": 0}
         for r in range(spec.replications):
             rng = np.random.default_rng([spec.seed, n, r])
             x, y = bgdge_sample(spec.true_params, rng, size=n)
@@ -100,10 +101,10 @@ def run_simulation(spec: SimSpec, progress: bool = False) -> SimTable:
             try:
                 rep = fit_biv_mle(data, spec.cfg, compute_se=False)
             except (SeriesCapError, FloatingPointError, ValueError, RuntimeError):
-                dropped += 1
+                dropped["error"] += 1
                 continue
             if not rep.converged:
-                dropped += 1
+                dropped["nonconverged"] += 1
                 continue
             kept.append(rep.estimates)
             if progress and (r + 1) % 25 == 0:
@@ -114,7 +115,6 @@ def run_simulation(spec: SimSpec, progress: bool = False) -> SimTable:
         est = np.array(kept)
         ae[n] = tuple(float(v) for v in est.mean(axis=0))
         mse[n] = tuple(float(v) for v in ((est - np.array(truth)) ** 2).mean(axis=0))
-        excluded[n] = dropped
     if progress:
         print(f"  total elapsed: {time.monotonic() - t0:.0f}s", flush=True)
     metadata = {
@@ -129,6 +129,7 @@ def run_simulation(spec: SimSpec, progress: bool = False) -> SimTable:
         truth=tuple(float(v) for v in truth),
         ae=ae,
         mse=mse,
-        excluded=excluded,
+        excluded={n: sum(by.values()) for n, by in excluded_by.items()},
+        excluded_by=excluded_by,
         metadata=metadata,
     )

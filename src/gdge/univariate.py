@@ -28,6 +28,7 @@ from .dge import (
     SERIES_CAP,
     DgeParams,
     SeriesCapError,
+    _base_logs,
     _cdf_logs,
     _den,
     _evaluate,
@@ -296,31 +297,30 @@ def ugdge_sample(params: UgdgeParams, rng: np.random.Generator, size=None):
 
 
 def _uv_scalar(params: UgdgeParams, x: int):
-    """Base CDF at x and x-1 plus the pmf at x, validated positive."""
+    """Base CDF u, v at x and x-1, ``alpha r`` (`_base_logs`) and the pmf at x, validated positive."""
     if x < 0 or x != int(x):
         raise ValueError(f"x must be a nonnegative integer, got {x!r}")
     al, p, th = params.as_tuple()
-    u = float(pow1m(p, float(x) + 1.0, al))
-    v = float(pow1m(p, float(x), al))
-    tau = 1.0 - th
+    l1, l0, r = (float(t) for t in _base_logs(p, float(x)))
+    u, v, ar, tau = math.exp(al * l1), math.exp(al * l0), al * r, 1.0 - th
     pm = ugdge_pmf(params, x)
-    # the latent-count terms u^n - v^n vanish with the increment u - v
+    # the mode scan compares u^n - v^n on u and v themselves, which must differ
     if not (u > v and pm > 0.0):
         raise ValueError(f"pmf vanished at x={x}; conditional law undefined")
-    return u, v, tau, th, pm
+    return u, v, ar, tau, th, pm
 
 
 def cond_n_pmf(params: UgdgeParams, x: int, n):
     """P(latent count = n | observed maximum = x), n >= 1.
 
-    Equals ``theta * tau^(n-1) * (u^n - v^n) / pmf(x)``.
+    Equals ``theta * tau^(n-1) * (u^n - v^n) / pmf(x)``, with ``u^n - v^n = -u^n expm1(-n alpha r)``.
     """
-    u, v, tau, th, pm = _uv_scalar(params, x)
+    u, _, ar, tau, th, pm = _uv_scalar(params, x)
     n = np.asarray(n)
     if np.any(n < 1) or not np.issubdtype(n.dtype, np.integer):
         raise ValueError("latent count must be integer >= 1")
     nf = n.astype(float)
-    out = th * tau ** (nf - 1.0) * (u ** nf - v ** nf) / pm
+    out = -th * tau ** (nf - 1.0) * u ** nf * np.expm1(-nf * ar) / pm
     return _maybe_scalar(out)
 
 
@@ -374,7 +374,7 @@ def cond_n_argmax(params: UgdgeParams, x: int, n_cap: int = SERIES_CAP) -> int:
 
     Scans ``t(n) = tau^(n-1) * (u^n - v^n)`` upward with `_argmax_scan`.
     """
-    u, v, tau, th, pm = _uv_scalar(params, x)
+    u, v, _, tau, th, pm = _uv_scalar(params, x)
     if tau == 0.0:
         return 1
     return int(_argmax_scan([(np.array([u]), np.array([v]))], tau, n_cap)[0])
@@ -387,7 +387,7 @@ def cond_n_mean(params: UgdgeParams, x: int, eps: float = 1e-12) -> float:
     ``u * r^n * ((n+1) - n*r) / (1-r)^2`` with ``r = tau * u``, so the
     truncation error is certified below ``eps * (mean + 1)``.
     """
-    u, v, tau, th, pm = _uv_scalar(params, x)
+    u, _, ar, tau, th, pm = _uv_scalar(params, x)
     if tau == 0.0:
         return 1.0
     r = tau * u
@@ -398,13 +398,24 @@ def cond_n_mean(params: UgdgeParams, x: int, eps: float = 1e-12) -> float:
         n += 1
         if n > SERIES_CAP:
             raise SeriesCapError("conditional-mean series exceeded the term cap")
-        total += n * tau ** (n - 1) * (u ** n - v ** n)
+        total -= n * tau ** (n - 1) * u ** n * math.expm1(-n * ar)
         tail = u * r ** n * ((n + 1.0) - n * r) / (1.0 - r) ** 2
         if scale * tail < eps * (abs(scale * total) + 1.0):
             return scale * total
 
 
+def _cond_n_mean(theta, lu, lv):
+    """``E[N | X = x] = (1 - tau^2 u v) / ((1 - tau u)(1 - tau v))``, u, v = A(x), A(x-1) given as logs.
+
+    Each factor is a sum of nonnegative terms (`dge._den`), so nothing cancels.
+    """
+    tau = 1.0 - theta
+    return (theta * (2.0 - theta) - tau * tau * np.expm1(lu + lv)) / (_den(theta, lu) * _den(theta, lv))
+
+
 def cond_n_mean_closed_form(params: UgdgeParams, x: int) -> float:
-    """Closed-form companion of `cond_n_mean` (independent cross-check route)."""
-    u, v, tau, th, pm = _uv_scalar(params, x)
-    return th * (u / (1.0 - tau * u) ** 2 - v / (1.0 - tau * v) ** 2) / pm
+    """Closed-form companion of `cond_n_mean`, by `_cond_n_mean`."""
+    if x < 0 or x != int(x):
+        raise ValueError(f"x must be a nonnegative integer, got {x!r}")
+    lu, lv, _ = _cdf_logs(params.alpha, params.p, float(x))
+    return float(_cond_n_mean(params.theta, lu, lv))

@@ -1,7 +1,9 @@
 """EM machinery and maximum-likelihood drivers."""
 
 import math
+from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from gdge import (
     ugdge_pmf,
     ugdge_sample,
 )
+from gdge.dge import _biv_logpmf_grad
 from gdge.simulate import fast_sim_config
 
 
@@ -202,7 +205,7 @@ def test_biv_mle_regression(football):
     )
     assert rep.loglik == pytest.approx(-63.93613125, rel=1e-9)
     assert rep.converged
-    assert rep.method == "em+polish"
+    assert rep.method == "lbfgsb+newton"
     se = np.array(rep.std_errors)
     assert np.isfinite(se).all()
     assert se == pytest.approx((2.3574, 0.0743, 5.0696, 0.0635, 0.2791), abs=2e-3)
@@ -218,33 +221,90 @@ def test_biv_mle_beats_both_em_endpoints(football):
     assert direct.loglik >= em_only.loglik - 1e-9
 
 
-# EM from theta = 1e-5 meets latent-count modes far past a scan cap of 100:
-# the pipeline keeps the last EM iterate and polishes on from there
+# from theta = 1e-5 on the ridge the latent-count modes lie far past a scan
+# cap of 100: the E-step refuses that start, the gradient search climbs from it
 CAP_CFG = EmConfig(n_cap=100)
 
 
-def test_uni_mle_polishes_on_when_em_scan_passes_its_cap(football):
+def test_uni_mle_climbs_from_a_ridge_start_past_the_em_scan_cap(football):
     init = UgdgeParams.from_values(0.05, 0.5, 1e-5)
     with pytest.raises(SeriesCapError):
         e_step_uni(init, football.y, CAP_CFG)
     rep = fit_uni_mle(football.y, CAP_CFG, init=init, compute_se=False)
-    assert rep.stop_reason == "em_series_cap"
-    assert any("exceeded its cap" in note for note in rep.notes)
-    ll_start = observed_loglik_uni(init, football.y)
-    assert rep.ll_trace[0] == pytest.approx(ll_start, rel=1e-12)
-    assert rep.loglik >= ll_start
+    assert rep.converged
+    assert rep.loglik >= observed_loglik_uni(init, football.y)
 
 
-def test_biv_mle_polishes_on_when_em_scan_passes_its_cap(football):
+def test_biv_mle_climbs_from_a_ridge_start_past_the_em_scan_cap(football):
     init = BgdgeParams.from_values(0.05, 0.5, 0.05, 0.5, 1e-5)
     with pytest.raises(SeriesCapError):
         e_step(init, football, CAP_CFG)
     rep = fit_biv_mle(football, CAP_CFG, init=init, compute_se=False)
-    assert rep.stop_reason == "em_series_cap"
-    assert any("exceeded its cap" in note for note in rep.notes)
-    ll_start = observed_loglik_biv(init, football)
-    assert rep.ll_trace[0] == pytest.approx(ll_start, rel=1e-12)
-    assert rep.loglik >= ll_start
+    assert rep.converged
+    assert rep.loglik >= observed_loglik_biv(init, football)
+
+
+# the maximizer of the 26-match likelihood, found by Newton's method in
+# mpmath at 40 digits (gradient norm 1e-26), rounded to 13 digits
+SERIEA_MLE = (2.648138531581, 0.204063392347, 6.782315129779, 0.1603608641943, 0.2725069489861)
+
+
+def test_biv_mle_reaches_the_certified_optimum(football):
+    cells = Counter(zip(football.x.tolist(), football.y.tolist()))
+
+    def loglik(*q):  # four-corner differences of the joint CDF, independent of the kernel
+        def joint(s, t):
+            w = (1 - q[1] ** (s + 1)) ** q[0] * (1 - q[3] ** (t + 1)) ** q[2] if s >= 0 and t >= 0 else 0
+            return q[4] * w / (1 - (1 - q[4]) * w)
+
+        return sum(
+            k * mp.log(joint(x, y) - joint(x - 1, y) - joint(x, y - 1) + joint(x - 1, y - 1))
+            for (x, y), k in cells.items()
+        )
+
+    with mp.workdps(40):
+        q = [mp.mpf(str(v)) for v in SERIEA_MLE]
+        grad = [mp.diff(lambda t, i=i: loglik(*q[:i], t, *q[i + 1:]), q[i]) for i in range(5)]
+    assert max(abs(float(g)) for g in grad) <= 1e-9
+    rep = fit_biv_mle(football, compute_se=False)
+    assert rep.converged
+    assert rep.estimates == pytest.approx(SERIEA_MLE, rel=1e-9)
+
+
+def test_box_edge_estimate_is_noted_and_gets_nan_standard_error():
+    # margin x of the simulation study's replication 2 at n = 25: the
+    # likelihood rises along the ridge to the shape's lower bound 1e-3
+    truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
+    x, _ = bgdge_sample(truth, np.random.default_rng([20260822, 25, 2]), size=25)
+    rep = fit_uni_mle(x, fast_sim_config())
+    assert rep.estimates[0] == pytest.approx(1e-3, rel=1e-12)
+    assert rep.converged
+    assert "alpha = 0.001 on the edge of the search box" in rep.notes
+    assert math.isnan(rep.std_errors[0]) and all(math.isnan(v) for v in rep.ci95[0])
+    assert all(math.isfinite(s) for s in rep.std_errors[1:])
+
+
+def test_newton_finish_drives_the_gradient_to_rounding_on_a_large_sample():
+    # at n = 1000 a Newton step gains less than the rounding of the
+    # log-likelihood, which the step's ascent guard must allow for
+    truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
+    bx, by = bgdge_sample(truth, np.random.default_rng(31), size=1000)
+    rep = fit_biv_mle(BivDataset(bx, by), fast_sim_config(), compute_se=False)
+    cells = Counter(zip(bx.tolist(), by.tolist()))
+    cx, cy = (np.array(c, dtype=float) for c in zip(*cells))
+    grad = _biv_logpmf_grad(cx, cy, *rep.estimates) @ np.array(list(cells.values()), dtype=float)
+    q = np.array(rep.estimates)
+    assert rep.converged
+    assert np.abs(grad * np.where([True, False, True, False, False], q, q * (1 - q))).max() <= 1e-9
+
+
+def test_biv_mle_meets_its_convergence_test_on_the_ridge():
+    # replication 1 at n = 25: shape 1 ends on its bound and theta near 3e-4,
+    # where the likelihood is too flat for a relative-tolerance stop to settle
+    truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
+    bx, by = bgdge_sample(truth, np.random.default_rng([20260822, 25, 1]), size=25)
+    rep = fit_biv_mle(BivDataset(bx, by), fast_sim_config(), compute_se=False)
+    assert rep.converged and rep.stop_reason == "converged"
 
 
 # ---------------------------------------------------------------------------

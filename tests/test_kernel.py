@@ -21,6 +21,7 @@ from gdge import (
     cond_cdf_given_eq,
     cond_n_argmax,
     cond_n_mean,
+    cond_n_mean_closed_form,
     dge_pmf,
     e_step,
     e_step_uni,
@@ -33,6 +34,7 @@ from gdge import (
     ugdge_pmf,
     ugdge_sample,
 )
+from gdge.dge import _biv_logpmf_grad, _uni_logpmf_grad
 
 #: Working precision of the reference: 120 digits beyond the smallest pmf
 #: (1e-280) that the relative bar applies to, so the CDF differences below
@@ -300,3 +302,97 @@ def test_blocked_scan_univariate_matches_brute_force():
     assert got.tolist() == [int(want[np.searchsorted(vals, v)]) for v in x]
     with pytest.raises(SeriesCapError):
         e_step_uni(params, x, EmConfig(n_cap=cert - 1))
+
+
+# ---------------------------------------------------------------------------
+# gradient of the kernel
+
+GRAD_DPS = 40
+
+
+def ref_uni_logpmf(alpha, p, theta, x):
+    return mp.log(ref_cdf(alpha, p, theta, x) - ref_cdf(alpha, p, theta, x - 1))
+
+
+def ref_biv_logpmf(a1, p1, a2, p2, theta, x, y):
+    def joint(s, t):
+        w = ref_base(a1, p1, s) * ref_base(a2, p2, t)
+        return theta * w / (1 - (1 - theta) * w)
+
+    return mp.log(joint(x, y) - joint(x - 1, y) - joint(x, y - 1) + joint(x - 1, y - 1))
+
+
+def ref_partials(logpmf, params, cell):
+    """Partials of ``logpmf(*params, *cell)`` by mpmath differentiation at `GRAD_DPS` digits."""
+    with mp.workdps(GRAD_DPS):
+        q = [mp.mpf(v) for v in params]
+        return [
+            float(mp.diff(lambda t, i=i: logpmf(*q[:i], t, *q[i + 1:], *cell), q[i]))
+            for i in range(len(q))
+        ]
+
+
+def assert_partials_close(got, want):
+    want = np.asarray(want, dtype=float)
+    err = np.abs(np.asarray(got) - want) / np.abs(want)
+    assert err.max() <= REL, f"relative error {err.max():.3g}"
+
+
+SERIEA_MLE = (2.648138531581, 0.204063392347, 6.782315129779, 0.1603608641943, 0.2725069489861)
+
+
+@pytest.mark.parametrize("params", [SERIEA_MLE, SERIEA_MLE[:4] + (1e-6,), SERIEA_MLE[:4] + (1.0,)])
+def test_bivariate_gradient_matches_reference(params, football):
+    cells = sorted(set(zip(football.x.tolist(), football.y.tolist())))
+    cx, cy = (np.array(c, dtype=float) for c in zip(*cells))
+    got = _biv_logpmf_grad(cx, cy, *params)
+    assert_partials_close(got.T, [ref_partials(ref_biv_logpmf, params, c) for c in cells])
+
+
+@pytest.mark.parametrize(
+    "params,grid",
+    [
+        ((2.648138531581, 0.204063392347, 0.2725069489861), np.arange(0, 6)),
+        ((2.0, 0.25, 1e-6), np.arange(0, 40, 3)),
+        ((0.7, 0.9999, 0.5), DEEP_UNI[2][1]),
+        ((0.7, 0.9999, 1e-6), DEEP_UNI[2][1]),
+    ],
+)
+def test_univariate_gradient_matches_reference(params, grid):
+    got = _uni_logpmf_grad(*params, grid.astype(float))
+    assert_partials_close(got.T, [ref_partials(ref_uni_logpmf, params, (int(x),)) for x in grid])
+
+
+# ---------------------------------------------------------------------------
+# latent-count mean in the deep tail
+
+
+def ref_cond_n_mean(alpha, p, theta, x):
+    """``E[N | X = x]`` at 60 digits: the sum of ``n theta tau^(n-1) (u^n - v^n)`` over n,
+    or at small theta, where that converges too slowly, its closed form."""
+    with mp.workdps(60):
+        u, v, th = ref_base(alpha, p, x), ref_base(alpha, p, x - 1), mp.mpf(theta)
+        if theta < 0.01:
+            return float((1 - (1 - th) ** 2 * u * v) / ((1 - (1 - th) * u) * (1 - (1 - th) * v)))
+        num = den = mp.mpf(0)
+        n = 0
+        while True:
+            n += 1
+            term = (1 - th) ** (n - 1) * (u ** n - v ** n)
+            num, den = num + n * term, den + term
+            if n * term < mp.mpf(10) ** -70 * num:
+                return float(num / den)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1e-6])
+@pytest.mark.parametrize("x", [50, 250, 330, 400])
+def test_latent_count_mean_matches_reference_in_deep_tail(x, theta):
+    # at x = 330 the base CDFs at x and x - 1 differ in their last two bits
+    # and at x = 400 not at all, yet the law of N given X = x is well defined
+    params = UgdgeParams.from_values(2.0, 0.9, theta)
+    want = ref_cond_n_mean(2.0, 0.9, theta, x)
+    assert cond_n_mean_closed_form(params, x) == pytest.approx(want, rel=REL)
+    got = e_step_uni(params, [x, x], EmConfig(e_step="expected"))
+    assert got == pytest.approx([want, want], rel=REL)
+    if x < 400 and theta == 0.5:  # the series refuses x = 400, and sums slowly at small theta
+        assert cond_n_mean(params, x) == pytest.approx(want, rel=REL)

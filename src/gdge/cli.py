@@ -30,6 +30,7 @@ from .fitting import (
 )
 from .inference import (
     GofResult,
+    _test_both,
     gof_chisq_biv,
     gof_chisq_uni,
     test_equal_marginals,
@@ -220,22 +221,18 @@ def _cmd_test(args) -> int:
     cfg = _make_cfg(args, EmConfig())
     data = _load_biv(args.data)
     pairs = [("command", "test"), ("data", args.data), ("m", len(data))]
-    if args.test in ("equal", "both"):
-        result = test_equal_marginals(data, cfg)
-        prefix = "equal_" if args.test == "both" else ""
-        if args.test == "both":
-            pairs.append(("test_1", "equal_marginals"))
-        else:
-            pairs.append(("test", "equal_marginals"))
-        pairs.extend(_test_pairs(result, prefix))
-    if args.test in ("indep", "both"):
-        result = test_independence(data, cfg)
-        prefix = "indep_" if args.test == "both" else ""
-        if args.test == "both":
-            pairs.append(("test_2", "independence"))
-        else:
-            pairs.append(("test", "independence"))
-        pairs.extend(_test_pairs(result, prefix))
+    if args.test == "both":
+        equal, indep = _test_both(data, cfg)
+        pairs.append(("test_1", "equal_marginals"))
+        pairs.extend(_test_pairs(equal, "equal_"))
+        pairs.append(("test_2", "independence"))
+        pairs.extend(_test_pairs(indep, "indep_"))
+    elif args.test == "equal":
+        pairs.append(("test", "equal_marginals"))
+        pairs.extend(_test_pairs(test_equal_marginals(data, cfg)))
+    else:
+        pairs.append(("test", "independence"))
+        pairs.extend(_test_pairs(test_independence(data, cfg)))
     _emit(pairs, args.out)
     return 0
 

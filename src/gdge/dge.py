@@ -307,7 +307,7 @@ def _coord_partials(alpha, p, x, c1, c0):
     """
     l1, l0, r = _base_logs(p, x)
     lp = math.log(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         px, q0, q1 = np.exp(x * lp), -np.expm1(x * lp), -np.expm1((x + 1.0) * lp)
         dlr = 1.0 / np.expm1(alpha * r)  # d log(1 - exp(-z)) / dz at z = alpha r
         d_alpha = c1 * l1 + np.where(x > 0, c0 * l0 + r * dlr, 0.0)

@@ -13,10 +13,10 @@ observation's latent geometric count n_i, the complete-data likelihood
 separates into a Bernoulli-style factor for theta and, per coordinate, a
 base-law likelihood in which x_i carries shape n_i * alpha.  The E-step
 imputes each n_i by its conditional mode (or mean); the M-step sets
-theta = m / sum(n_i) and maximizes each coordinate's weighted likelihood by
-a profile search (shape inside, grid-plus-golden over p), which at unit
-counts is also the theta = 1 fit.  Mode imputation is not monotone, so a
-step that lowers the observed log-likelihood by more than a slack ends EM.
+theta = m / sum(n_i) and maximizes each coordinate's weighted likelihood in
+(alpha, p) by the same gradient search (`m_step_pair`).  Mode imputation is
+not monotone, so a step that lowers the observed log-likelihood by more than
+a slack ends EM.
 
 Likelihoods, E- and M-steps work on distinct values, pairs or value-count
 pairs with their multiplicities (`_distinct`).
@@ -39,6 +39,7 @@ from .dge import (
     _biv_logpmf,
     _biv_logpmf_grad,
     _cdf_logs,
+    _coord_partials,
     _log_gap,
     _uni_logpmf,
     _uni_logpmf_grad,
@@ -70,9 +71,6 @@ ASCENT_SLACK = 1e-8
 
 #: The boundary submodel wins ties against interior candidates within this.
 _SNAP_SLACK = 1e-7
-
-#: Probability-scale margin for the p search grid.
-_P_EPS = 1e-3
 
 #: Optimizer-facing log-likelihoods count a cell of smaller log-probability
 #: (numerically vanishing) at this value, so a search never sees -inf.
@@ -127,20 +125,19 @@ class BivDataset:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Tolerances and budgets; ``max_iter`` and ``ll_rel_tol`` (as ``ftol``) also bound each L-BFGS-B run."""
+    """Tolerances and budgets of EM; ``max_iter`` and ``ll_rel_tol`` (as ``ftol``) also bound each
+    L-BFGS-B run, those of EM's M-step included."""
 
     ll_rel_tol: float = 1e-8
     param_tol: float = 1e-6
     max_iter: int = 500
     n_cap: int = 100_000
-    inner_tol: float = 1e-7
-    p_grid: int = 64
     e_step: str = "argmax"  # or "expected"
 
     def __post_init__(self):
-        if not (self.ll_rel_tol > 0 and self.param_tol > 0 and self.inner_tol > 0):
+        if not (self.ll_rel_tol > 0 and self.param_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iter < 1 or self.n_cap < 1 or self.p_grid < 2:
+        if self.max_iter < 1 or self.n_cap < 1:
             raise ValueError("iteration/search budgets out of range")
         if self.e_step not in ("argmax", "expected"):
             raise ValueError(f"e_step must be 'argmax' or 'expected', got {self.e_step!r}")
@@ -229,11 +226,6 @@ def observed_loglik_biv(params: BgdgeParams, data: BivDataset) -> float:
     )
 
 
-def _weighted_sum(terms, w=None) -> float:
-    total = terms.sum() if w is None else w @ terms
-    return float(total) if total > -math.inf else -math.inf
-
-
 def latent_weighted_loglik(values, counts, alpha: float, p: float) -> float:
     """Weighted base log-likelihood: each value's shape is scaled by its count.
 
@@ -243,7 +235,8 @@ def latent_weighted_loglik(values, counts, alpha: float, p: float) -> float:
     v = np.atleast_1d(np.asarray(values, dtype=float))
     shape = np.broadcast_to(np.asarray(counts, dtype=float) * alpha, v.shape)
     l1, _, r = _base_logs(p, v)
-    return _weighted_sum(_log_gap(l1, r, shape))
+    total = float(_log_gap(l1, r, shape).sum())
+    return total if total > -math.inf else -math.inf
 
 
 def complete_loglik(omega: BgdgeParams, data: BivDataset, counts) -> float:
@@ -322,25 +315,6 @@ def e_step_uni(params: UgdgeParams, x, cfg: EmConfig | None = None):
 # M-step
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of a unimodal f on [lo, hi]."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _latent_cells(values, counts):
     """Distinct (value, count) pairs with multiplicities; rejects empty input."""
     v = np.asarray(values, dtype=float)
@@ -349,43 +323,32 @@ def _latent_cells(values, counts):
     return _distinct(v, np.broadcast_to(np.asarray(counts, dtype=float), v.shape))[:3]
 
 
-def _profile(p: float, cells, inner_tol: float):
-    """`profile_alpha_max` on distinct (value, count, weight) cells.
-
-    The p-only pieces of the weighted log-likelihood are computed once; each
-    shape probe then costs a handful of array operations on the cells.
-    """
+def _latent_ll(cells, q):
+    """`latent_weighted_loglik` on (value, count, weight) cells and its gradient in (alpha, p)."""
     x, n, w = cells
+    alpha, p = q
     l1, _, r = _base_logs(p, x)
-
-    def g(alpha):
-        return _weighted_sum(_log_gap(l1, r, n * alpha), w)
-
-    a, b, c = 0.5, 1.0, 2.0
-    ga, gb, gc = g(a), g(b), g(c)
-    for _ in range(200):
-        if gb >= ga and gb >= gc:
-            break
-        if gc >= gb:
-            a, b, ga, gb = b, c, gb, gc
-            c *= 2.0
-            gc = g(c)
-        else:
-            b, c, gb, gc = a, b, ga, gb
-            a *= 0.5
-            ga = g(a)
-    else:
-        raise RuntimeError("failed to bracket the profile maximum in the shape")
-    alpha = _golden_max(g, a, c, inner_tol)
-    return alpha, g(alpha)
+    d_shape, d_p = _coord_partials(n * alpha, p, x, 1.0, 0.0)
+    return _ll_and_grad(_log_gap(l1, r, n * alpha), np.array([n * d_shape, d_p]), w)
 
 
-def profile_alpha_max(p: float, values, counts, inner_tol: float = 1e-7):
+def _geometric_p(values, w=None) -> float:
+    """The geometric (shape 1) maximum-likelihood p, ``mean / (1 + mean)``, inside the search box."""
+    mean = float(np.average(values, weights=w))
+    return float(np.clip(mean / (1.0 + mean), *expit(_W_UNIT)))
+
+
+def _latent_search(cells, p, free, cfg: EmConfig):
+    """`_search` of the weighted base log-likelihood from shape 1 / (mean count) and ``p``."""
+    start = (1.0 / np.average(cells[1], weights=cells[2]), p)
+    return _search(lambda q: _latent_ll(cells, q), [start], free, cfg)
+
+
+def profile_alpha_max(p: float, values, counts):
     """Best shape at fixed p for the weighted base log-likelihood.
 
-    The objective is unimodal in the shape (log-concave), so a doubling
-    bracket from 1 followed by golden-section search finds the global
-    maximum.  Returns ``(alpha, value)``.
+    `_search` with p held, from shape 1 / (mean count); the shape stays in
+    the search box [1e-3, 1e3].  Returns ``(alpha, value)``.
     """
     cells = _latent_cells(values, counts)
     if np.all(cells[0] == 0):
@@ -393,17 +356,17 @@ def profile_alpha_max(p: float, values, counts, inner_tol: float = 1e-7):
             "all observations are zero: the weighted log-likelihood is monotone "
             "in the shape (boundary ridge, no interior maximizer)"
         )
-    return _profile(p, cells, inner_tol)
+    (alpha, _), value, *_ = _latent_search(cells, p, slice(0, 1), EmConfig())
+    return alpha, value
 
 
 def m_step_pair(values, counts, cfg: EmConfig | None = None):
     """Joint maximizer of the weighted base log-likelihood over (shape, p).
 
-    Profile search: every p on a grid over (eps, 1-eps) is scored by the
-    inner shape maximization, then the best grid cell is refined by
-    golden-section on the profiled objective.  Returns ``(alpha, p)``.
+    `_search` from shape 1 / (mean count) and the geometric p, inside the
+    search box: shape in [1e-3, 1e3], p in [1e-6, 1 - 1e-6].  Returns
+    ``(alpha, p)``.
     """
-    cfg = cfg or EmConfig()
     cells = _latent_cells(values, counts)
     if np.all(cells[0] == 0):
         warnings.warn(
@@ -412,26 +375,8 @@ def m_step_pair(values, counts, cfg: EmConfig | None = None):
             RuntimeWarning,
             stacklevel=2,
         )
-        return 1.0, _P_EPS
-
-    def profiled(p):
-        return _profile(p, cells, cfg.inner_tol)[1]
-
-    grid = np.linspace(_P_EPS, 1.0 - _P_EPS, cfg.p_grid)
-    scores = np.array([profiled(p) for p in grid])
-    best = int(np.argmax(scores))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-
-    p_star = _golden_max(profiled, lo, hi, cfg.inner_tol)
-    alpha_star, _ = _profile(p_star, cells, cfg.inner_tol)
-    if p_star < 2.0 * _P_EPS or p_star > 1.0 - 2.0 * _P_EPS:
-        warnings.warn(
-            f"p maximizer {p_star:.6f} sits at the edge of the search range",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return alpha_star, p_star
+        return 1.0, float(expit(_W_UNIT[0]))
+    return _latent_search(cells, _geometric_p(cells[0], cells[2]), slice(None), cfg or EmConfig())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +606,15 @@ class _Fit(NamedTuple):
 def _fit_mle(ll, start, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
     """The maximum-likelihood search shared by every model.
 
-    ``ll(params)`` is the model's log-likelihood with its gradient and
-    ``base`` its fit on the theta = 1 submodel, which `_search` first refines
-    with theta held at 1.  The starts, in order: ``start``, ``base`` moved to
-    each theta of `_START_THETAS`, and ``extra_starts``.  The best endpoint
-    wins, unless ``base`` comes within `_SNAP_SLACK` of it: ties go to the
-    smaller model.
+    ``ll(params)`` is the model's log-likelihood with its gradient.  Its
+    theta = 1 submodel is fitted first, by `_search` with theta held at 1
+    from ``base``.  The starts, in order: ``start`` (by default that fit with
+    theta = 0.5), the fit moved to each theta of `_START_THETAS`, and
+    ``extra_starts``.  The best endpoint wins, unless the theta = 1 fit comes
+    within `_SNAP_SLACK` of it: ties go to the smaller model.
     """
-    base, ll_base, base_stop, base_iters, _ = _search(ll, [(*base[:-1], 1.0)], slice(-1), cfg)
-    starts = [start, *((*base[:-1], th) for th in _START_THETAS), *extra_starts]
+    base, ll_base, base_stop, base_iters, _ = _search(ll, [base], slice(-1), cfg)
+    starts = [start or (*base[:-1], 0.5), *((*base[:-1], th) for th in _START_THETAS), *extra_starts]
     est, ll_best, stop, iters, trace = _search(ll, starts, slice(None), cfg)
     notes = []
     if ll_base >= ll_best - _SNAP_SLACK:
@@ -679,11 +624,10 @@ def _fit_mle(ll, start, base, cfg: EmConfig, submodel: str, extra_starts=()) -> 
     return _Fit(est, ll_best, stop, iters, trace, notes, base, ll_base)
 
 
-def _fit_uni(xi, cfg: EmConfig, init: UgdgeParams | None = None, shape_p=None) -> _Fit:
-    """`_fit_mle` of the univariate law; ``shape_p`` is its theta = 1 fit if known."""
-    base = (*(shape_p or m_step_pair(xi, np.ones(xi.size), cfg)), 1.0)
-    start = init.as_tuple() if init is not None else (*base[:2], 0.5)
-    return _fit_mle(_uni_model(xi, cfg)[0], start, base, cfg, "base-law")
+def _fit_uni(xi, cfg: EmConfig, init: UgdgeParams | None = None) -> _Fit:
+    """`_fit_mle` of the univariate law, its theta = 1 search from the geometric fit."""
+    start = init.as_tuple() if init is not None else None
+    return _fit_mle(_uni_model(xi, cfg)[0], start, (1.0, _geometric_p(xi), 1.0), cfg, "base-law")
 
 
 def _fit_biv(data: BivDataset, cfg: EmConfig, init: BgdgeParams | None = None, extra_starts=()) -> _Fit:
@@ -692,11 +636,9 @@ def _fit_biv(data: BivDataset, cfg: EmConfig, init: BgdgeParams | None = None, e
     The default start fits each margin by `_fit_uni` and averages their
     compounding estimates.
     """
-    ones = np.ones(len(data))
-    margins = [m_step_pair(c, ones, cfg) for c in (data.x, data.y)]
-    base = (*margins[0], *margins[1], 1.0)
+    base = (1.0, _geometric_p(data.x), 1.0, _geometric_p(data.y), 1.0)
     if init is None:
-        f1, f2 = (_fit_uni(c, cfg, shape_p=sp).est for c, sp in zip((data.x, data.y), margins))
+        f1, f2 = (_fit_uni(c, cfg).est for c in (data.x, data.y))
         start = (*f1[:2], *f2[:2], min(1.0, 0.5 * (f1[2] + f2[2])))
     else:
         start = init.as_tuple()
@@ -717,9 +659,8 @@ def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
         value, grad = ll(np.asarray(q)[_TIE])
         return value, np.bincount(_TIE, weights=grad, minlength=3)
 
-    both = np.concatenate([data.x, data.y])
-    base = (*m_step_pair(both, np.ones(both.size), cfg), 1.0)
-    fit = _fit_mle(tied, (*base[:2], 0.5), base, cfg, "equal-margins")
+    base = (1.0, _geometric_p(np.concatenate([data.x, data.y])), 1.0)
+    fit = _fit_mle(tied, None, base, cfg, "equal-margins")
     return fit._replace(est=tuple(np.asarray(fit.est)[_TIE]), base=tuple(np.asarray(fit.base)[_TIE]))
 
 

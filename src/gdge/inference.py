@@ -13,6 +13,7 @@ maximum-likelihood search.  The independence null is the full fit's own
 theta = 1 submodel; the equal-margins null is fitted first and its optimum
 is a further start of the full fit, which keeps the models numerically
 nested (the full likelihood can never fall below the null beyond slack).
+Run together (`_test_both`), the two tests share that one full fit.
 
 Goodness of fit bins the support, compares observed against model-expected
 counts, pools thinly-populated cells from the tail inward, and reports the
@@ -93,13 +94,13 @@ def chi2_sf_reference(x: float, df: int) -> float:
 def _lrt(data: BivDataset, full, null_params, ll_null, reference: str, p_value) -> TestResult:
     """The test of a full fit (a fitting-module fit record) against a null."""
     if len(data) < 5:
-        warnings.warn("very small sample: asymptotic LRT reference is unreliable", stacklevel=3)
+        warnings.warn("very small sample: asymptotic LRT reference is unreliable", stacklevel=4)
     raw = 2.0 * (full.loglik - ll_null)
     if raw < -1e-6:
         warnings.warn(
             f"null log-likelihood exceeded the full fit by {-raw / 2.0:g}; "
             "treating the statistic as 0",
-            stacklevel=3,
+            stacklevel=4,
         )
     stat = max(0.0, raw)
     return TestResult(
@@ -113,16 +114,28 @@ def _lrt(data: BivDataset, full, null_params, ll_null, reference: str, p_value) 
     )
 
 
+def _equal_fits(data: BivDataset, cfg: EmConfig):
+    """The equal-margins null and the full fit, whose starts include the null optimum."""
+    null = _fit_equal_margins(data, cfg)
+    return null, _fit_biv(data, cfg, extra_starts=[null.est])
+
+
+def _equal_lrt(data: BivDataset, null, full) -> TestResult:
+    return _lrt(data, full, null.est, null.loglik, "chi2(2)", lambda stat: chi2_sf(stat, 2))
+
+
+def _indep_lrt(data: BivDataset, full) -> TestResult:
+    return _lrt(data, full, full.base, full.ll_base, "0.5*{0} + 0.5*chi2(1)",
+                lambda stat: 1.0 if stat <= 0.0 else 0.5 * chi2_sf(stat, 1))
+
+
 def test_equal_marginals(data: BivDataset, cfg: EmConfig | None = None) -> TestResult:
     """LRT of a shared marginal law across the two coordinates.
 
     Null: one (shape, p) pair for both coordinates, compounding free.
     Reference law: chi-square with 2 df.
     """
-    cfg = cfg or EmConfig()
-    null = _fit_equal_margins(data, cfg)
-    full = _fit_biv(data, cfg, extra_starts=[null.est])
-    return _lrt(data, full, null.est, null.loglik, "chi2(2)", lambda stat: chi2_sf(stat, 2))
+    return _equal_lrt(data, *_equal_fits(data, cfg or EmConfig()))
 
 
 def test_independence(data: BivDataset, cfg: EmConfig | None = None) -> TestResult:
@@ -133,15 +146,17 @@ def test_independence(data: BivDataset, cfg: EmConfig | None = None) -> TestResu
     point mass at 0 and chi-square with 1 df: p = 1 when the statistic is
     0, else half the chi-square(1) tail.
     """
-    full = _fit_biv(data, cfg or EmConfig())
-    return _lrt(
-        data,
-        full,
-        full.base,
-        full.ll_base,
-        "0.5*{0} + 0.5*chi2(1)",
-        lambda stat: 1.0 if stat <= 0.0 else 0.5 * chi2_sf(stat, 1),
-    )
+    return _indep_lrt(data, _fit_biv(data, cfg or EmConfig()))
+
+
+def _test_both(data: BivDataset, cfg: EmConfig):
+    """`test_equal_marginals` and `test_independence` on one full fit, the equal-margins test's.
+
+    Its starts include the independence test's, plus the null optimum, so
+    it is at least as good a full fit.
+    """
+    null, full = _equal_fits(data, cfg)
+    return _equal_lrt(data, null, full), _indep_lrt(data, full)
 
 
 # ---------------------------------------------------------------------------

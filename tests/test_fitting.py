@@ -31,7 +31,8 @@ from gdge import (
     ugdge_pmf,
     ugdge_sample,
 )
-from gdge.dge import _biv_logpmf_grad
+from gdge.dge import _base_logs, _biv_logpmf_grad, _log_gap
+from gdge.fitting import _fit_biv, _fit_equal_margins, _fit_uni
 from gdge.simulate import fast_sim_config
 
 
@@ -308,6 +309,51 @@ def test_biv_mle_meets_its_convergence_test_on_the_ridge():
 
 
 # ---------------------------------------------------------------------------
+# the theta = 1 search from its one geometric start
+
+
+def base_grid_max(x, size=400):
+    """Largest theta = 1 log-likelihood of counts ``x`` on a dense (alpha, p) grid."""
+    vals, w = np.unique(x, return_counts=True)
+    alphas = np.geomspace(1e-3, 1e3, size)[:, None]
+    best = -math.inf
+    for p in np.linspace(1e-6, 1.0 - 1e-6, size):
+        l1, _, r = _base_logs(p, vals.astype(float))
+        best = max(best, float(np.max(_log_gap(l1, r, alphas) @ w)))
+    return best
+
+
+@pytest.mark.parametrize(
+    "law,seed",
+    [
+        ((50.0, 0.5, 1.0), [7, 7, 25]),  # a shape search from the grid's first p never ended
+        ((20.0, 0.9, 0.5), [7, 3, 25]),  # the shape bracket was lost
+    ],
+)
+def test_uni_fit_far_from_zero_converges_above_the_base_grid(law, seed):
+    x = ugdge_sample(UgdgeParams.from_values(*law), np.random.default_rng(seed), size=25)
+    rep = fit_uni_mle(x, compute_se=False)
+    assert rep.converged
+    assert _fit_uni(x, EmConfig()).ll_base >= base_grid_max(x) - 1e-9
+
+
+def test_biv_fit_far_from_zero_converges_above_the_base_grid():
+    truth = BgdgeParams.from_values(50.0, 0.5, 50.0, 0.5, 0.5)
+    bx, by = bgdge_sample(truth, np.random.default_rng(1), size=25)
+    data = BivDataset(bx, by)
+    rep = fit_biv_mle(data, fast_sim_config(), compute_se=False)
+    assert rep.converged
+    assert _fit_biv(data, fast_sim_config()).ll_base >= base_grid_max(bx) + base_grid_max(by) - 1e-9
+
+
+def test_base_fits_reach_the_base_grid_on_serie_a(football):
+    for x in (football.x, football.y):
+        assert _fit_uni(x, EmConfig()).ll_base >= base_grid_max(x) - 1e-9
+    pooled = np.concatenate([football.x, football.y])
+    assert _fit_equal_margins(football, EmConfig()).ll_base >= base_grid_max(pooled) - 1e-9
+
+
+# ---------------------------------------------------------------------------
 # recovery and uncertainty
 
 
@@ -434,8 +480,6 @@ def test_em_config_validation():
         EmConfig(ll_rel_tol=0.0)
     with pytest.raises(ValueError):
         EmConfig(e_step="mode")
-    with pytest.raises(ValueError):
-        EmConfig(p_grid=1)
 
 
 def test_fit_requires_nonempty_data():

@@ -35,6 +35,7 @@ from gdge import (
     ugdge_sample,
 )
 from gdge.dge import _biv_logpmf_grad, _uni_logpmf_grad
+from gdge.fitting import _latent_ll
 
 #: Working precision of the reference: 120 digits beyond the smallest pmf
 #: (1e-280) that the relative bar applies to, so the CDF differences below
@@ -361,6 +362,27 @@ def test_bivariate_gradient_matches_reference(params, football):
 def test_univariate_gradient_matches_reference(params, grid):
     got = _uni_logpmf_grad(*params, grid.astype(float))
     assert_partials_close(got.T, [ref_partials(ref_uni_logpmf, params, (int(x),)) for x in grid])
+
+
+def ref_latent_logpmf(alpha, p, x, n):
+    """A value's term of the weighted base log-likelihood: its shape is ``n alpha``."""
+    return mp.log(ref_base(n * alpha, p, x) - ref_base(n * alpha, p, x - 1))
+
+
+@pytest.mark.parametrize(
+    "params,grid",
+    [
+        ((2.648138531581, 0.204063392347), np.arange(0, 6)),
+        ((0.3, 0.25), np.arange(0, 40, 3)),
+        ((0.7, 0.9999), DEEP_UNI[2][1]),
+    ],
+)
+def test_latent_gradient_matches_reference(params, grid):
+    counts = 1.0 + np.arange(grid.size) % 5
+    got = [_latent_ll((np.array([x], dtype=float), np.array([n]), np.ones(1)), params)[1]
+           for x, n in zip(grid, counts)]
+    want = [ref_partials(ref_latent_logpmf, params, (int(x), int(n))) for x, n in zip(grid, counts)]
+    assert_partials_close(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,21 @@ def test_cli_test_subcommand(capsys):
     assert "indep" not in out
 
 
+def test_cli_test_both_fits_the_full_model_once(capsys, monkeypatch):
+    import gdge.inference as inference
+
+    calls = []
+    fit_biv = inference._fit_biv
+    monkeypatch.setattr(inference, "_fit_biv", lambda *a, **k: calls.append(k) or fit_biv(*a, **k))
+    rc, both = run_cli(capsys, ["test", bundled_data_path(), "--test", "both"])
+    assert rc == 0 and len(calls) == 1
+    # the independence test run alone fits afresh and reports the same lines
+    rc, alone = run_cli(capsys, ["test", bundled_data_path(), "--test", "indep"])
+    assert rc == 0 and len(calls) == 2
+    shared = both.split("test_2 = independence\n")[1]
+    assert shared.replace("indep_", "") == alone.split("test = independence\n")[1]
+
+
 def test_cli_gof_biv(capsys):
     rc, out = run_cli(capsys, [
         "gof", "--biv", "--params", "4.5519,0.2570,8.3892,0.2250,0.9211",

@@ -229,10 +229,15 @@ def _log_gap(l1, r, shape):
         return shape * l1 + np.log(-np.expm1(-shape * r))
 
 
+def _coord_logs(alpha, p, x):
+    """`_base_logs` at (p, x) and the `_cdf_logs` triple they give at shape ``alpha``."""
+    logs = l1, l0, r = _base_logs(p, x)
+    return logs, (alpha * l1, alpha * l0, _log_gap(l1, r, alpha))
+
+
 def _cdf_logs(alpha, p, x):
     """``log A(x)``, ``log A(x-1)`` and ``log(A(x) - A(x-1))`` of the base law."""
-    l1, l0, r = _base_logs(p, x)
-    return alpha * l1, alpha * l0, _log_gap(l1, r, alpha)
+    return _coord_logs(alpha, p, x)[1]
 
 
 def _log_cdf(alpha, p, x):
@@ -299,13 +304,14 @@ def _biv_logpmf(tx, ty, theta):
 # log(u - v) and through the compounding factor h(log u, log v, ..., theta)
 
 
-def _coord_partials(alpha, p, x, c1, c0):
+def _coord_partials(alpha, p, x, logs, c1, c0):
     """Partials in (alpha, p) of ``log(u - v) + h`` for one coordinate, u, v its base CDF at x, x - 1.
 
-    ``c1 - 1`` and ``c0`` are the partials of h in ``log u`` and ``log v``; ``log(u - v) = log u +
-    log(1 - exp(-alpha r))`` (`_log_gap`), ``dr/dp = p^x / (1-p^(x+1)) (x (1-p) / (p (1-p^x)) - 1)``.
+    ``logs`` is `_base_logs` at (p, x); ``c1 - 1`` and ``c0`` are the partials of h in ``log u`` and
+    ``log v``; ``log(u - v) = log u + log(1 - exp(-alpha r))`` (`_log_gap`),
+    ``dr/dp = p^x / (1-p^(x+1)) (x (1-p) / (p (1-p^x)) - 1)``.
     """
-    l1, l0, r = _base_logs(p, x)
+    l1, l0, r = logs
     lp = math.log(p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         px, q0, q1 = np.exp(x * lp), -np.expm1(x * lp), -np.expm1((x + 1.0) * lp)
@@ -316,24 +322,33 @@ def _coord_partials(alpha, p, x, c1, c0):
     return d_alpha, alpha * d_p
 
 
-def _uni_logpmf_grad(alpha, p, theta, x):
-    """Partials of `_uni_logpmf` in (alpha, p, theta), an array of shape (3, x.size)."""
-    lu, lv, _ = _cdf_logs(alpha, p, x)
-    eu, ev = (np.exp(lw) / _den(theta, lw) for lw in (lu, lv))
-    tau = 1.0 - theta
-    return np.array([*_coord_partials(alpha, p, x, 1.0 + tau * eu, tau * ev), 1.0 / theta - eu - ev])
+def _uni_logpmf_and_grad(alpha, p, theta, x):
+    """`_uni_logpmf` and its partials in (alpha, p, theta), shape (3, x.size), from one `_base_logs`."""
+    logs, (lu, lv, lg) = _coord_logs(alpha, p, x)
+    du, dv = _den(theta, lu), _den(theta, lv)
+    eu, ev, tau = np.exp(lu) / du, np.exp(lv) / dv, 1.0 - theta
+    logpmf = lg if theta == 1.0 else lg + math.log(theta) - np.log(du) - np.log(dv)
+    return logpmf, np.array([*_coord_partials(alpha, p, x, logs, 1.0 + tau * eu, tau * ev), 1.0 / theta - eu - ev])
 
 
-def _biv_logpmf_grad(x, y, a1, p1, a2, p2, theta):
-    """Partials of `_biv_logpmf` in (alpha1, p1, alpha2, p2, theta), shape (5, cells)."""
-    (lu, lu_, _), (lv, lv_, _) = _cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y)
-    tau = 1.0 - theta
-    lprod = lu + lu_ + lv + lv_
-    ratio = np.exp(lprod) / (theta * (2.0 - theta) - tau * tau * np.expm1(lprod))  # P / (1 - tau^2 P)
-    e = [[np.exp(a + b) / _den(theta, a + b) for b in (lv, lv_)] for a in (lu, lu_)]
+def _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta):
+    """`_biv_logpmf` and its partials in (alpha1, p1, alpha2, p2, theta), shape (5, cells), from one
+    `_base_logs` per coordinate."""
+    (lx, (lu, lu_, gx)), (ly, (lv, lv_, gy)) = _coord_logs(a1, p1, x), _coord_logs(a2, p2, y)
+    tau, lprod = 1.0 - theta, lu + lu_ + lv + lv_
+    den_p = theta * (2.0 - theta) - tau * tau * np.expm1(lprod)  # 1 - tau^2 P
+    corners = [a + b for a in (lu, lu_) for b in (lv, lv_)]  # log w at (x, y), (x, y-1), (x-1, y), (x-1, y-1)
+    dens = [_den(theta, lw) for lw in corners]
+    logpmf = gx + gy
+    if theta != 1.0:
+        logpmf += math.log(theta) + np.log(den_p)
+        for d in dens:
+            logpmf -= np.log(d)
+    ratio = np.exp(lprod) / den_p  # P / (1 - tau^2 P)
+    e00, e01, e10, e11 = (np.exp(lw) / d for lw, d in zip(corners, dens))
     k = tau * tau * ratio
-    return np.array([
-        *_coord_partials(a1, p1, x, 1.0 - k + tau * (e[0][0] + e[0][1]), tau * (e[1][0] + e[1][1]) - k),
-        *_coord_partials(a2, p2, y, 1.0 - k + tau * (e[0][0] + e[1][0]), tau * (e[0][1] + e[1][1]) - k),
-        1.0 / theta + 2.0 * tau * ratio - sum(map(sum, e)),
+    return logpmf, np.array([
+        *_coord_partials(a1, p1, x, lx, 1.0 - k + tau * (e00 + e01), tau * (e10 + e11) - k),
+        *_coord_partials(a2, p2, y, ly, 1.0 - k + tau * (e00 + e10), tau * (e01 + e11) - k),
+        1.0 / theta + 2.0 * tau * ratio - ((e00 + e01) + (e10 + e11)),
     ])

@@ -37,12 +37,12 @@ from .bivariate import BgdgeParams
 from .dge import (
     _base_logs,
     _biv_logpmf,
-    _biv_logpmf_grad,
+    _biv_logpmf_and_grad,
     _cdf_logs,
     _coord_partials,
     _log_gap,
     _uni_logpmf,
-    _uni_logpmf_grad,
+    _uni_logpmf_and_grad,
 )
 from .univariate import UgdgeParams, _argmax_scan, _cond_n_mean
 
@@ -190,16 +190,12 @@ def _ll_and_grad(logpmf, grad, w):
 
 def _uni_ll(cells, q):
     """Log-likelihood on ``(values, weights)`` and its gradient in (alpha, p, theta)."""
-    x, w = cells
-    return _ll_and_grad(_uni_logpmf(*q, x), _uni_logpmf_grad(*q, x), w)
+    return _ll_and_grad(*_uni_logpmf_and_grad(*q, cells[0]), cells[1])
 
 
 def _biv_ll(cells, q):
     """Log-likelihood on ``(x, y, weights)`` and its gradient in (alpha1, p1, alpha2, p2, theta)."""
-    x, y, w = cells
-    a1, p1, a2, p2, th = q
-    logpmf = _biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), th)
-    return _ll_and_grad(logpmf, _biv_logpmf_grad(x, y, *q), w)
+    return _ll_and_grad(*_biv_logpmf_and_grad(*cells[:2], *q), cells[2])
 
 
 def _checked_ll(logpmf, w, where) -> float:
@@ -325,10 +321,9 @@ def _latent_cells(values, counts):
 
 def _latent_ll(cells, q):
     """`latent_weighted_loglik` on (value, count, weight) cells and its gradient in (alpha, p)."""
-    x, n, w = cells
-    alpha, p = q
-    l1, _, r = _base_logs(p, x)
-    d_shape, d_p = _coord_partials(n * alpha, p, x, 1.0, 0.0)
+    (x, n, w), (alpha, p) = cells, q
+    logs = l1, _, r = _base_logs(p, x)
+    d_shape, d_p = _coord_partials(n * alpha, p, x, logs, 1.0, 0.0)
     return _ll_and_grad(_log_gap(l1, r, n * alpha), np.array([n * d_shape, d_p]), w)
 
 
@@ -603,18 +598,19 @@ class _Fit(NamedTuple):
     ll_base: float
 
 
-def _fit_mle(ll, start, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
+def _fit_mle(ll, init, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
     """The maximum-likelihood search shared by every model.
 
     ``ll(params)`` is the model's log-likelihood with its gradient.  Its
     theta = 1 submodel is fitted first, by `_search` with theta held at 1
-    from ``base``.  The starts, in order: ``start`` (by default that fit with
-    theta = 0.5), the fit moved to each theta of `_START_THETAS`, and
-    ``extra_starts``.  The best endpoint wins, unless the theta = 1 fit comes
-    within `_SNAP_SLACK` of it: ties go to the smaller model.
+    from ``base``.  The starts, in order: the parameter record ``init`` (by
+    default that fit with theta = 0.5), the fit moved to each theta of
+    `_START_THETAS`, and ``extra_starts``.  The best endpoint wins, unless the
+    theta = 1 fit comes within `_SNAP_SLACK` of it: ties go to the smaller model.
     """
     base, ll_base, base_stop, base_iters, _ = _search(ll, [base], slice(-1), cfg)
-    starts = [start or (*base[:-1], 0.5), *((*base[:-1], th) for th in _START_THETAS), *extra_starts]
+    first = init.as_tuple() if init is not None else (*base[:-1], 0.5)
+    starts = [first, *((*base[:-1], th) for th in _START_THETAS), *extra_starts]
     est, ll_best, stop, iters, trace = _search(ll, starts, slice(None), cfg)
     notes = []
     if ll_base >= ll_best - _SNAP_SLACK:
@@ -626,23 +622,13 @@ def _fit_mle(ll, start, base, cfg: EmConfig, submodel: str, extra_starts=()) -> 
 
 def _fit_uni(xi, cfg: EmConfig, init: UgdgeParams | None = None) -> _Fit:
     """`_fit_mle` of the univariate law, its theta = 1 search from the geometric fit."""
-    start = init.as_tuple() if init is not None else None
-    return _fit_mle(_uni_model(xi, cfg)[0], start, (1.0, _geometric_p(xi), 1.0), cfg, "base-law")
+    return _fit_mle(_uni_model(xi, cfg)[0], init, (1.0, _geometric_p(xi), 1.0), cfg, "base-law")
 
 
 def _fit_biv(data: BivDataset, cfg: EmConfig, init: BgdgeParams | None = None, extra_starts=()) -> _Fit:
-    """`_fit_mle` of the bivariate law.
-
-    The default start fits each margin by `_fit_uni` and averages their
-    compounding estimates.
-    """
+    """`_fit_mle` of the bivariate law, its theta = 1 search from each margin's geometric fit."""
     base = (1.0, _geometric_p(data.x), 1.0, _geometric_p(data.y), 1.0)
-    if init is None:
-        f1, f2 = (_fit_uni(c, cfg).est for c in (data.x, data.y))
-        start = (*f1[:2], *f2[:2], min(1.0, 0.5 * (f1[2] + f2[2])))
-    else:
-        start = init.as_tuple()
-    return _fit_mle(_biv_model(data, cfg)[0], start, base, cfg, "independence", extra_starts)
+    return _fit_mle(_biv_model(data, cfg)[0], init, base, cfg, "independence", extra_starts)
 
 
 _TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five bivariate parameters
@@ -689,10 +675,9 @@ def fit_biv_mle(
 ) -> FitReport:
     """Bivariate maximum likelihood through `_fit_mle`.
 
-    The search starts from ``init`` or, by default, from the margins'
-    univariate fits with their compounding estimates averaged.
-    ``extra_starts`` (5-tuples) are further starts; the theta = 1
-    independence submodel wins ties within a slack.
+    The search starts from ``init`` or, by default, from the theta = 1
+    (independence) fit with theta = 0.5.  ``extra_starts`` (5-tuples) are
+    further starts; the independence submodel wins ties within a slack.
     """
     f = _fit_biv(data, cfg or EmConfig(), init, extra_starts)
     params = BgdgeParams.from_values(*f.est)

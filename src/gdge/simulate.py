@@ -1,11 +1,11 @@
 """Monte Carlo study of the bivariate estimator: bias and MSE by sample size.
 
 Each replication draws a dataset at the true parameters, fits it with the
-full multi-start pipeline (default initialization rule: marginal fits plus
-averaged compounding), and records the estimates.  Replications that fail
-numerically or do not converge are excluded and counted, by reason.  Seed
-streams are derived from (master seed, sample size, replication index), so
-results are independent of execution order.
+full multi-start pipeline (default initialization rule: the theta = 1 fit
+moved to a grid of theta values), and records the estimates.  Replications
+that fail numerically or do not converge are excluded and counted, by reason.
+Seed streams are derived from (master seed, sample size, replication index),
+so results are independent of execution order.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def run_simulation(spec: SimSpec, progress: bool = False) -> SimTable:
     metadata = {
         "replications": spec.replications,
         "seed": spec.seed,
-        "init_rule": "marginal-fits+averaged-compounding",
+        "init_rule": "theta-one-fit+theta-grid",
         "e_step": spec.cfg.e_step,
     }
     return SimTable(

@@ -31,7 +31,8 @@ from gdge import (
     ugdge_pmf,
     ugdge_sample,
 )
-from gdge.dge import _base_logs, _biv_logpmf_grad, _log_gap
+from gdge import fitting
+from gdge.dge import _base_logs, _biv_logpmf_and_grad, _log_gap
 from gdge.fitting import _fit_biv, _fit_equal_margins, _fit_uni
 from gdge.simulate import fast_sim_config
 
@@ -293,7 +294,7 @@ def test_newton_finish_drives_the_gradient_to_rounding_on_a_large_sample():
     rep = fit_biv_mle(BivDataset(bx, by), fast_sim_config(), compute_se=False)
     cells = Counter(zip(bx.tolist(), by.tolist()))
     cx, cy = (np.array(c, dtype=float) for c in zip(*cells))
-    grad = _biv_logpmf_grad(cx, cy, *rep.estimates) @ np.array(list(cells.values()), dtype=float)
+    grad = _biv_logpmf_and_grad(cx, cy, *rep.estimates)[1] @ np.array(list(cells.values()), dtype=float)
     q = np.array(rep.estimates)
     assert rep.converged
     assert np.abs(grad * np.where([True, False, True, False, False], q, q * (1 - q))).max() <= 1e-9
@@ -306,6 +307,30 @@ def test_biv_mle_meets_its_convergence_test_on_the_ridge():
     bx, by = bgdge_sample(truth, np.random.default_rng([20260822, 25, 1]), size=25)
     rep = fit_biv_mle(BivDataset(bx, by), fast_sim_config(), compute_se=False)
     assert rep.converged and rep.stop_reason == "converged"
+
+
+def test_biv_mle_fits_no_margin_to_start(football, monkeypatch):
+    calls = []
+    uni_ll = fitting._uni_ll
+    monkeypatch.setattr(fitting, "_uni_ll", lambda *a: calls.append(a) or uni_ll(*a))
+    assert fit_biv_mle(football).converged
+    assert not calls
+
+
+def gate_datasets():
+    truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
+    for n in (25, 100):
+        for r in range(5):
+            yield BivDataset(*bgdge_sample(truth, np.random.default_rng([20260822, n, r]), size=n))
+
+
+def test_biv_mle_default_starts_lose_nothing_to_the_margin_averaged_start(football):
+    cfg = fast_sim_config()
+    for data in [football, *gate_datasets()]:
+        f1, f2 = (_fit_uni(c, cfg).est for c in (data.x, data.y))
+        averaged = (*f1[:2], *f2[:2], min(1.0, 0.5 * (f1[2] + f2[2])))
+        default = fit_biv_mle(data, cfg, compute_se=False).loglik
+        assert fit_biv_mle(data, cfg, extra_starts=[averaged], compute_se=False).loglik <= default + 1e-9
 
 
 # ---------------------------------------------------------------------------

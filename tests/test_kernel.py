@@ -34,7 +34,7 @@ from gdge import (
     ugdge_pmf,
     ugdge_sample,
 )
-from gdge.dge import _biv_logpmf_grad, _uni_logpmf_grad
+from gdge.dge import _biv_logpmf, _biv_logpmf_and_grad, _cdf_logs, _uni_logpmf, _uni_logpmf_and_grad
 from gdge.fitting import _latent_ll
 
 #: Working precision of the reference: 120 digits beyond the smallest pmf
@@ -346,7 +346,7 @@ SERIEA_MLE = (2.648138531581, 0.204063392347, 6.782315129779, 0.1603608641943, 0
 def test_bivariate_gradient_matches_reference(params, football):
     cells = sorted(set(zip(football.x.tolist(), football.y.tolist())))
     cx, cy = (np.array(c, dtype=float) for c in zip(*cells))
-    got = _biv_logpmf_grad(cx, cy, *params)
+    got = _biv_logpmf_and_grad(cx, cy, *params)[1]
     assert_partials_close(got.T, [ref_partials(ref_biv_logpmf, params, c) for c in cells])
 
 
@@ -360,8 +360,31 @@ def test_bivariate_gradient_matches_reference(params, football):
     ],
 )
 def test_univariate_gradient_matches_reference(params, grid):
-    got = _uni_logpmf_grad(*params, grid.astype(float))
+    got = _uni_logpmf_and_grad(*params, grid.astype(float))[1]
     assert_partials_close(got.T, [ref_partials(ref_uni_logpmf, params, (int(x),)) for x in grid])
+
+
+SHAPES = st.floats(1e-3, 1e3)
+UNITS = st.floats(1e-6, 1.0 - 1e-6)
+THETAS = st.one_of(st.just(1.0), UNITS)
+
+
+@given(SHAPES, UNITS, THETAS, st.lists(st.integers(0, 400), min_size=1, max_size=8))
+def test_univariate_fused_logpmf_equals_the_evaluators(alpha, p, theta, xs):
+    x = np.array(xs, dtype=float)
+    with np.errstate(all="ignore"):
+        got = _uni_logpmf_and_grad(alpha, p, theta, x)[0]
+        assert np.array_equal(got, _uni_logpmf(alpha, p, theta, x))
+
+
+@given(SHAPES, UNITS, SHAPES, UNITS, THETAS,
+       st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=1, max_size=8))
+def test_bivariate_fused_logpmf_equals_the_evaluators(a1, p1, a2, p2, theta, cells):
+    x, y = (np.array(c, dtype=float) for c in zip(*cells))
+    with np.errstate(all="ignore"):
+        got = _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta)[0]
+        want = _biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), theta)
+        assert np.array_equal(got, want)
 
 
 def ref_latent_logpmf(alpha, p, x, n):

@@ -339,7 +339,7 @@ def test_cli_simulate_tiny(capsys):
     rc, out = run_cli(capsys, ["simulate", "--reps", "2", "--sizes", "12", "--seed", "7"])
     assert rc == 0
     assert "command = simulate" in out
-    assert "init_rule = marginal-fits+averaged-compounding" in out
+    assert "init_rule = theta-one-fit+theta-grid" in out
     assert "ae_n12_alpha1 = " in out
     assert "excluded_n12 = 0" in out
 

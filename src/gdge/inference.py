@@ -20,6 +20,9 @@ counts, pools thinly-populated cells from the tail inward, and reports the
 usual chi-square statistic.  The pooling rule and degrees-of-freedom
 convention are explicit arguments because published tables rarely state
 theirs.
+
+Every p-value comes from the chi-square upper tail, computed with
+`scipy.special.chdtrc`; importing this module does not load `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .bivariate import BgdgeParams, bgdge_cdf, bgdge_pmf, marginal_params
 from .fitting import BivDataset, EmConfig, _as_counts, _fit_biv, _fit_equal_margins
@@ -43,7 +46,6 @@ __all__ = [
     "gof_chisq_uni",
     "gof_chisq_biv",
     "chi2_sf",
-    "chi2_sf_reference",
 ]
 
 
@@ -72,19 +74,17 @@ class GofResult:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function (upper tail probability)."""
-    return float(chi2.sf(x, df))
+    """Chi-square survival function (upper tail probability).
 
-
-def chi2_sf_reference(x: float, df: int) -> float:
-    """Independent closed-form route for df in {1, 2} (validation only)."""
+    Computed with `scipy.special.chdtrc`, the routine behind
+    `scipy.stats.chi2.sf`.  Where `chdtrc` differs, the guards return
+    `chi2.sf`'s values: `nan` for df <= 0 and 1.0 for x < 0.
+    """
+    if not df > 0:
+        return math.nan
     if x < 0:
-        raise ValueError("statistic must be nonnegative")
-    if df == 1:
-        return math.erfc(math.sqrt(x / 2.0))
-    if df == 2:
-        return math.exp(-x / 2.0)
-    raise ValueError("reference route implemented for df in {1, 2} only")
+        return 1.0
+    return float(chdtrc(df, x))
 
 
 # ---------------------------------------------------------------------------

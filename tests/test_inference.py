@@ -1,15 +1,22 @@
 """Likelihood-ratio tests and binned goodness-of-fit."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+import gdge
 from gdge import (
     BgdgeParams,
     BivDataset,
     UgdgeParams,
     bgdge_sample,
     chi2_sf,
-    chi2_sf_reference,
     gof_chisq_biv,
     gof_chisq_uni,
     ugdge_sample,
@@ -21,6 +28,40 @@ from gdge.simulate import fast_sim_config
 
 # ---------------------------------------------------------------------------
 # chi-square tail
+
+
+def chi2_sf_reference(x: float, df: int) -> float:
+    """Independent closed-form route for df in {1, 2}."""
+    if x < 0:
+        raise ValueError("statistic must be nonnegative")
+    if df == 1:
+        return math.erfc(math.sqrt(x / 2.0))
+    if df == 2:
+        return math.exp(-x / 2.0)
+    raise ValueError("reference route implemented for df in {1, 2} only")
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_chi2_sf_is_scipy_stats_bit_for_bit():
+    dfs = (1, 2, 3, 9, 40, 0.5, 2.5, 0, -1)
+    xs = (-5.0, -0.1, 0.0, 1e-300, 1e-10, 3.84, 1e3, 1500.0, math.inf, math.nan)
+    rng = np.random.default_rng(20261018)
+    draws = [(float(d), float(x)) for d, x in zip(
+        rng.uniform(-1.0, 50.0, 400), rng.exponential(30.0, 400) - 5.0)]
+    for df, x in [(d, x) for d in dfs for x in xs] + draws:
+        got, want = chi2_sf(x, df), float(chi2.sf(x, df))
+        assert _same(got, want), (x, df, got, want)
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, gdge, gdge.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(gdge.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_chi2_sf_matches_closed_form_reference():

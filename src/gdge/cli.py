@@ -43,8 +43,8 @@ from .univariate import UgdgeParams, ugdge_cdf, ugdge_pmf, ugdge_sample
 __all__ = ["main"]
 
 _UNI_ORDER = "alpha,p,theta"
-_MAX_ITER_HELP = "iteration cap of each L-BFGS-B run, or of EM with fit --no-polish"
-_TOL_HELP = "relative log-likelihood tolerance of each L-BFGS-B start, or of EM with fit --no-polish"
+_MAX_ITER_HELP = "iteration cap of each trust-region search, or of EM with fit --no-polish"
+_TOL_HELP = "relative log-likelihood tolerance of EM with --no-polish (ML fits stop on the gradient test)"
 _BIV_ORDER = "alpha1,p1,alpha2,p2,theta"
 
 
@@ -382,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--test", choices=("equal", "indep", "both"), default="both",
                     help="equal marginal laws, independence, or both (default)")
     sp.add_argument("--max-iter", type=int, default=None, help=_MAX_ITER_HELP)
-    sp.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     sp.set_defaults(func=_cmd_test)
 
@@ -422,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=200, help="replications per size (default 200)")
     sp.add_argument("--seed", type=int, default=20260822, help="master seed")
     sp.add_argument("--max-iter", type=int, default=None, help=_MAX_ITER_HELP)
-    sp.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     sp.add_argument("--progress", action="store_true", help="print progress to stdout")
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     sp.set_defaults(func=_cmd_simulate)

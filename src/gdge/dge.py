@@ -215,7 +215,7 @@ def _base_logs(p, x):
     """
     with np.errstate(divide="ignore"):
         px = np.power(p, x)
-        q = 0.0 - np.expm1(x * math.log(p))  # 1 - p^x, and +0.0 (not -0.0) at x = 0
+        q = 0.0 - np.expm1(x * np.log(p))  # 1 - p^x, and +0.0 (not -0.0) at x = 0
         r = np.log1p(px * (1.0 - p) / q)
         return np.log1p(-np.power(p, x + 1.0)), np.log1p(-px), r
 
@@ -273,7 +273,7 @@ def _uni_logpmf(alpha, p, theta, x):
     lu, lv, lg = _cdf_logs(alpha, p, x)
     if theta == 1.0:
         return lg
-    return lg + math.log(theta) - _log_den(theta, lu) - _log_den(theta, lv)
+    return lg + np.log(theta) - _log_den(theta, lu) - _log_den(theta, lv)
 
 
 def _biv_logpmf(tx, ty, theta):
@@ -292,7 +292,7 @@ def _biv_logpmf(tx, ty, theta):
     if theta == 1.0:
         return out
     tau = 1.0 - theta
-    out += math.log(theta) + np.log(theta * (2.0 - theta) - tau * tau * np.expm1(lu + lu_ + lv + lv_))
+    out += np.log(theta) + np.log(theta * (2.0 - theta) - tau * tau * np.expm1(lu + lu_ + lv + lv_))
     for a in (lu, lu_):
         for b in (lv, lv_):
             out -= _log_den(theta, a + b)
@@ -301,7 +301,9 @@ def _biv_logpmf(tx, ty, theta):
 
 # ---------------------------------------------------------------------------
 # gradient of the kernel: a log-pmf holds a coordinate's (alpha, p) through
-# log(u - v) and through the compounding factor h(log u, log v, ..., theta)
+# log(u - v) and through the compounding factor h(log u, log v, ..., theta).
+# The fitter passes parameters as columns (k, 1) against cells (c,): every
+# array below is then (k, c), one row per parameter point.
 
 
 def _coord_partials(alpha, p, x, logs, c1, c0):
@@ -312,7 +314,7 @@ def _coord_partials(alpha, p, x, logs, c1, c0):
     ``dr/dp = p^x / (1-p^(x+1)) (x (1-p) / (p (1-p^x)) - 1)``.
     """
     l1, l0, r = logs
-    lp = math.log(p)
+    lp = np.log(p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         px, q0, q1 = np.exp(x * lp), -np.expm1(x * lp), -np.expm1((x + 1.0) * lp)
         dlr = 1.0 / np.expm1(alpha * r)  # d log(1 - exp(-z)) / dz at z = alpha r
@@ -323,16 +325,16 @@ def _coord_partials(alpha, p, x, logs, c1, c0):
 
 
 def _uni_logpmf_and_grad(alpha, p, theta, x):
-    """`_uni_logpmf` and its partials in (alpha, p, theta), shape (3, x.size), from one `_base_logs`."""
+    """`_uni_logpmf` and its partials in (alpha, p, theta), stacked first, from one `_base_logs`."""
     logs, (lu, lv, lg) = _coord_logs(alpha, p, x)
     du, dv = _den(theta, lu), _den(theta, lv)
     eu, ev, tau = np.exp(lu) / du, np.exp(lv) / dv, 1.0 - theta
-    logpmf = lg if theta == 1.0 else lg + math.log(theta) - np.log(du) - np.log(dv)
+    logpmf = lg + np.log(theta) - np.log(du) - np.log(dv)
     return logpmf, np.array([*_coord_partials(alpha, p, x, logs, 1.0 + tau * eu, tau * ev), 1.0 / theta - eu - ev])
 
 
 def _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta):
-    """`_biv_logpmf` and its partials in (alpha1, p1, alpha2, p2, theta), shape (5, cells), from one
+    """`_biv_logpmf` and its partials in (alpha1, p1, alpha2, p2, theta), stacked first, from one
     `_base_logs` per coordinate."""
     (lx, (lu, lu_, gx)), (ly, (lv, lv_, gy)) = _coord_logs(a1, p1, x), _coord_logs(a2, p2, y)
     tau, lprod = 1.0 - theta, lu + lu_ + lv + lv_
@@ -340,10 +342,9 @@ def _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta):
     corners = [a + b for a in (lu, lu_) for b in (lv, lv_)]  # log w at (x, y), (x, y-1), (x-1, y), (x-1, y-1)
     dens = [_den(theta, lw) for lw in corners]
     logpmf = gx + gy
-    if theta != 1.0:
-        logpmf += math.log(theta) + np.log(den_p)
-        for d in dens:
-            logpmf -= np.log(d)
+    logpmf += np.log(theta) + np.log(den_p)
+    for d in dens:
+        logpmf -= np.log(d)
     ratio = np.exp(lprod) / den_p  # P / (1 - tau^2 P)
     e00, e01, e10, e11 = (np.exp(lw) / d for lw, d in zip(corners, dens))
     k = tau * tau * ratio

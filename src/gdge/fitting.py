@@ -2,11 +2,14 @@
 
 Every maximum-likelihood fit -- univariate (`fit_uni_mle`), bivariate
 (`fit_biv_mle`) and the equal-margins null of the likelihood-ratio test --
-runs through one search, `_fit_mle`: L-BFGS-B (Byrd, Lu, Nocedal and Zhu
-1995) on the analytic gradient of the `dge` kernel, in bounded log/logit
-coordinates, from a few starts, and Newton steps on a Hessian from
-differences of the gradient.  The theta = 1 submodel (pure base law /
-independence) wins ties.  Standard errors come from the same kind of Hessian.
+runs through one search, `_fit_mle`: a trust-region Newton method (Moré and
+Sorensen 1983) in bounded log/logit coordinates, on the analytic gradient of
+the `dge` kernel and a Hessian from differences of that gradient, with all
+starts advancing in lockstep.  The kernel takes parameters as columns, so one
+call evaluates every start's trial point together with the neighbours that
+give its Hessian.  Newton steps on the best endpoint finish.  The theta = 1
+submodel (pure base law / independence) wins ties.  Standard errors come from
+the same kind of Hessian.
 
 EM, the paper's algorithm, stays as `em_fit_uni`/`em_fit_biv`.  Given each
 observation's latent geometric count n_i, the complete-data likelihood
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from .bivariate import BgdgeParams
@@ -125,8 +127,9 @@ class BivDataset:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Tolerances and budgets of EM; ``max_iter`` and ``ll_rel_tol`` (as ``ftol``) also bound each
-    L-BFGS-B run, those of EM's M-step included."""
+    """Tolerances and budgets of EM.  ``max_iter`` also caps the iterations of each trust-region
+    search, those of EM's M-step included; maximum-likelihood searches stop on their gradient
+    test alone, so ``ll_rel_tol`` and ``param_tol`` bound EM only."""
 
     ll_rel_tol: float = 1e-8
     param_tol: float = 1e-6
@@ -182,20 +185,26 @@ def _distinct(*cols):
     return (*cells, w.astype(float), inv.reshape(-1))
 
 
+def _columns(q):
+    """The parameters of ``q`` (rows of points, or one point) as columns that broadcast against cells."""
+    return np.asarray(q, dtype=float).T[..., None]
+
+
 def _ll_and_grad(logpmf, grad, w):
-    """Weighted sums of cell log-pmfs and their partials (rows of ``grad``), floored at `_LOG_FLOOR`."""
+    """Weighted sums over cells (the last axis) of log-pmfs and of their partials (stacked first in
+    ``grad``), floored at `_LOG_FLOOR`: one value and one gradient row per parameter point."""
     low = logpmf < _LOG_FLOOR
-    return float(w @ np.where(low, _LOG_FLOOR, logpmf)), np.where(low, 0.0, grad) @ w
+    return np.where(low, _LOG_FLOOR, logpmf) @ w, (np.where(low, 0.0, grad) @ w).T
 
 
 def _uni_ll(cells, q):
-    """Log-likelihood on ``(values, weights)`` and its gradient in (alpha, p, theta)."""
-    return _ll_and_grad(*_uni_logpmf_and_grad(*q, cells[0]), cells[1])
+    """Log-likelihood on ``(values, weights)`` and its gradient in (alpha, p, theta), per point of ``q``."""
+    return _ll_and_grad(*_uni_logpmf_and_grad(*_columns(q), cells[0]), cells[1])
 
 
 def _biv_ll(cells, q):
-    """Log-likelihood on ``(x, y, weights)`` and its gradient in (alpha1, p1, alpha2, p2, theta)."""
-    return _ll_and_grad(*_biv_logpmf_and_grad(*cells[:2], *q), cells[2])
+    """Log-likelihood on ``(x, y, weights)`` and its gradient in (alpha1, p1, alpha2, p2, theta), per point."""
+    return _ll_and_grad(*_biv_logpmf_and_grad(*cells[:2], *_columns(q)), cells[2])
 
 
 def _checked_ll(logpmf, w, where) -> float:
@@ -320,8 +329,8 @@ def _latent_cells(values, counts):
 
 
 def _latent_ll(cells, q):
-    """`latent_weighted_loglik` on (value, count, weight) cells and its gradient in (alpha, p)."""
-    (x, n, w), (alpha, p) = cells, q
+    """`latent_weighted_loglik` on (value, count, weight) cells and its gradient in (alpha, p), per point."""
+    (x, n, w), (alpha, p) = cells, _columns(q)
     logs = l1, _, r = _base_logs(p, x)
     d_shape, d_p = _coord_partials(n * alpha, p, x, logs, 1.0, 0.0)
     return _ll_and_grad(_log_gap(l1, r, n * alpha), np.array([n * d_shape, d_p]), w)
@@ -500,6 +509,10 @@ _GTOL = 1e-6
 #: Step, in the search coordinates, of the gradient differences that give a Hessian.
 _HESS_STEP = 1e-4
 
+#: Trust radius, in the search coordinates, of each start's first step; the radius never
+#: exceeds the second value, and a start whose radius falls below the third has stalled.
+_RADIUS = (1.0, 64.0, 1e-10)
+
 
 def _box(q, free=slice(None)):
     """Search coordinates of ``q[free]``, their bounds, and which of them are shapes.
@@ -520,69 +533,157 @@ def _on_bound(q) -> np.ndarray:
     return (np.abs(w - lo) <= 1e-8) | (np.abs(w - hi) <= 1e-8)
 
 
-def _grad_hessian(grad, x, h):
-    """Symmetrized Hessian at ``x`` from central differences of ``grad`` with steps ``h``."""
-    cols = np.array([(grad(x + e) - grad(x - e)) / (2.0 * s) for s, e in zip(h, np.diag(h))])
-    return 0.5 * (cols + cols.T)
+def _with_hessian(fun, x, h):
+    """``fun`` at the rows of ``x`` and at their neighbours ``x +- h_j e_j``, in one call.
+
+    ``fun`` maps rows of points to a value and a gradient row per point.  Returns the
+    value (k,), the gradient (k, d) and the symmetrized Hessian (k, d, d) from central
+    differences of the gradient, for the k rows of ``x``.
+    """
+    k, d = x.shape
+    shift = np.diag(h)
+    value, grad = fun(np.concatenate([x, (x[:, None] + shift).reshape(-1, d), (x[:, None] - shift).reshape(-1, d)]))
+    plus, minus = grad[k:].reshape(2, k, d, d)
+    cols = (plus - minus) / (2.0 * h[:, None])
+    return value[:k], grad[:k], 0.5 * (cols + np.swapaxes(cols, 1, 2))
+
+
+def _trust_step(hess, grad, radius):
+    """Minimizer ``s`` of ``grad . s + s . hess . s / 2`` over ``|s| <= radius``, for stacks of problems.
+
+    Moré and Sorensen (1983): ``s = -(hess + mu I)^-1 grad`` with ``hess + mu I`` positive
+    semidefinite, and ``mu = 0`` or ``|s| = radius``.  On the eigenvectors of ``hess`` the
+    shift ``mu`` solves the secular equation ``1 / |s(mu)| = 1 / radius`` by Newton steps
+    from below the root, where ``1 / |s(mu)|`` is concave and the steps rise monotonically
+    to it.  In the hard case, when the least admissible shift already leaves ``|s|`` short
+    of the radius, the rest is taken along the eigenvector of the least eigenvalue.  A
+    component of ``grad`` too small to move the shift off that eigenvalue counts as 0.
+    Returns ``(s, mu)``.
+    """
+    lam, vec = np.linalg.eigh(hess)
+    gt = np.einsum("kji,kj->ki", vec, grad)  # grad on the eigenvectors
+    low = np.maximum(0.0, -lam[:, 0])  # the least shift that leaves hess + mu I semidefinite
+
+    def shifted(mu):  # -s on the eigenvectors, lam + mu (inf at a pole) and |s|, at shift mu
+        den = lam + mu[:, None]
+        den = np.where(den > 0.0, den, np.inf)
+        return gt / den, den, np.sqrt(((gt / den) ** 2).sum(axis=1))
+
+    c, den, norm = shifted(low)
+    mu = np.maximum(low, (np.abs(gt) / radius[:, None] - lam).max(axis=1))  # where one component alone
+    todo = (mu > low) | (norm > radius)                                    # makes |s| = radius, or below
+    c, den, norm = shifted(mu)
+    for _ in range(50):
+        todo &= norm > radius * (1.0 + 1e-12)
+        if not todo.any():
+            break
+        c2 = c * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = mu + (norm / radius - 1.0) * c2.sum(axis=1) / (c2 / den).sum(axis=1)
+        todo &= new > mu  # a root within rounding of the pole stops the rise
+        mu = np.where(todo, new, mu)
+        c, den, norm = shifted(mu)
+    # the hard case, and a root that rounding keeps the shift from reaching (so close to the pole
+    # that |s| jumps past the radius in one unit of mu): the rest of the radius goes along the
+    # eigenvector of the least eigenvalue
+    fill = (mu > 0.0) & (np.abs(norm - radius) > 1e-12 * radius)
+    rest = np.sqrt(np.maximum(radius**2 - (c[:, 1:] ** 2).sum(axis=1), 0.0))
+    c[fill, 0] = np.where(gt[fill, 0] < 0.0, -rest[fill], rest[fill])
+    return -np.einsum("kij,kj->ki", vec, c), mu
+
+
+def _held(w, g, lo, hi):
+    """Which coordinates sit on a bound that the descent direction ``-g`` pushes beyond."""
+    return ((w <= lo) & (g > 0.0)) | ((w >= hi) & (g < 0.0))
+
+
+def _passes(w, g, lo, hi):
+    """The projected-gradient test, per row."""
+    return np.all(np.abs(np.where(_held(w, g, lo, hi), 0.0, g)) <= _GTOL, axis=-1)
+
+
+def _into_box(w, step, lo, hi):
+    """``w + step`` cut back to the box and, if that cuts it, also ``w + t step`` for the largest
+    ``0 < t < 1`` inside the box, the first bound met exactly: one or two rows."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # how far along step each bound lies
+        room = np.where(step < 0.0, (lo - w) / step, np.where(step > 0.0, (hi - w) / step, np.inf))
+    t = room.min()
+    if not 0.0 < t < 1.0:
+        return np.clip(w + step, lo, hi)[None]
+    return np.clip([w + step, np.where(room <= t, np.where(step < 0.0, lo, hi), w + t * step)], lo, hi)
 
 
 def _search(ll, starts, free, cfg: EmConfig):
-    """Maximize ``ll(params)``, a log-likelihood with its gradient, over the ``free`` parameters.
+    """Maximize ``ll``, a log-likelihood with its gradient per row of points, over the ``free`` parameters.
 
-    The others stay as in the first start.  L-BFGS-B runs from each start to
-    the relative tolerance ``cfg.ll_rel_tol``, then from the first best
-    endpoint, restarted at most three times, until the projected gradient
-    falls to `_GTOL`; up to three Newton steps on the coordinates no bound
-    holds finish, each kept unless the likelihood falls by more than its
-    rounding.  Returns ``(params, ll, stop, iterations, trace)``: ``stop`` is
-    "converged" when the end passes `_GTOL`; ``trace`` is the log-likelihood
-    at the winning start, its first endpoint and the end.
+    The others stay as in the first start.  A trust-region Newton method runs
+    from every start in lockstep: each iteration makes one call of ``ll``, on
+    every running start's trial point and the neighbours that give its
+    Hessian (`_with_hessian`), so an accepted trial brings its gradient and
+    Hessian, and a rejected one only shrinks the trust radius.  The step
+    (`_trust_step`) moves the coordinates that no bound holds and is cut back
+    to the box.  A start stops when its projected gradient falls to `_GTOL`,
+    or its radius below ``_RADIUS[2]``; ``cfg.max_iter`` caps the iterations.
+    Up to three Newton steps on the best endpoint finish, each kept unless the
+    likelihood falls by more than its rounding; a step that leaves the box is
+    tried both cut back to it and shortened into it (`_into_box`).  Returns
+    ``(params, ll, stop, iterations, trace)``: ``stop`` is "converged" when
+    the end passes `_GTOL`; ``trace`` is the log-likelihood at the winning
+    start, at its trust-region endpoint and at the end.
     """
     q0 = np.array(starts[0], dtype=float)
     lo, hi, shape = _box(q0, free)[1:]
+    h = np.full(lo.size, _HESS_STEP)
 
-    def f(w):  # -ll and its gradient in the search coordinates
-        q = q0.copy()
-        q[free] = np.where(shape, np.exp(w), expit(w))
+    def f(w):  # -ll and its gradient in the search coordinates, at the rows of w
+        q = np.repeat(q0[None], len(w), axis=0)
+        v = q[:, free] = np.where(shape, np.exp(w), expit(w))
         value, grad = ll(q)
-        return -value, -grad[free] * np.where(shape, q[free], q[free] * (1.0 - q[free]))
+        return -value, -grad[:, free] * np.where(shape, v, v * (1.0 - v))
 
-    def climb(w0, ftol):
-        opts = {"maxiter": cfg.max_iter, "ftol": ftol, "gtol": _GTOL}
-        return minimize(f, w0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)), options=opts)
-
-    def held(w, g):  # on a bound that the descent direction -g pushes beyond
-        return ((w <= lo) & (g > 0.0)) | ((w >= hi) & (g < 0.0))
-
-    def passes(w, g):  # the projected-gradient test
-        return bool(np.all(np.abs(np.where(held(w, g), 0.0, g)) <= _GTOL))
-
-    w0s = [np.clip(_box(q, free)[0], lo, hi) for q in starts]
-    runs = [climb(w0, cfg.ll_rel_tol) for w0 in w0s]
-    best = min(range(len(runs)), key=lambda i: runs[i].fun)
-    res, nit = runs[best], runs[best].nit
-    for _ in range(3):  # a fresh memory takes L-BFGS-B past a stall on a flat ridge
-        res = climb(res.x, 0.0)
-        nit += res.nit
-        if passes(res.x, res.jac):
-            break
-    w, (fw, g), steps = res.x, f(res.x), 0
-    hess = _grad_hessian(lambda v: f(v)[1], w, np.full(w.size, _HESS_STEP))
+    w = np.clip([_box(q, free)[0] for q in starts], lo, hi)
+    fw, g, hess = _with_hessian(f, w, h)
+    f_start, radius = fw.copy(), np.full(len(w), _RADIUS[0])
+    live, nit = ~_passes(w, g, lo, hi), 0
+    while live.any() and nit < cfg.max_iter:
+        nit += 1
+        i = np.flatnonzero(live)
+        # a held coordinate gets no gradient and a unit curvature of its own, so the step leaves it
+        move = ~_held(w[i], g[i], lo, hi)
+        pinned = np.where(move[:, :, None] & move[:, None, :], hess[i], np.eye(lo.size))
+        trial = np.clip(w[i] + _trust_step(pinned, np.where(move, g[i], 0.0), radius[i])[0], lo, hi)
+        step = trial - w[i]
+        pred = -np.einsum("kj,kj->k", step, g[i] + 0.5 * np.einsum("kjl,kl->kj", hess[i], step))
+        ft, gt, ht = _with_hessian(f, trial, h)
+        rho = np.where(pred > 0.0, (fw[i] - ft) / np.where(pred > 0.0, pred, 1.0), -np.inf)
+        size = np.linalg.norm(step, axis=1)
+        grown = np.where((rho > 0.75) & (size > 0.8 * radius[i]), np.minimum(2.0 * radius[i], _RADIUS[1]), radius[i])
+        radius[i] = np.where(rho >= 0.25, grown, 0.25 * size)  # a nan trial shrinks it too
+        keep = rho > 1e-4
+        w[i[keep]], fw[i[keep]], g[i[keep]], hess[i[keep]] = trial[keep], ft[keep], gt[keep], ht[keep]
+        live[i] = ~_passes(w[i], g[i], lo, hi) & (radius[i] >= _RADIUS[2])
+    best = int(np.argmin(fw))
+    capped = bool(live[best])
+    trace = [-f_start[best], -fw[best]]
+    w, fw, g, hess = w[best], fw[best], g[best], hess[best]
+    steps = 0
     for _ in range(3):
-        move, step = ~held(w, g), np.zeros_like(w)
+        move, step = ~_held(w, g, lo, hi), np.zeros_like(w)
         try:
-            step[move] = np.linalg.solve(hess[np.ix_(move, move)], g[move])
+            step[move] = -np.linalg.solve(hess[np.ix_(move, move)], g[move])
         except np.linalg.LinAlgError:
             break
-        trial = np.clip(w - step, lo, hi)
-        ft, gt = f(trial)
-        if not ft <= fw + 1e-14 * abs(fw):  # the rounding of a log-likelihood near its maximum
+        if np.abs(step).max() <= 1e-13:  # too short to move an estimate
             break
-        w, fw, g, steps = trial, ft, gt, steps + 1
-    stop = "converged" if passes(w, g) else "max_iter" if res.nit >= cfg.max_iter else "gradient_above_tol"
+        trials = _into_box(w, step, lo, hi)
+        ft, gt, ht = _with_hessian(f, trials, h)
+        j = int(np.argmin(ft))
+        if not ft[j] <= fw + 1e-14 * abs(fw):  # the rounding of a log-likelihood near its maximum
+            break
+        w, fw, g, hess, steps = trials[j], ft[j], gt[j], ht[j], steps + 1
+    stop = "converged" if _passes(w, g, lo, hi) else "max_iter" if capped else "gradient_above_tol"
     q0[free] = np.where(shape, np.exp(w), expit(w))
-    trace = [-f(w0s[best])[0], -runs[best].fun, -fw]
-    return tuple(float(v) for v in q0), -fw, stop, nit + steps, trace
+    return tuple(float(v) for v in q0), float(-fw), stop, nit + steps, [*trace, -fw]
 
 
 class _Fit(NamedTuple):
@@ -601,12 +702,14 @@ class _Fit(NamedTuple):
 def _fit_mle(ll, init, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
     """The maximum-likelihood search shared by every model.
 
-    ``ll(params)`` is the model's log-likelihood with its gradient.  Its
-    theta = 1 submodel is fitted first, by `_search` with theta held at 1
-    from ``base``.  The starts, in order: the parameter record ``init`` (by
-    default that fit with theta = 0.5), the fit moved to each theta of
-    `_START_THETAS`, and ``extra_starts``.  The best endpoint wins, unless the
-    theta = 1 fit comes within `_SNAP_SLACK` of it: ties go to the smaller model.
+    ``ll(params)`` is the model's log-likelihood with its gradient, one of
+    each per row of parameter points.  Its theta = 1 submodel is fitted
+    first, by `_search` with theta held at 1 from ``base``.  The starts, in
+    order: the parameter record ``init`` (by default that fit with
+    theta = 0.5), the fit moved to each theta of `_START_THETAS`, and
+    ``extra_starts``; one `_search` runs them all in lockstep.  Its best
+    endpoint wins, unless the theta = 1 fit comes within `_SNAP_SLACK` of it:
+    ties go to the smaller model.
     """
     base, ll_base, base_stop, base_iters, _ = _search(ll, [base], slice(-1), cfg)
     first = init.as_tuple() if init is not None else (*base[:-1], 0.5)
@@ -642,15 +745,15 @@ def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
     ll = _biv_model(data, cfg)[0]
 
     def tied(q):
-        value, grad = ll(np.asarray(q)[_TIE])
-        return value, np.bincount(_TIE, weights=grad, minlength=3)
+        value, grad = ll(np.asarray(q)[..., _TIE])
+        return value, np.concatenate([grad[..., :2] + grad[..., 2:4], grad[..., 4:]], axis=-1)
 
     base = (1.0, _geometric_p(np.concatenate([data.x, data.y])), 1.0)
     fit = _fit_mle(tied, None, base, cfg, "equal-margins")
     return fit._replace(est=tuple(np.asarray(fit.est)[_TIE]), base=tuple(np.asarray(fit.base)[_TIE]))
 
 
-_METHOD = "lbfgsb+newton"
+_METHOD = "trust-newton"
 
 
 def fit_uni_mle(x, cfg: EmConfig | None = None, init: UgdgeParams | None = None, compute_se: bool = True) -> FitReport:
@@ -691,8 +794,8 @@ def fit_biv_mle(
 def std_errors(params, data):
     """Observed-information standard errors.
 
-    The information is `_grad_hessian` of the log-likelihood, with steps of
-    `_HESS_STEP` in the search coordinates.  Returns ``(se, notes)``, se in
+    The information is the difference Hessian of `_with_hessian`, with steps
+    of about `_HESS_STEP` in the search coordinates.  Returns ``(se, notes)``, se in
     the order of the record's parameters.  Theta on its boundary 1, or a
     parameter on an edge of the search box, is pinned: its se is NaN and the
     information is taken over the rest.  Non-invertible or non-positive
@@ -715,13 +818,14 @@ def std_errors(params, data):
     se = np.full(q.size, math.nan)
     if np.any(free):
 
-        def grad(v):
-            at = q.copy()
-            at[free] = v
-            return -ll(at)[1][free]
+        def neg(v):  # -ll and its gradient in the free parameters, at the rows of v
+            at = np.repeat(q[None], len(v), axis=0)
+            at[:, free] = v
+            value, grad = ll(at)
+            return -value, -grad[:, free]
 
         v = q[free]
-        info = _grad_hessian(grad, v, _HESS_STEP * np.where(_box(q, free)[3], v, v * (1.0 - v)))
+        info = _with_hessian(neg, v[None], _HESS_STEP * np.where(_box(q, free)[3], v, v * (1.0 - v)))[2][0]
         try:
             cov = np.linalg.inv(info)
         except np.linalg.LinAlgError:

@@ -207,7 +207,7 @@ def test_biv_mle_regression(football):
     )
     assert rep.loglik == pytest.approx(-63.93613125, rel=1e-9)
     assert rep.converged
-    assert rep.method == "lbfgsb+newton"
+    assert rep.method == "trust-newton"
     se = np.array(rep.std_errors)
     assert np.isfinite(se).all()
     assert se == pytest.approx((2.3574, 0.0743, 5.0696, 0.0635, 0.2791), abs=2e-3)
@@ -510,3 +510,39 @@ def test_em_config_validation():
 def test_fit_requires_nonempty_data():
     with pytest.raises(ValueError):
         fit_uni_mle(np.array([], dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# the trust-region search
+
+
+def test_trust_step_meets_the_more_sorensen_conditions():
+    rng = np.random.default_rng(20261019)
+    for k in range(2000):
+        d = int(rng.integers(2, 6))
+        a = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3, 3)
+        hess = a @ a.T if k % 3 == 0 else 0.5 * (a + a.T)  # every third positive definite
+        grad = rng.normal(size=d) * 10.0 ** rng.uniform(-4, 2)
+        lam, vec = np.linalg.eigh(hess)
+        if k % 5 == 0:  # the hard case: no pull along the least eigenvector
+            grad -= vec[:, 0] * (vec[:, 0] @ grad)
+        radius = 10.0 ** rng.uniform(-3, 2)
+        (s,), (mu,) = fitting._trust_step(hess[None], grad[None], np.array([radius]))
+        size = np.linalg.norm(s)
+        scale = np.abs(lam).max() + mu
+        assert mu >= 0.0 and size <= radius * (1.0 + 1e-12)
+        assert np.abs((hess + mu * np.eye(d)) @ s + grad).max() <= 1e-13 * (scale * radius + np.abs(grad).max())
+        assert lam[0] + mu >= -1e-14 * scale
+        assert mu == 0.0 or radius - size <= 1e-12 * radius
+
+
+def test_lockstep_search_reaches_the_better_of_its_starts(football):
+    truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
+    ridge = BivDataset(*bgdge_sample(truth, np.random.default_rng([20260822, 25, 1]), size=25))
+    cfg = fast_sim_config()
+    for data in (football, ridge):
+        ll = fitting._biv_model(data, cfg)[0]
+        base = _fit_biv(data, cfg).base
+        a, b = (*base[:-1], 0.25), (*base[:-1], 0.75)
+        alone = max(fitting._search(ll, [s], slice(None), cfg)[1] for s in (a, b))
+        assert fitting._search(ll, [a, b], slice(None), cfg)[1] == pytest.approx(alone, rel=0, abs=1e-12)

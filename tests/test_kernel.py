@@ -369,22 +369,26 @@ UNITS = st.floats(1e-6, 1.0 - 1e-6)
 THETAS = st.one_of(st.just(1.0), UNITS)
 
 
-@given(SHAPES, UNITS, THETAS, st.lists(st.integers(0, 400), min_size=1, max_size=8))
-def test_univariate_fused_logpmf_equals_the_evaluators(alpha, p, theta, xs):
+# the fitter passes a batch of parameter points as columns (k, 1): row i of the
+# fused log-pmf must be exactly the evaluators' log-pmf at point i
+@given(st.lists(st.tuples(SHAPES, UNITS, THETAS), min_size=1, max_size=3),
+       st.lists(st.integers(0, 400), min_size=1, max_size=8))
+def test_univariate_fused_logpmf_equals_the_evaluators(points, xs):
     x = np.array(xs, dtype=float)
     with np.errstate(all="ignore"):
-        got = _uni_logpmf_and_grad(alpha, p, theta, x)[0]
-        assert np.array_equal(got, _uni_logpmf(alpha, p, theta, x))
+        got = _uni_logpmf_and_grad(*np.array(points).T[..., None], x)[0]
+        for row, (alpha, p, theta) in zip(got, points):
+            assert np.array_equal(row, _uni_logpmf(alpha, p, theta, x))
 
 
-@given(SHAPES, UNITS, SHAPES, UNITS, THETAS,
+@given(st.lists(st.tuples(SHAPES, UNITS, SHAPES, UNITS, THETAS), min_size=1, max_size=3),
        st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=1, max_size=8))
-def test_bivariate_fused_logpmf_equals_the_evaluators(a1, p1, a2, p2, theta, cells):
+def test_bivariate_fused_logpmf_equals_the_evaluators(points, cells):
     x, y = (np.array(c, dtype=float) for c in zip(*cells))
     with np.errstate(all="ignore"):
-        got = _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta)[0]
-        want = _biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), theta)
-        assert np.array_equal(got, want)
+        got = _biv_logpmf_and_grad(x, y, *np.array(points).T[..., None])[0]
+        for row, (a1, p1, a2, p2, theta) in zip(got, points):
+            assert np.array_equal(row, _biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), theta))
 
 
 def ref_latent_logpmf(alpha, p, x, n):

@@ -23,21 +23,16 @@ from .dge import (
     SERIES_CAP,
     DgeParams,
     SeriesCapError,
-    _base_logs,
     _biv_logpmf,
     _cdf_logs,
     _den,
     _evaluate,
     _ge_inverse,
     _log_cdf,
-    _log_den,
     _maybe_scalar,
     _nonneg,
-    dge_cdf,
-    dge_pmf,
-    pow1m,
 )
-from .univariate import UgdgeParams, _argmax_scan, ugdge_mgf, ugdge_pgf
+from .univariate import UgdgeParams, _count_mean, _count_modes, _count_pmf, _coords, ugdge_mgf, ugdge_pgf
 
 __all__ = [
     "BgdgeParams",
@@ -52,7 +47,6 @@ __all__ = [
     "biv_cond_n_pmf",
     "biv_cond_n_argmax",
     "biv_cond_n_mean",
-    "biv_cond_n_mean_closed_form",
     "bgdge_sample",
     "biv_compound_geometric_params",
     "bgdge_pgf",
@@ -116,8 +110,8 @@ def prob_eq_le(params: BgdgeParams, x, y):
 
     def row(x, y):
         lu, lu_, lg = _cdf_logs(a1, p1, x)
-        lb = a2 * _base_logs(p2, y + 1.0)[1]  # log base-2 CDF at y, -inf at y = -1
-        return np.exp(lg + lb + math.log(th) - _log_den(th, lu + lb) - _log_den(th, lu_ + lb))
+        lb = _log_cdf(a2, p2, y)  # -inf at y = -1
+        return np.exp(lg + lb + math.log(th) - np.log(_den(th, lu + lb)) - np.log(_den(th, lu_ + lb)))
 
     return _evaluate(row, _nonneg(x, "prob_eq_le"), y)
 
@@ -149,14 +143,13 @@ def cond_given_le(params: BgdgeParams, y: int) -> UgdgeParams:
     """Law of X given ``Y <= y``: same base, boosted compounding probability.
 
     Conditioning on a small Y makes large latent counts unlikely, so the
-    conditional compounding parameter ``1 - (1-theta) * B(y)`` exceeds theta
-    and tends to theta as y grows.
+    conditional compounding parameter ``1 - (1-theta) * B(y)`` (`_den`)
+    exceeds theta and tends to theta as y grows.
     """
     if y < 0:
         raise ValueError(f"y must be a nonnegative integer, got {y!r}")
-    b = float(dge_cdf(params.m2, y))
-    theta_star = 1.0 - (1.0 - params.theta) * b
-    return UgdgeParams(params.m1, theta_star)
+    theta_star = _den(params.theta, _log_cdf(params.m2.alpha, params.m2.p, float(y)))
+    return UgdgeParams(params.m1, float(theta_star))
 
 
 def max_params(params: BgdgeParams) -> UgdgeParams:
@@ -173,52 +166,25 @@ def max_params(params: BgdgeParams) -> UgdgeParams:
 def cond_cdf_given_eq(params: BgdgeParams, x, y: int):
     """``P(X <= x | Y = y)``, vectorized over x for a fixed integer y.
 
-    Evaluated from the joint CDF difference, rescaled by the base-law factors
-    of coordinate 2; clipped into [0, 1].
+    Equals ``A (1 - tau*v)(1 - tau*v_) / ((1 - tau*A*v)(1 - tau*A*v_))``, A the
+    base-1 CDF at x and v, v_ the base-2 CDF at y, y - 1, each factor by `_den`;
+    capped at 1 against rounding.
     """
-    if y < 0:
+    if y < 0 or y != int(y):
         raise ValueError(f"y must be a nonnegative integer, got {y!r}")
-    tau = 1.0 - params.theta
-    b = float(dge_cdf(params.m2, y))
-    b_ = float(dge_cdf(params.m2, y - 1))
-    # the joint CDF difference below resolves nothing once b and b_ coincide
-    if not b > b_:
-        raise ValueError(f"marginal base pmf vanished at y={y}; conditional undefined")
-    f2 = float(dge_pmf(params.m2, y))
-    num = np.asarray(bgdge_cdf(params, x, y)) - np.asarray(bgdge_cdf(params, x, y - 1))
-    out = (1.0 - tau * b) * (1.0 - tau * b_) * num / (params.theta * f2)
-    return _maybe_scalar(np.clip(out, 0.0, 1.0))
-
-
-def _corner_cdfs(params: BgdgeParams, x: int, y: int):
-    """Base CDFs at x, x-1, y, y-1 plus tau/theta and the validated pmf."""
-    if x < 0 or x != int(x) or y < 0 or y != int(y):
-        raise ValueError(f"cell must have nonnegative integer coordinates, got {(x, y)!r}")
     a1, p1, a2, p2, th = params.as_tuple()
-    u = float(pow1m(p1, float(x) + 1.0, a1))
-    u_ = float(pow1m(p1, float(x), a1))
-    v = float(pow1m(p2, float(y) + 1.0, a2))
-    v_ = float(pow1m(p2, float(y), a2))
-    pm = float(bgdge_pmf(params, x, y))
-    # the latent-count terms u^n - u_^n and v^n - v_^n vanish with the increments
-    if not (u > u_ and v > v_ and pm > 0.0):
-        raise ValueError(f"joint pmf vanished at {(x, y)}; conditional law undefined")
-    return u, u_, v, v_, 1.0 - th, th, pm
+    lv, lv_, _ = _cdf_logs(a2, p2, float(y))
+
+    def cdf(x):
+        la = _log_cdf(a1, p1, x)
+        return np.minimum(np.exp(la) * _den(th, lv) * _den(th, lv_) / (_den(th, la + lv) * _den(th, la + lv_)), 1.0)
+
+    return _evaluate(cdf, np.asarray(x, dtype=float))
 
 
 def biv_cond_n_pmf(params: BgdgeParams, x: int, y: int, n):
-    """P(latent count = n | X = x, Y = y), n >= 1.
-
-    Equals ``theta * tau^(n-1) * (u^n - u_^n) * (v^n - v_^n) / pmf(x, y)``
-    with u/u_ and v/v_ the base CDFs at the cell and its lower neighbours.
-    """
-    u, u_, v, v_, tau, th, pm = _corner_cdfs(params, x, y)
-    n = np.asarray(n)
-    if np.any(n < 1) or not np.issubdtype(n.dtype, np.integer):
-        raise ValueError("latent count must be integer >= 1")
-    nf = n.astype(float)
-    out = th * tau ** (nf - 1.0) * (u ** nf - u_ ** nf) * (v ** nf - v_ ** nf) / pm
-    return _maybe_scalar(out)
+    """P(latent count = n | X = x, Y = y), n >= 1, by `univariate._count_pmf`."""
+    return _maybe_scalar(_count_pmf(params.theta, _coords(params, x, y), n))
 
 
 def biv_cond_n_argmax(params: BgdgeParams, x: int, y: int, n_cap: int = SERIES_CAP) -> int:
@@ -227,48 +193,12 @@ def biv_cond_n_argmax(params: BgdgeParams, x: int, y: int, n_cap: int = SERIES_C
     Same certified scan as the univariate case, with decreasing envelope
     ``tau^(n-1) * (u*v)^n`` dominating every remaining term.
     """
-    u, u_, v, v_, tau, th, pm = _corner_cdfs(params, x, y)
-    if tau == 0.0:
-        return 1
-    parts = [(np.array([u]), np.array([u_])), (np.array([v]), np.array([v_]))]
-    return int(_argmax_scan(parts, tau, n_cap)[0])
+    return int(_count_modes(params.theta, _coords(params, x, y), n_cap)[0])
 
 
-def biv_cond_n_mean(params: BgdgeParams, x: int, y: int, eps: float = 1e-12) -> float:
-    """Mean latent count at a cell, by direct summation with a certified tail.
-
-    The tail past n is bounded by ``u*v * r^n * ((n+1) - n*r) / (1-r)^2``
-    with ``r = tau * u * v``.
-    """
-    u, u_, v, v_, tau, th, pm = _corner_cdfs(params, x, y)
-    if tau == 0.0:
-        return 1.0
-    r = tau * u * v
-    scale = th / pm
-    total = 0.0
-    n = 0
-    while True:
-        n += 1
-        if n > SERIES_CAP:
-            raise SeriesCapError("conditional-mean series exceeded the term cap")
-        total += n * tau ** (n - 1) * (u ** n - u_ ** n) * (v ** n - v_ ** n)
-        tail = u * v * r ** n * ((n + 1.0) - n * r) / (1.0 - r) ** 2
-        if scale * tail < eps * (abs(scale * total) + 1.0):
-            return scale * total
-
-
-def biv_cond_n_mean_closed_form(params: BgdgeParams, x: int, y: int) -> float:
-    """Closed-form companion of `biv_cond_n_mean` (independent cross-check).
-
-    Sums ``w / (1 - tau*w)^2`` with alternating signs over the four products
-    of base CDFs at the cell corners.
-    """
-    u, u_, v, v_, tau, th, pm = _corner_cdfs(params, x, y)
-
-    def phi(w):
-        return w / (1.0 - tau * w) ** 2
-
-    return th * (phi(u * v) - phi(u * v_) - phi(u_ * v) + phi(u_ * v_)) / pm
+def biv_cond_n_mean(params: BgdgeParams, x: int, y: int) -> float:
+    """Mean latent count at a cell, ``1 + tau S`` (`univariate._count_mean`)."""
+    return float(_count_mean(params.theta, _coords(params, x, y)))
 
 
 def bgdge_sample(params: BgdgeParams, rng: np.random.Generator, size=None):

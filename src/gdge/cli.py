@@ -190,6 +190,8 @@ def _cmd_fit(args) -> int:
     pairs = [("command", "fit"), ("mode", mode), ("data", args.data)]
     if args.no_polish and args.init is None:
         raise _InputError("--no-polish needs --init to supply the starting point")
+    if args.tol is not None and not args.no_polish:
+        raise _InputError("--tol applies only to EM with --no-polish (ML fits stop on the gradient test)")
     if args.biv:
         data = _load(args.data, args)
         pairs.append(("m", len(data)))

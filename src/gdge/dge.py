@@ -35,7 +35,6 @@ __all__ = [
     "SeriesCapError",
     "GeParams",
     "DgeParams",
-    "pow1m",
     "ge_cdf",
     "ge_sample",
     "dge_pmf",
@@ -60,18 +59,6 @@ class SeriesCapError(RuntimeError):
 def _maybe_scalar(out):
     """Return a Python float for 0-d results, pass arrays through."""
     return float(out) if np.ndim(out) == 0 else out
-
-
-def pow1m(p, t, alpha):
-    """``(1 - p**t) ** alpha`` evaluated as ``exp(alpha * log1p(-p**t))``.
-
-    Stable for ``p`` near 1 and large ``t``.  At ``t = 0`` the result is
-    exactly 0.0 (the ``0**alpha = 0`` convention).  Returns an ndarray for
-    array ``t``, a numpy scalar otherwise.
-    """
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.exp(alpha * np.log1p(-np.power(p, t)))
 
 
 @dataclass(frozen=True)
@@ -220,6 +207,11 @@ def _base_logs(p, x):
         return np.log1p(-np.power(p, x + 1.0)), np.log1p(-px), r
 
 
+def _log1mexp(lt):
+    """``log(1 - e^lt)`` for ``lt < 0``, to full precision also where ``e^lt`` crowds 1 (Maechler 2012)."""
+    return np.where(lt > -math.log(2.0), np.log(-np.expm1(lt)), np.log1p(-np.exp(lt)))
+
+
 def _log_gap(l1, r, shape):
     """``log[(1 - p^(x+1))^shape - (1 - p^x)^shape]`` from `_base_logs` pieces.
 
@@ -255,11 +247,6 @@ def _den(theta, lw):
     return theta - (1.0 - theta) * np.expm1(lw)
 
 
-def _log_den(theta, lw):
-    """``log(1 - (1 - theta) w)`` from ``log w``, by `_den`."""
-    return np.log(_den(theta, lw))
-
-
 def _survival(lv):
     """``1 - v`` from ``log v``, cancellation-free; raises where it underflows."""
     surv = -np.expm1(lv)
@@ -273,7 +260,7 @@ def _uni_logpmf(alpha, p, theta, x):
     lu, lv, lg = _cdf_logs(alpha, p, x)
     if theta == 1.0:
         return lg
-    return lg + np.log(theta) - _log_den(theta, lu) - _log_den(theta, lv)
+    return lg + np.log(theta) - np.log(_den(theta, lu)) - np.log(_den(theta, lv))
 
 
 def _biv_logpmf(tx, ty, theta):
@@ -295,7 +282,7 @@ def _biv_logpmf(tx, ty, theta):
     out += np.log(theta) + np.log(theta * (2.0 - theta) - tau * tau * np.expm1(lu + lu_ + lv + lv_))
     for a in (lu, lu_):
         for b in (lv, lv_):
-            out -= _log_den(theta, a + b)
+            out -= np.log(_den(theta, a + b))
     return out
 
 
@@ -324,18 +311,25 @@ def _coord_partials(alpha, p, x, logs, c1, c0):
     return d_alpha, alpha * d_p
 
 
-def _uni_logpmf_and_grad(alpha, p, theta, x):
-    """`_uni_logpmf` and its partials in (alpha, p, theta), stacked first, from one `_base_logs`."""
+def _uni_terms(alpha, p, theta, x):
+    """`_base_logs` at (p, x), the log-pmf, and ``w / (1 - tau w)`` at w = u, v (the base CDF at x, x - 1),
+    whose sum S gives the log-pmf's theta-partial ``1/theta - S``."""
     logs, (lu, lv, lg) = _coord_logs(alpha, p, x)
     du, dv = _den(theta, lu), _den(theta, lv)
-    eu, ev, tau = np.exp(lu) / du, np.exp(lv) / dv, 1.0 - theta
-    logpmf = lg + np.log(theta) - np.log(du) - np.log(dv)
+    return logs, lg + np.log(theta) - np.log(du) - np.log(dv), np.exp(lu) / du, np.exp(lv) / dv
+
+
+def _uni_logpmf_and_grad(alpha, p, theta, x):
+    """`_uni_logpmf` and its partials in (alpha, p, theta), stacked first, from one `_base_logs`."""
+    logs, logpmf, eu, ev = _uni_terms(alpha, p, theta, x)
+    tau = 1.0 - theta
     return logpmf, np.array([*_coord_partials(alpha, p, x, logs, 1.0 + tau * eu, tau * ev), 1.0 / theta - eu - ev])
 
 
-def _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta):
-    """`_biv_logpmf` and its partials in (alpha1, p1, alpha2, p2, theta), stacked first, from one
-    `_base_logs` per coordinate."""
+def _biv_terms(x, y, a1, p1, a2, p2, theta):
+    """`_base_logs` of each coordinate, the log-pmf, ``w / (1 - tau w)`` at the four corners w and
+    ``P / (1 - tau^2 P)``, P their product.  The log-pmf's theta-partial is ``1/theta - S`` with
+    ``S = sum of the corner terms - 2 tau P / (1 - tau^2 P)``."""
     (lx, (lu, lu_, gx)), (ly, (lv, lv_, gy)) = _coord_logs(a1, p1, x), _coord_logs(a2, p2, y)
     tau, lprod = 1.0 - theta, lu + lu_ + lv + lv_
     den_p = theta * (2.0 - theta) - tau * tau * np.expm1(lprod)  # 1 - tau^2 P
@@ -345,8 +339,14 @@ def _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta):
     logpmf += np.log(theta) + np.log(den_p)
     for d in dens:
         logpmf -= np.log(d)
-    ratio = np.exp(lprod) / den_p  # P / (1 - tau^2 P)
-    e00, e01, e10, e11 = (np.exp(lw) / d for lw, d in zip(corners, dens))
+    return lx, ly, logpmf, [np.exp(lw) / d for lw, d in zip(corners, dens)], np.exp(lprod) / den_p
+
+
+def _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta):
+    """`_biv_logpmf` and its partials in (alpha1, p1, alpha2, p2, theta), stacked first, from one
+    `_base_logs` per coordinate."""
+    lx, ly, logpmf, (e00, e01, e10, e11), ratio = _biv_terms(x, y, a1, p1, a2, p2, theta)
+    tau = 1.0 - theta
     k = tau * tau * ratio
     return logpmf, np.array([
         *_coord_partials(a1, p1, x, lx, 1.0 - k + tau * (e00 + e01), tau * (e10 + e11) - k),

@@ -46,7 +46,7 @@ from .dge import (
     _uni_logpmf,
     _uni_logpmf_and_grad,
 )
-from .univariate import UgdgeParams, _argmax_scan, _cond_n_mean
+from .univariate import UgdgeParams, _count_mean, _count_modes
 
 __all__ = [
     "BivDataset",
@@ -275,29 +275,16 @@ def complete_loglik(omega: BgdgeParams, data: BivDataset, counts) -> float:
 
 
 def _e_step(theta, coords, cfg: EmConfig | None):
-    """Latent counts of the observations, given ``(shape, p, counts)`` per coordinate, per distinct cell.
-
-    The mean is the closed form `_cond_n_mean` for one coordinate, an alternating sum over the
-    corners ``prod_j (hi_j or lo_j)`` of the base CDFs for a pair."""
+    """Latent counts of the observations, given ``(shape, p, counts)`` per coordinate, per distinct cell:
+    the conditional mode (`univariate._count_modes`) or mean (`univariate._count_mean`)."""
     cfg = cfg or EmConfig()
     if theta >= 1.0:
         return np.ones(coords[0][2].size, dtype=np.int64)
     *cells, _, inv = _distinct(*(x for _, _, x in coords))
-    logs = [_cdf_logs(alpha, p, c)[:2] for (alpha, p, _), c in zip(coords, cells)]
-    if cfg.e_step == "expected" and len(logs) == 1:
-        return _cond_n_mean(theta, *logs[0])[inv]
-    tau = 1.0 - theta
-    parts = [(np.exp(hi), np.exp(lo)) for hi, lo in logs]
+    law = [(alpha, p, c) for (alpha, p, _), c in zip(coords, cells)]
     if cfg.e_step == "argmax":
-        return _argmax_scan(parts, tau, cfg.n_cap)[inv]
-    corners = [(1.0, 1.0)]
-    for hi, lo in parts:
-        corners = [z for c, s in corners for z in ((c * hi, s), (c * lo, -s))]
-    num = sum(s * c / (1.0 - tau * c) ** 2 for c, s in corners)
-    den = sum(s * c / (1.0 - tau * c) for c, s in corners)
-    if np.any(den <= 0.0):
-        raise FloatingPointError(f"zero-probability cell {int(np.argmax(den <= 0.0))} in the E-step")
-    return (num / den)[inv]
+        return _count_modes(theta, law, cfg.n_cap)[inv]
+    return _count_mean(theta, law)[inv]
 
 
 def e_step(omega: BgdgeParams, data: BivDataset, cfg: EmConfig | None = None):

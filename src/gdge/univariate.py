@@ -28,19 +28,20 @@ from .dge import (
     SERIES_CAP,
     DgeParams,
     SeriesCapError,
-    _base_logs,
+    _biv_terms,
     _cdf_logs,
     _den,
     _evaluate,
     _ge_inverse,
     _log_cdf,
-    _log_den,
+    _log1mexp,
+    _log_gap,
     _maybe_scalar,
     _nonneg,
     _survival,
     _uni_logpmf,
+    _uni_terms,
     dge_cdf,
-    pow1m,
 )
 
 __all__ = [
@@ -60,7 +61,6 @@ __all__ = [
     "cond_n_pmf",
     "cond_n_argmax",
     "cond_n_mean",
-    "cond_n_mean_closed_form",
 ]
 
 
@@ -118,7 +118,7 @@ def ugdge_hazard(params: UgdgeParams, x):
 
     def hazard(x):
         lu, lv, lg = _cdf_logs(al, p, x)
-        return th * np.exp(lg - _log_den(th, lu)) / _survival(lv)
+        return th * np.exp(lg - np.log(_den(th, lu))) / _survival(lv)
 
     return _evaluate(hazard, _nonneg(x, "ugdge_hazard"))
 
@@ -140,7 +140,7 @@ def pmf_weight(params: UgdgeParams, x):
 
     def weight(x):
         lu, lv, _ = _cdf_logs(al, p, x)
-        return th * np.exp(-_log_den(th, lu) - _log_den(th, lv))
+        return th * np.exp(-np.log(_den(th, lu)) - np.log(_den(th, lv)))
 
     return _evaluate(weight, _nonneg(x, "pmf_weight"))
 
@@ -179,27 +179,27 @@ def ugdge_quantile(params: UgdgeParams, gamma: float) -> int:
 def ugdge_moment(params: UgdgeParams, r: int, eps: float = 1e-12) -> float:
     """r-th raw moment by survival summation.
 
-    ``E X^r = sum_{x>=1} (x^r - (x-1)^r) * P(X >= x)`` with the survival
-    ``(1-B)/(1-(1-theta)B)``, ``B`` the base CDF at ``x-1``.  Terms are
-    accumulated in blocks until the running term drops below
-    ``eps * (total + 1)``; exceeding the global term cap raises
-    `SeriesCapError`.
+    ``E X^r = sum_{x>=1} (x^r - (x-1)^r) * P(X >= x)``, the survival formed
+    from the log of the base CDF B at x - 1 as ``(1-B)/(1-(1-theta)B)``.  The
+    blocks stop once the tail past the last term L is certified below ``eps``
+    times the total: for ``p^(L+1) <= 1e-3``, ``P(X >= x) <= 1.01 * alpha *
+    p^x / theta`` (as in `_power_weighted_sum`) and the weights grow by at most
+    ``((L+2)/L)^(r-1)`` a step.  Past the global term cap, `SeriesCapError`.
     """
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ValueError(f"moment order must be a positive integer, got {r!r}")
     al, p, th = params.as_tuple()
-    tau = 1.0 - th
-    total = 0.0
-    block = 2048
-    start = 1
+    total, start, block = 0.0, 1, 2048
     while start <= SERIES_CAP:
         xs = np.arange(start, start + block, dtype=float)
-        b = pow1m(p, xs, al)  # base CDF at x-1
-        surv = (1.0 - b) / (1.0 - tau * b)
-        terms = (xs ** r - (xs - 1.0) ** r) * surv
-        total += float(terms.sum())
-        if terms[-1] < eps * (abs(total) + 1.0):
-            return total
+        lb = _log_cdf(al, p, xs - 1.0)
+        total += float(((xs ** r - (xs - 1.0) ** r) * -np.expm1(lb) / _den(th, lb)).sum())
+        last = start + block - 1.0
+        q = p * ((last + 2.0) / last) ** (r - 1)
+        if p ** (last + 1.0) <= 1e-3 and q < 1.0:
+            tail = 1.01 * al / th * ((last + 1.0) ** r - last ** r) * p ** (last + 1.0) / (1.0 - q)
+            if tail <= eps * total:
+                return total
         start += block
     raise SeriesCapError("moment series exceeded the term cap")
 
@@ -296,32 +296,13 @@ def ugdge_sample(params: UgdgeParams, rng: np.random.Generator, size=None):
     return np.floor(y).astype(np.int64)
 
 
-def _uv_scalar(params: UgdgeParams, x: int):
-    """Base CDF u, v at x and x-1, ``alpha r`` (`_base_logs`) and the pmf at x, validated positive."""
-    if x < 0 or x != int(x):
-        raise ValueError(f"x must be a nonnegative integer, got {x!r}")
-    al, p, th = params.as_tuple()
-    l1, l0, r = (float(t) for t in _base_logs(p, float(x)))
-    u, v, ar, tau = math.exp(al * l1), math.exp(al * l0), al * r, 1.0 - th
-    pm = ugdge_pmf(params, x)
-    # the mode scan compares u^n - v^n on u and v themselves, which must differ
-    if not (u > v and pm > 0.0):
-        raise ValueError(f"pmf vanished at x={x}; conditional law undefined")
-    return u, v, ar, tau, th, pm
-
-
-def cond_n_pmf(params: UgdgeParams, x: int, n):
-    """P(latent count = n | observed maximum = x), n >= 1.
-
-    Equals ``theta * tau^(n-1) * (u^n - v^n) / pmf(x)``, with ``u^n - v^n = -u^n expm1(-n alpha r)``.
-    """
-    u, _, ar, tau, th, pm = _uv_scalar(params, x)
-    n = np.asarray(n)
-    if np.any(n < 1) or not np.issubdtype(n.dtype, np.integer):
-        raise ValueError("latent count must be integer >= 1")
-    nf = n.astype(float)
-    out = -th * tau ** (nf - 1.0) * u ** nf * np.expm1(-nf * ar) / pm
-    return _maybe_scalar(out)
+# ---------------------------------------------------------------------------
+# the latent count N given a cell of one coordinate or a pair; ``coords`` holds
+# ``(alpha, p, x)`` per coordinate.  Given the cell, P(N = n) = theta tau^(n-1)
+# prod_j (u_j^n - v_j^n) / pmf, u_j and v_j the base CDFs at x_j and x_j - 1.
+# By Fisher's identity (Dempster, Laird and Rubin 1977) the kernel's theta-partial
+# ``1/theta - S`` of the log-pmf is the conditional mean of the complete-data
+# score ``1/theta - (N - 1)/tau``, so E[N | cell] = 1 + tau S.
 
 
 def _argmax_scan(parts, tau: float, n_cap: int) -> np.ndarray:
@@ -333,13 +314,14 @@ def _argmax_scan(parts, tau: float, n_cap: int) -> np.ndarray:
     envelope falls to the cell's running maximum.  Counts are scanned in
     blocks of growing length, at most `_CHUNK` terms in all, for all
     unsettled cells at once; a cell still unsettled at ``n_cap`` raises
-    `SeriesCapError`.
+    `SeriesCapError`, and a cell whose hi and lo coincide `ValueError`.
     """
     hi_prod = math.prod(hi for hi, _ in parts)
     best_t = math.prod(hi - lo for hi, lo in parts)
     if np.any(best_t <= 0.0):
         i = int(np.argmax(best_t <= 0.0))
-        raise FloatingPointError(f"zero-probability cell {i} in the latent-count scan")
+        raise ValueError(f"the base CDFs of cell {i} coincide in double precision: "
+                         "the latent-count scan cannot rank its counts")
     best_n = np.ones(best_t.shape, dtype=np.int64)
     todo = np.arange(best_t.size)
     n0, block = 2, 16
@@ -369,53 +351,69 @@ def _argmax_scan(parts, tau: float, n_cap: int) -> np.ndarray:
     return best_n
 
 
+def _count_terms(theta, coords):
+    """The kernel's `_base_logs` per coordinate, log-pmf and S at the cells."""
+    if len(coords) == 1:
+        ((alpha, p, x),) = coords
+        logs, logpmf, eu, ev = _uni_terms(alpha, p, theta, x)
+        return [logs], logpmf, eu + ev
+    (a1, p1, x), (a2, p2, y) = coords
+    lx, ly, logpmf, (e00, e01, e10, e11), ratio = _biv_terms(x, y, a1, p1, a2, p2, theta)
+    return [lx, ly], logpmf, ((e00 + e01) + (e10 + e11)) - 2.0 * (1.0 - theta) * ratio
+
+
+def _count_mean(theta, coords):
+    """``E[N | cell] = 1 + tau S``."""
+    return 1.0 + (1.0 - theta) * _count_terms(theta, coords)[2]
+
+
+def _count_pmf(theta, coords, n):
+    """``P(N = n | cell)``, from ``log(u^n - v^n) = `_log_gap`(log(1 - p^(x+1)), r, n alpha)`` per coordinate.
+
+    n multiplies the error of ``log(1 - p^(x+1))``, so that is taken by `_log1mexp`, not from `_base_logs`,
+    whose ``log1p(-p^(x+1))`` loses digits where ``p^(x+1)`` crowds 1.
+    """
+    n = np.asarray(n)
+    if np.any(n < 1) or not np.issubdtype(n.dtype, np.integer):
+        raise ValueError("latent count must be integer >= 1")
+    if theta == 1.0:
+        return np.where(n == 1, 1.0, 0.0)
+    n = n.astype(float)
+    logs, logpmf, _ = _count_terms(theta, coords)
+    if not np.all(logpmf > -math.inf):
+        raise ValueError("pmf vanished at the cell; conditional law undefined")
+    gaps = sum(_log_gap(_log1mexp((x + 1.0) * math.log(p)), r, n * alpha)
+               for (alpha, p, x), (_, _, r) in zip(coords, logs))
+    return np.exp(math.log(theta) + (n - 1.0) * math.log1p(-theta) + gaps - logpmf)
+
+
+def _count_modes(theta, coords, n_cap):
+    """Smallest mode of N per cell, by `_argmax_scan` on the base CDFs."""
+    parts = [np.exp(_cdf_logs(alpha, p, np.atleast_1d(x))[:2]) for alpha, p, x in coords]
+    return _argmax_scan(parts, 1.0 - theta, n_cap)
+
+
+def _coords(params, *cell):
+    """``(alpha, p, x)`` of each coordinate of ``params`` at a cell, rejecting all but nonnegative integers."""
+    if any(v < 0 or v != int(v) for v in cell):
+        raise ValueError(f"cell coordinates must be nonnegative integers, got {cell!r}")
+    q = params.as_tuple()
+    return [(q[2 * j], q[2 * j + 1], float(v)) for j, v in enumerate(cell)]
+
+
+def cond_n_pmf(params: UgdgeParams, x: int, n):
+    """P(latent count = n | observed maximum = x), n >= 1, by `_count_pmf`."""
+    return _maybe_scalar(_count_pmf(params.theta, _coords(params, x), n))
+
+
 def cond_n_argmax(params: UgdgeParams, x: int, n_cap: int = SERIES_CAP) -> int:
     """Most likely latent count given the observed maximum, smallest on ties.
 
     Scans ``t(n) = tau^(n-1) * (u^n - v^n)`` upward with `_argmax_scan`.
     """
-    u, v, _, tau, th, pm = _uv_scalar(params, x)
-    if tau == 0.0:
-        return 1
-    return int(_argmax_scan([(np.array([u]), np.array([v]))], tau, n_cap)[0])
+    return int(_count_modes(params.theta, _coords(params, x), n_cap)[0])
 
 
-def cond_n_mean(params: UgdgeParams, x: int, eps: float = 1e-12) -> float:
-    """Mean latent count given the observed maximum, by direct summation.
-
-    The tail past n is bounded in closed form by
-    ``u * r^n * ((n+1) - n*r) / (1-r)^2`` with ``r = tau * u``, so the
-    truncation error is certified below ``eps * (mean + 1)``.
-    """
-    u, _, ar, tau, th, pm = _uv_scalar(params, x)
-    if tau == 0.0:
-        return 1.0
-    r = tau * u
-    scale = th / pm
-    total = 0.0
-    n = 0
-    while True:
-        n += 1
-        if n > SERIES_CAP:
-            raise SeriesCapError("conditional-mean series exceeded the term cap")
-        total -= n * tau ** (n - 1) * u ** n * math.expm1(-n * ar)
-        tail = u * r ** n * ((n + 1.0) - n * r) / (1.0 - r) ** 2
-        if scale * tail < eps * (abs(scale * total) + 1.0):
-            return scale * total
-
-
-def _cond_n_mean(theta, lu, lv):
-    """``E[N | X = x] = (1 - tau^2 u v) / ((1 - tau u)(1 - tau v))``, u, v = A(x), A(x-1) given as logs.
-
-    Each factor is a sum of nonnegative terms (`dge._den`), so nothing cancels.
-    """
-    tau = 1.0 - theta
-    return (theta * (2.0 - theta) - tau * tau * np.expm1(lu + lv)) / (_den(theta, lu) * _den(theta, lv))
-
-
-def cond_n_mean_closed_form(params: UgdgeParams, x: int) -> float:
-    """Closed-form companion of `cond_n_mean`, by `_cond_n_mean`."""
-    if x < 0 or x != int(x):
-        raise ValueError(f"x must be a nonnegative integer, got {x!r}")
-    lu, lv, _ = _cdf_logs(params.alpha, params.p, float(x))
-    return float(_cond_n_mean(params.theta, lu, lv))
+def cond_n_mean(params: UgdgeParams, x: int) -> float:
+    """Mean latent count given the observed maximum, ``1 + tau S`` (`_count_mean`)."""
+    return float(_count_mean(params.theta, _coords(params, x)))

@@ -18,7 +18,6 @@ from gdge import (
     biv_compound_geometric_params,
     biv_cond_n_argmax,
     biv_cond_n_mean,
-    biv_cond_n_mean_closed_form,
     biv_cond_n_pmf,
     chi2_sf,
     cond_cdf_given_eq,
@@ -30,6 +29,7 @@ from gdge import (
     ugdge_cdf,
     ugdge_pmf,
 )
+from latent_series import series_biv_cond_n_mean
 
 CASES = [
     BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25),
@@ -236,8 +236,8 @@ def test_biv_cond_n_mean_matches_bruteforce_and_closed_form(params):
     for x, y in [(0, 1), (2, 2), (5, 4)]:
         ns, w = brute_weights(params, x, y)
         oracle = float((ns * w).sum() / w.sum())
+        assert series_biv_cond_n_mean(params, x, y) == pytest.approx(oracle, rel=1e-8)
         assert biv_cond_n_mean(params, x, y) == pytest.approx(oracle, rel=1e-8)
-        assert biv_cond_n_mean_closed_form(params, x, y) == pytest.approx(oracle, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

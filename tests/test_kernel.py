@@ -1,4 +1,7 @@
-"""The log-space pmf kernel, likelihoods on distinct cells, the blocked mode scan."""
+"""The log-space pmf kernel, likelihoods on distinct cells, the blocked mode scan, and the
+latent-count laws and conditionals built on the kernel."""
+
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -18,10 +21,12 @@ from gdge import (
     bgdge_sample,
     biv_cond_n_argmax,
     biv_cond_n_mean,
+    biv_cond_n_pmf,
     cond_cdf_given_eq,
+    cond_given_le,
     cond_n_argmax,
     cond_n_mean,
-    cond_n_mean_closed_form,
+    cond_n_pmf,
     dge_pmf,
     e_step,
     e_step_uni,
@@ -31,11 +36,13 @@ from gdge import (
     observed_loglik_uni,
     profile_alpha_max,
     ugdge_cdf,
+    ugdge_moment,
     ugdge_pmf,
     ugdge_sample,
 )
 from gdge.dge import _biv_logpmf, _biv_logpmf_and_grad, _cdf_logs, _uni_logpmf, _uni_logpmf_and_grad
 from gdge.fitting import _latent_ll
+from latent_series import series_cond_n_mean
 
 #: Working precision of the reference: 120 digits beyond the smallest pmf
 #: (1e-280) that the relative bar applies to, so the CDF differences below
@@ -170,20 +177,18 @@ def test_cdfs_and_hazard_weight_match_reference_at_small_theta(law, grid, theta)
 
 def test_latent_count_laws_refuse_cells_the_cdfs_cannot_resolve():
     # the pmf is about 2e-19, but the base CDFs at x and x - 1 agree in double
-    # precision, so the conditional formulas in u^n - v^n would return 0
+    # precision: the mode scan, which compares u^n - v^n on u and v themselves,
+    # refuses the cell, while the means and the conditional CDF, formed from
+    # logs, resolve it
     uni = UgdgeParams.from_values(2.0, 0.9, 0.5)
     biv = BgdgeParams.from_values(2.0, 0.9, 2.0, 0.9, 0.5)
     assert ugdge_pmf(uni, 400) > 0.0 and bgdge_pmf(biv, 400, 3) > 0.0
-    calls = [
-        lambda: cond_n_argmax(uni, 400),
-        lambda: cond_n_mean(uni, 400),
-        lambda: biv_cond_n_argmax(biv, 400, 3),
-        lambda: biv_cond_n_mean(biv, 400, 3),
-        lambda: cond_cdf_given_eq(biv, 3, 400),
-    ]
-    for call in calls:
+    for call in (lambda: cond_n_argmax(uni, 400), lambda: biv_cond_n_argmax(biv, 400, 3)):
         with pytest.raises(ValueError):
             call()
+    assert cond_n_mean(uni, 400) == pytest.approx(ref_count_mean(uni.as_tuple(), (400,)), rel=REL)
+    assert biv_cond_n_mean(biv, 400, 3) == pytest.approx(ref_count_mean(biv.as_tuple(), (400, 3)), rel=REL)
+    assert cond_cdf_given_eq(biv, 3, 400) == pytest.approx(ref_cond_cdf_given_eq(biv.as_tuple(), 3, 400), rel=REL)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +445,199 @@ def test_latent_count_mean_matches_reference_in_deep_tail(x, theta):
     # and at x = 400 not at all, yet the law of N given X = x is well defined
     params = UgdgeParams.from_values(2.0, 0.9, theta)
     want = ref_cond_n_mean(2.0, 0.9, theta, x)
-    assert cond_n_mean_closed_form(params, x) == pytest.approx(want, rel=REL)
+    assert cond_n_mean(params, x) == pytest.approx(want, rel=REL)
     got = e_step_uni(params, [x, x], EmConfig(e_step="expected"))
     assert got == pytest.approx([want, want], rel=REL)
-    if x < 400 and theta == 0.5:  # the series refuses x = 400, and sums slowly at small theta
-        assert cond_n_mean(params, x) == pytest.approx(want, rel=REL)
+    if theta == 0.5:  # the series sums slowly at small theta
+        assert series_cond_n_mean(params, x) == pytest.approx(want, rel=REL)
+
+
+# ---------------------------------------------------------------------------
+# latent-count laws and conditionals against mpmath
+#
+# Parameters are (alpha, p, theta) of one coordinate or (alpha1, p1, alpha2,
+# p2, theta) of a pair, and a cell holds one value per coordinate.  The
+# references are written from the definitions: the compounded CDF
+# theta w / (1 - tau w) of the base CDFs' product w, and the joint law
+# P(N = n, cell) = theta tau^(n-1) prod_j (u_j^n - v_j^n), u_j and v_j the base
+# CDFs of coordinate j at x_j and x_j - 1.
+
+#: Working precision of these references: the smallest difference they form,
+#: a joint pmf near 1e-56 at theta = 1e-3, keeps 60 digits.
+COND_DPS = 120
+
+
+def ref_pairs(params, cell):
+    """``(u_j, v_j)`` of each coordinate at the cell."""
+    laws = [params[i:i + 2] for i in range(0, len(params) - 1, 2)]
+    return [(ref_base(a, p, x), ref_base(a, p, x - 1)) for (a, p), x in zip(laws, cell)]
+
+
+def ref_corner_sum(pairs, phi):
+    """Sum of ``phi(w)`` over the corners ``w = prod_j (u_j or v_j)``, each v_j flipping the sign."""
+    total = mp.mpf(0)
+    for pick in itertools.product((0, 1), repeat=len(pairs)):
+        total += (-1) ** sum(pick) * phi(mp.fprod(pair[k] for pair, k in zip(pairs, pick)))
+    return total
+
+
+def ref_count_law(params, cell):
+    """The cell's base CDFs and ``P(cell) = sum_n P(N = n, cell)``, summed over n in closed form."""
+    th = mp.mpf(params[-1])
+    pairs = ref_pairs(params, cell)
+    return th, pairs, ref_corner_sum(pairs, lambda w: th * w / (1 - (1 - th) * w))
+
+
+def ref_count_mean(params, cell):
+    """``E[N | cell] = sum_n n P(N = n, cell) / P(cell)``, the sum over n in closed form."""
+    with mp.workdps(COND_DPS):
+        th, pairs, prob = ref_count_law(params, cell)
+        return float(ref_corner_sum(pairs, lambda w: th * w / (1 - (1 - th) * w) ** 2) / prob)
+
+
+#: Latent counts at which the conditional pmf of N is checked.
+COUNTS = (1, 2, 5, 30, 1000, 100_000)
+
+
+def ref_count_pmf(params, cell):
+    """``P(N = n | cell)`` at each n of `COUNTS`."""
+    with mp.workdps(COND_DPS):
+        th, pairs, prob = ref_count_law(params, cell)
+        return [float(th * (1 - th) ** (n - 1) * mp.fprod(u ** n - v ** n for u, v in pairs) / prob)
+                for n in COUNTS]
+
+
+def ref_pair_cdfs(params, x, y):
+    """``F(x, y), F(x, y-1), F(inf, y), F(inf, y-1)`` of the joint CDF F."""
+    th = mp.mpf(params[-1])
+    u, v, v_ = ref_base(*params[:2], x), ref_base(*params[2:4], y), ref_base(*params[2:4], y - 1)
+    return [th * w / (1 - (1 - th) * w) for w in (u * v, u * v_, v, v_)]
+
+
+def ref_cond_cdf_given_eq(params, x, y):
+    """``P(X <= x | Y = y) = (F(x, y) - F(x, y-1)) / (F(inf, y) - F(inf, y-1))``."""
+    with mp.workdps(COND_DPS):
+        f, f_, g, g_ = ref_pair_cdfs(params, x, y)
+        return float((f - f_) / (g - g_))
+
+
+def ref_cdf_given_le(params, x, y):
+    """``P(X <= x | Y <= y) = F(x, y) / F(inf, y)``."""
+    with mp.workdps(COND_DPS):
+        f, _, g, _ = ref_pair_cdfs(params, x, y)
+        return float(f / g)
+
+
+def ref_moment(alpha, p, theta, r):
+    """``E X^r = sum_{x>=1} (x^r - (x-1)^r) P(X >= x)`` at 60 digits.
+
+    The terms are summed directly until p^x falls below 1e-60 (the rest is
+    then below 1e-40 of the sum for every law here), or up to x = 2000.  Past
+    2000 the rest is the Euler-Maclaurin formula: the integral from 2000 and
+    six derivative corrections, which converge fast because the summand is
+    analytic there and decays on the scale 1 / log(1/p).
+    """
+    with mp.workdps(60):
+        a, p, th = mp.mpf(alpha), mp.mpf(p), mp.mpf(theta)
+
+        def term(x):  # the base CDF at x - 1 is (1 - p^x)^alpha
+            b = (1 - p ** x) ** a
+            return (x ** r - (x - 1) ** r) * (1 - b) / (1 - (1 - th) * b)
+
+        total, x = mp.mpf(0), 1
+        while x < 2000 and p ** x >= 1e-60:
+            total += term(mp.mpf(x))
+            x += 1
+        if x == 2000:
+            scale = -1 / mp.log(p)
+            total += mp.quad(term, [x, *(x + scale * 8 ** k for k in range(-1, 4)), mp.inf]) + term(mp.mpf(x)) / 2
+            total -= mp.fsum(mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.diff(term, x, 2 * k - 1)
+                             for k in range(1, 7))
+        return float(total)
+
+
+EXPECTED = EmConfig(e_step="expected")
+
+# (parameters, values) of one coordinate: the deep-tail and small-theta grids,
+# and a cell whose base CDFs at x and x - 1 coincide in double precision
+SINGLES = [
+    *(((*law, theta), grid.tolist()) for law, grid in DEEP_UNI for theta in (1.0, 0.5, 1e-4, 1e-6)),
+    *(((1.5, 0.4, theta), list(range(40))) for theta in (0.5, 1e-4, 1e-6)),
+    ((2.0, 0.9, 0.5), [400]),
+]
+
+# (parameters, x values, y values) of a pair: the deep-tail and small-theta
+# grids, and cells where the corner-sum and series evaluators that these
+# replace lost digits or raised
+PAIRS = [
+    *(((*law[:4], theta), grid[::3].tolist(), grid[::3].tolist()) for law, grid in DEEP_BIV
+      for theta in (law[4], 1e-6)),
+    *(((1.5, 0.4, 2.0, 0.3, theta), list(range(0, 40, 4)), list(range(0, 40, 4))) for theta in (0.5, 1e-4, 1e-6)),
+    ((2.0, 0.9, 2.0, 0.9, 0.5), [3, 150, 250], [150, 250, 400]),
+    ((1.5, 0.4, 2.0, 0.3, 1e-3), [60], [60]),
+    ((1.5, 0.4, 2.0, 0.3, 0.5), [0, 1, 5], [60]),
+    ((1.5, 0.4, 2.0, 0.3, 1e-6), list(range(0, 61, 4)), list(range(0, 41, 4))),
+]
+
+# (alpha, p, theta) of the moments: the grids' laws, and p near 1, where the
+# tail is about 1 / (1 - p) times the last term summed
+MOMENT_LAWS = [(0.4, 0.3, 1e-6), (1.5, 0.4, 1e-6), (2.0, 0.9, 1e-6), (2.0, 0.9, 0.5), (0.7, 0.9999, 1e-6),
+               (2.0, 0.999, 0.01)]
+
+
+def check_cond_n_pmf(q, xs):
+    law = UgdgeParams.from_values(*q)
+    return [cond_n_pmf(law, x, COUNTS) for x in xs], [ref_count_pmf(q, (x,)) for x in xs]
+
+
+def check_cond_n_mean(q, xs):
+    return [cond_n_mean(UgdgeParams.from_values(*q), x) for x in xs], [ref_count_mean(q, (x,)) for x in xs]
+
+
+def check_e_step_uni(q, xs):
+    return e_step_uni(UgdgeParams.from_values(*q), xs, EXPECTED), [ref_count_mean(q, (x,)) for x in xs]
+
+
+def check_biv_cond_n_pmf(q, xs, ys):
+    law, cells = BgdgeParams.from_values(*q), list(itertools.product(xs, ys))
+    return [biv_cond_n_pmf(law, x, y, COUNTS) for x, y in cells], [ref_count_pmf(q, c) for c in cells]
+
+
+def check_biv_cond_n_mean(q, xs, ys):
+    law, cells = BgdgeParams.from_values(*q), list(itertools.product(xs, ys))
+    return [biv_cond_n_mean(law, x, y) for x, y in cells], [ref_count_mean(q, c) for c in cells]
+
+
+def check_e_step(q, xs, ys):
+    cells = list(itertools.product(xs, ys))
+    data = BivDataset.from_pairs(cells)
+    return e_step(BgdgeParams.from_values(*q), data, EXPECTED), [ref_count_mean(q, c) for c in cells]
+
+
+def check_cond_cdf_given_eq(q, xs, ys):
+    law = BgdgeParams.from_values(*q)
+    return [cond_cdf_given_eq(law, xs, y) for y in ys], [[ref_cond_cdf_given_eq(q, x, y) for x in xs] for y in ys]
+
+
+def check_cond_given_le(q, xs, ys):
+    law = BgdgeParams.from_values(*q)
+    return [ugdge_cdf(cond_given_le(law, y), xs) for y in ys], [[ref_cdf_given_le(q, x, y) for x in xs] for y in ys]
+
+
+def check_ugdge_moment(q):
+    law = UgdgeParams.from_values(*q)
+    return [ugdge_moment(law, r) for r in (1, 2)], [ref_moment(*q, r) for r in (1, 2)]
+
+
+EXACT = [
+    *((check, q, (xs,)) for check in (check_cond_n_pmf, check_cond_n_mean, check_e_step_uni) for q, xs in SINGLES),
+    *((check, q, (xs, ys)) for check in (check_biv_cond_n_pmf, check_biv_cond_n_mean, check_e_step,
+                                         check_cond_cdf_given_eq, check_cond_given_le) for q, xs, ys in PAIRS),
+    *((check_ugdge_moment, q, ()) for q in MOMENT_LAWS),
+]
+
+
+@pytest.mark.parametrize("check,params,grids", EXACT, ids=[f"{c.__name__[6:]}-{q}" for c, q, _ in EXACT])
+def test_latent_count_laws_and_conditionals_match_reference(check, params, grids):
+    got, want = check(params, *grids)
+    assert_close(got, np.ravel(want))

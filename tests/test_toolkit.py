@@ -1,5 +1,6 @@
-"""Dataset I/O, report formatting, and the command-line interface."""
+"""Dataset I/O, report formatting, the command-line interface, and the package's exports."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -23,6 +24,19 @@ from gdge import (
 )
 from gdge.cli import main
 from gdge.simulate import fast_sim_config
+
+
+# ---------------------------------------------------------------------------
+# exports
+
+
+@pytest.mark.parametrize(
+    "module", ["gdge", *(f"gdge.{m}" for m in ("dge", "univariate", "bivariate", "fitting", "inference", "io",
+                                                "simulate", "cli"))])
+def test_every_exported_name_resolves(module):
+    # a stale name in an __all__ breaks ``from gdge import *`` and every tool that looks the names up
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +230,8 @@ def test_cli_input_errors(capsys, tmp_path):
     assert main(["gof", "--uni", "--params", "2,0.3,1.5", str(uni)]) == 2  # theta > 1
     capsys.readouterr()
     assert main(["fit", "--uni", str(uni), "--no-polish"]) == 2  # requires --init
+    capsys.readouterr()
+    assert main(["fit", "--biv", bundled_data_path(), "--tol", "1e-1"]) == 2  # EM-only, needs --no-polish
     capsys.readouterr()
 
 

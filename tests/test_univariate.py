@@ -13,7 +13,6 @@ from gdge import (
     compound_geometric_params,
     cond_n_argmax,
     cond_n_mean,
-    cond_n_mean_closed_form,
     cond_n_pmf,
     dge_cdf,
     dge_hazard,
@@ -30,6 +29,7 @@ from gdge import (
     ugdge_quantile,
     ugdge_sample,
 )
+from latent_series import series_cond_n_mean
 
 alphas = st.floats(0.2, 8.0)
 ps = st.floats(0.05, 0.9)
@@ -315,8 +315,8 @@ def test_cond_n_mean_matches_bruteforce_and_closed_form(params):
     for x in (0, 1, 4, 8):
         ns, w = brute_weights(params, x)
         oracle = float((ns * w).sum() / w.sum())
+        assert series_cond_n_mean(params, x) == pytest.approx(oracle, rel=1e-8)
         assert cond_n_mean(params, x) == pytest.approx(oracle, rel=1e-8)
-        assert cond_n_mean_closed_form(params, x) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_cond_n_degenerate_at_theta_one():

@@ -27,12 +27,13 @@ from .dge import (
     _cdf_logs,
     _den,
     _evaluate,
+    _floor,
     _ge_inverse,
     _log_cdf,
     _maybe_scalar,
     _nonneg,
 )
-from .univariate import UgdgeParams, _count_mean, _count_modes, _count_pmf, _coords, ugdge_mgf, ugdge_pgf
+from .univariate import UgdgeParams, _count_mean, _count_modes, _count_pmf, _coords, _power_weighted_sum
 
 __all__ = [
     "BgdgeParams",
@@ -93,7 +94,7 @@ def bgdge_cdf(params: BgdgeParams, x, y):
         lw = _log_cdf(a1, p1, x) + _log_cdf(a2, p2, y)
         return th * np.exp(lw) / _den(th, lw)
 
-    return _evaluate(cdf, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return _evaluate(cdf, _floor(x), _floor(y))
 
 
 def prob_eq_le(params: BgdgeParams, x, y):
@@ -103,9 +104,6 @@ def prob_eq_le(params: BgdgeParams, x, y):
     base-2 CDF at y; the y = -1 boundary value is 0, so callers never
     special-case the lattice edge.
     """
-    y = np.asarray(y, dtype=float)
-    if np.any(y < -1):
-        raise ValueError("y must be an integer >= -1")
     a1, p1, a2, p2, th = params.as_tuple()
 
     def row(x, y):
@@ -113,7 +111,7 @@ def prob_eq_le(params: BgdgeParams, x, y):
         lb = _log_cdf(a2, p2, y)  # -inf at y = -1
         return np.exp(lg + lb + math.log(th) - np.log(_den(th, lu + lb)) - np.log(_den(th, lu_ + lb)))
 
-    return _evaluate(row, _nonneg(x, "prob_eq_le"), y)
+    return _evaluate(row, _nonneg(x, "prob_eq_le x"), _nonneg(y, "prob_eq_le y", low=-1))
 
 
 def bgdge_pmf(params: BgdgeParams, x, y):
@@ -127,7 +125,7 @@ def bgdge_pmf(params: BgdgeParams, x, y):
     def pmf(x, y):
         return np.exp(_biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), th))
 
-    return _evaluate(pmf, _nonneg(x, "bgdge_pmf"), _nonneg(y, "bgdge_pmf"))
+    return _evaluate(pmf, _nonneg(x, "bgdge_pmf x"), _nonneg(y, "bgdge_pmf y"))
 
 
 def marginal_params(params: BgdgeParams, axis: str) -> UgdgeParams:
@@ -170,16 +168,14 @@ def cond_cdf_given_eq(params: BgdgeParams, x, y: int):
     base-1 CDF at x and v, v_ the base-2 CDF at y, y - 1, each factor by `_den`;
     capped at 1 against rounding.
     """
-    if y < 0 or y != int(y):
-        raise ValueError(f"y must be a nonnegative integer, got {y!r}")
     a1, p1, a2, p2, th = params.as_tuple()
-    lv, lv_, _ = _cdf_logs(a2, p2, float(y))
+    lv, lv_, _ = _cdf_logs(a2, p2, float(_nonneg(y, "cond_cdf_given_eq y")))
 
     def cdf(x):
         la = _log_cdf(a1, p1, x)
         return np.minimum(np.exp(la) * _den(th, lv) * _den(th, lv_) / (_den(th, la + lv) * _den(th, la + lv_)), 1.0)
 
-    return _evaluate(cdf, np.asarray(x, dtype=float))
+    return _evaluate(cdf, _floor(x))
 
 
 def biv_cond_n_pmf(params: BgdgeParams, x: int, y: int, n):
@@ -231,33 +227,56 @@ def biv_compound_geometric_params(params: BgdgeParams, q: float) -> BgdgeParams:
     return BgdgeParams(params.m1, params.m2, q * params.theta)
 
 
-def _given_count_pgf(alpha: float, p: float, n: int, z: float, eps: float) -> float:
-    """``E z^X`` for the base maximum over n iid draws (shape n*alpha)."""
-    if z == 1.0:
-        return 1.0
-    return ugdge_pgf(UgdgeParams(DgeParams(n * alpha, p), 1.0), z, eps)
-
-
 def _joint_power_sum(params: BgdgeParams, z1: float, z2: float, eps: float) -> float:
-    """``E z1^X z2^Y`` for |z_i| <= 1 by conditioning on the latent count.
+    """``E z1^X z2^Y`` for ``p_i |z_i| < 1`` by conditioning on the latent count.
 
-    Given the count n the coordinates are independent base maxima, so each
-    term is a product of two certified one-dimensional sums; the outer tail
-    over counts is geometric, bounded by ``(1-theta)^n``.
+    Given the count n the coordinates are independent base maxima of shape
+    ``n alpha_i``, so the sum runs over n of ``theta tau^(n-1) g1(n) g2(n)``,
+    each ``g_i(n)`` a certified one-coordinate sum (`_power_weighted_sum`).
+    Counts come in blocks of growing length, one shape column per coordinate
+    and block, and the sum stops at the first n whose tail is certified below
+    ``0.8 eps`` times the total (the g_i take ``0.1 eps`` each):
+    - for |z_i| <= 1, ``|g_i| <= 1``, and for 0 <= z_i <= 1 ``g_i`` does not
+      increase in n (the maximum grows), so the tail past n is at most
+      ``tau^n h1 h2`` with ``h_i = g_i(n)`` there and 1 where z_i < 0, which
+      lets the total vanish and so adds ``eps`` to it;
+    - for z_i > 1 (a positive mgf rate), ``g_i(n) <= n c_i`` with c_i the
+      base law's mgf (a maximum is bounded by a sum), a
+      geometric-times-quadratic tail.
+    A coordinate with z = 1 contributes 1: the sum is the other's marginal
+    (1 if both are 1).
     """
     a1, p1, a2, p2, th = params.as_tuple()
+    if z1 == 1.0 or z2 == 1.0:
+        alpha, p, z = (a2, p2, z2) if z1 == 1.0 else (a1, p1, z1)
+        return float(_power_weighted_sum([alpha], p, th, z, eps)[0])
     tau = 1.0 - th
-    total = 0.0
-    n = 0
-    while True:
-        n += 1
-        if n > SERIES_CAP:
-            raise SeriesCapError("joint generating-function series exceeded the term cap")
-        g1 = _given_count_pgf(a1, p1, n, z1, 0.1 * eps)
-        g2 = _given_count_pgf(a2, p2, n, z2, 0.1 * eps)
-        total += th * tau ** (n - 1) * g1 * g2
-        if tau ** n < eps * (abs(total) + 1.0):
-            return total
+    if z1 < 1.0 and z2 < 1.0:
+        floor = eps if min(z1, z2) < 0.0 else 0.0
+
+        def tail(ns, g1, g2):
+            return tau ** ns * (g1 if z1 >= 0.0 else 1.0) * (g2 if z2 >= 0.0 else 1.0)
+    else:
+        floor = 0.0
+        c1, c2 = (max(float(_power_weighted_sum([a], p, 1.0, z, eps)[0]), 1.0) for a, p, z in
+                  ((a1, p1, z1), (a2, p2, z2)))
+
+        def tail(ns, g1, g2):
+            rho = tau * ((ns + 2.0) / (ns + 1.0)) ** 2
+            with np.errstate(divide="ignore"):
+                return np.where(rho < 1.0, th * c1 * c2 * (ns + 1.0) ** 2 * tau ** ns / (1.0 - rho), np.inf)
+    total, n0, block = 0.0, 1, 16
+    while n0 <= SERIES_CAP:
+        ns = np.arange(n0, n0 + block, dtype=float)
+        g1 = _power_weighted_sum(ns * a1, p1, 1.0, z1, 0.1 * eps)
+        g2 = _power_weighted_sum(ns * a2, p2, 1.0, z2, 0.1 * eps)
+        # running totals, added in order of n
+        totals = np.cumsum(np.concatenate(([total], th * tau ** (ns - 1.0) * g1 * g2)))[1:]
+        done = tail(ns, g1, g2) <= 0.8 * eps * (np.abs(totals) + floor)
+        if done.any():
+            return float(totals[done.argmax()])
+        total, n0, block = totals[-1], n0 + block, min(2 * block, 256)
+    raise SeriesCapError("joint generating-function series exceeded the term cap")
 
 
 def bgdge_pgf(params: BgdgeParams, z1: float, z2: float, eps: float = 1e-12) -> float:
@@ -272,35 +291,7 @@ def bgdge_pgf(params: BgdgeParams, z1: float, z2: float, eps: float = 1e-12) -> 
 def bgdge_mgf(params: BgdgeParams, t1: float, t2: float, eps: float = 1e-12) -> float:
     """Joint moment generating function ``E exp(t1 X + t2 Y)``.
 
-    Finite iff ``p_i * exp(t_i) < 1`` for both coordinates.  Nonpositive
-    rates reduce to the power sum; with a positive rate the conditional
-    factors grow at most linearly in the latent count (a maximum is bounded
-    by a sum), giving a computable geometric-times-quadratic outer tail.
+    Finite iff ``p_i * exp(t_i) < 1`` for both coordinates; the power sum
+    (`_joint_power_sum`) at ``z_i = exp(t_i)``.
     """
-    t1, t2 = float(t1), float(t2)
-    if t1 <= 0.0 and t2 <= 0.0:
-        return _joint_power_sum(params, math.exp(t1), math.exp(t2), eps)
-    a1, p1, a2, p2, th = params.as_tuple()
-    for p, t in ((p1, t1), (p2, t2)):
-        if not p * math.exp(t) < 1.0:
-            raise ValueError(f"series diverges: p * exp(t) = {p * math.exp(t):g} >= 1")
-    # linear-growth constants: E e^{tX} given count n is at most n*c for t>0
-    c1 = max(ugdge_mgf(UgdgeParams(params.m1, 1.0), t1, eps), 1.0)
-    c2 = max(ugdge_mgf(UgdgeParams(params.m2, 1.0), t2, eps), 1.0)
-    tau = 1.0 - th
-    total = 0.0
-    n = 0
-    while True:
-        n += 1
-        if n > SERIES_CAP:
-            raise SeriesCapError("joint generating-function series exceeded the term cap")
-        g1 = ugdge_mgf(UgdgeParams(DgeParams(n * a1, p1), 1.0), t1, 0.1 * eps)
-        g2 = ugdge_mgf(UgdgeParams(DgeParams(n * a2, p2), 1.0), t2, 0.1 * eps)
-        total += th * tau ** (n - 1) * g1 * g2
-        # remaining terms are below th * c1*c2 * m^2 * tau^(m-1); once the
-        # term ratio bound rho < 1 the tail sums geometrically
-        rho = tau * ((n + 2.0) / (n + 1.0)) ** 2
-        if rho < 1.0:
-            tail = th * c1 * c2 * (n + 1.0) ** 2 * tau ** n / (1.0 - rho)
-            if tail < eps * (abs(total) + 1.0):
-                return total
+    return _joint_power_sum(params, math.exp(float(t1)), math.exp(float(t2)), eps)

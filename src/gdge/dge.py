@@ -20,7 +20,10 @@ Numerical conventions used throughout the package:
 * no pmf is formed by subtracting CDFs, which crowd 1 in the tail: the
   log-space kernel at the end of this module keeps full relative precision;
 * all evaluation functions are pure and accept scalars or arrays; samplers
-  take a caller-supplied ``numpy.random.Generator`` and hold no hidden state.
+  take a caller-supplied ``numpy.random.Generator`` and hold no hidden state;
+* the laws live on the integer lattice, so an array evaluator runs its kernel
+  once per distinct lattice point or cell of its input, not once per element
+  (`_evaluate`); the pmf family rejects all but integer arguments.
 """
 
 from __future__ import annotations
@@ -99,10 +102,13 @@ class DgeParams:
 
 
 def ge_cdf(params: GeParams, y):
-    """CDF ``(1 - exp(-lam * y)) ** alpha`` of the continuous law; 0 below 0."""
+    """CDF ``(1 - exp(-lam * y)) ** alpha`` of the continuous law; 0 below 0.
+
+    ``log(1 - exp(-lam y))`` is `_log1mexp`, exact also where ``lam y`` is small.
+    """
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore"):
-        out = np.exp(params.alpha * np.log1p(-np.exp(-params.lam * np.maximum(y, 0.0))))
+        out = np.exp(params.alpha * _log1mexp(-params.lam * np.maximum(y, 0.0)))
     return _maybe_scalar(np.where(y < 0.0, 0.0, out))
 
 
@@ -132,7 +138,8 @@ def dge_pmf(params: DgeParams, x):
 
 def dge_cdf(params: DgeParams, x):
     """Right-continuous step CDF; 0 below the support (negative ``x`` allowed)."""
-    return _maybe_scalar(np.exp(_log_cdf(params.alpha, params.p, np.asarray(x, dtype=float))))
+    al, p = params.alpha, params.p
+    return _evaluate(lambda x: np.exp(_log_cdf(al, p, x)), _floor(x))
 
 
 def dge_hazard(params: DgeParams, x):
@@ -167,30 +174,80 @@ def dge_sample(params: DgeParams, rng: np.random.Generator, size=None):
 # factors that are evaluated to full relative precision.  Inputs are float
 # arrays of integer values x >= 0.
 
-#: Public evaluators run the kernel on slices of this many elements, so the
-#: temporaries of a call on millions of points stay a few hundred kilobytes.
+#: Public evaluators run the kernel on slices of this many lattice points (or
+#: elements, where the input is no lattice box), so the temporaries of a call
+#: on millions of points stay a few hundred kilobytes.
 _CHUNK = 1 << 14
 
 
-def _nonneg(x, what):
-    """``x`` as a float array, rejecting negative values."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError(f"{what} is defined on nonnegative integers")
+def _nonneg(x, what, low=0):
+    """``x`` as an array of integers ``>= low``: as given for an integer dtype, else as floats.
+
+    Raises `ValueError` naming the first value that is not finite, not an integer or below ``low``.
+    """
+    x = np.asarray(x)
+    faults = []
+    if x.dtype.kind not in "iu":
+        x = x.astype(float)
+        faults = [("is not finite", ~np.isfinite(x)), ("is not an integer", x != np.floor(x))]
+    for fault, bad in [*faults, (f"is below {low}", x < low)]:
+        if bad.any():
+            raise ValueError(f"{what} takes integers >= {low}; {x[bad][0].item()!r} {fault}")
     return x
 
 
-def _evaluate(fn, *args):
-    """``fn`` over the broadcast of the float arrays ``args``, chunk by chunk.
+def _floor(x):
+    """``floor(x)``, an integer array as given: the cdf-type evaluators are step functions of it."""
+    x = np.asarray(x)
+    return x if x.dtype.kind in "iu" else np.floor(x.astype(float))
 
-    Returns a float for 0-d input, else an array of the broadcast shape.
+
+def _lattice_box(args, size):
+    """Lower corner, spans and per-argument offset indices of the integer box spanned by ``args``.
+
+    None unless every argument is finite and integer-valued and the box holds at most
+    ``size`` points.
     """
-    arrays = np.broadcast_arrays(*args)
-    flat = [a.ravel() for a in arrays]
-    out = np.empty(flat[0].size)
-    for i in range(0, out.size, _CHUNK):
-        out[i:i + _CHUNK] = fn(*(f[i:i + _CHUNK] for f in flat))
-    return _maybe_scalar(out.reshape(arrays[0].shape))
+    if size == 0:
+        return None
+    lows = [float(a.min()) for a in args]
+    spans = [float(a.max()) - lo + 1.0 for a, lo in zip(args, lows)]  # nan or inf unless finite
+    if not (all(lo.is_integer() for lo in lows) and math.prod(spans) <= size):
+        return None
+    index = []
+    for a, lo in zip(args, lows):
+        off = a - lo
+        k = off.astype(np.intp, copy=False)
+        if not (k is off or np.array_equal(k, off)):  # integer offsets are their own indices
+            return None
+        index.append(k)
+    return lows, [int(s) for s in spans], index
+
+
+def _evaluate(fn, *args):
+    """``fn`` over the broadcast of the integer or float arrays ``args``, once per distinct lattice point.
+
+    Where `_lattice_box` finds the box spanned by the arguments, ``fn`` runs on the
+    box's points in `_CHUNK` slices and each element gathers its value by
+    `np.ravel_multi_index`; otherwise ``fn`` runs on the broadcast, chunk by chunk.
+    ``fn`` always receives float arrays.  Returns a float for 0-d input, else an
+    array of the broadcast shape.
+    """
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    size = math.prod(shape)
+    box = _lattice_box(args, size)
+    if box is None:
+        flat = [a.ravel() for a in np.broadcast_arrays(*args)]
+        out = np.empty(size)
+        for i in range(0, size, _CHUNK):
+            out[i:i + _CHUNK] = fn(*(f[i:i + _CHUNK].astype(float, copy=False) for f in flat))
+        return _maybe_scalar(out.reshape(shape))
+    lows, spans, index = box
+    vals = np.empty(math.prod(spans))
+    for i in range(0, vals.size, _CHUNK):
+        points = np.unravel_index(np.arange(i, min(i + _CHUNK, vals.size)), spans)
+        vals[i:i + _CHUNK] = fn(*(k + lo for lo, k in zip(lows, points)))
+    return _maybe_scalar(vals[np.ravel_multi_index(index, spans)].reshape(shape))
 
 
 def _base_logs(p, x):

@@ -43,6 +43,7 @@ from .dge import (
     _cdf_logs,
     _coord_partials,
     _log_gap,
+    _nonneg,
     _uni_logpmf,
     _uni_logpmf_and_grad,
 )
@@ -83,12 +84,7 @@ def _as_counts(x, name="x") -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-D array")
-    if not np.all(np.equal(np.floor(arr.astype(float)), arr.astype(float))):
-        raise ValueError(f"{name} must contain integers")
-    out = arr.astype(np.int64)
-    if np.any(out < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    return out
+    return _nonneg(arr, name).astype(np.int64)
 
 
 @dataclass(frozen=True)

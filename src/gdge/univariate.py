@@ -32,6 +32,7 @@ from .dge import (
     _cdf_logs,
     _den,
     _evaluate,
+    _floor,
     _ge_inverse,
     _log_cdf,
     _log1mexp,
@@ -99,7 +100,7 @@ def ugdge_cdf(params: UgdgeParams, x):
         la = _log_cdf(al, p, x)
         return th * np.exp(la) / _den(th, la)
 
-    return _evaluate(cdf, np.asarray(x, dtype=float))
+    return _evaluate(cdf, _floor(x))
 
 
 def ugdge_pmf(params: UgdgeParams, x):
@@ -131,7 +132,7 @@ def hazard_weight(params: UgdgeParams, x):
     climbs from roughly theta to 1, so compounding damps early hazards most.
     """
     al, p, th = params.as_tuple()
-    return _evaluate(lambda x: th / _den(th, _log_cdf(al, p, x)), np.asarray(x, dtype=float))
+    return _evaluate(lambda x: th / _den(th, _log_cdf(al, p, x)), _floor(x))
 
 
 def pmf_weight(params: UgdgeParams, x):
@@ -204,35 +205,40 @@ def ugdge_moment(params: UgdgeParams, r: int, eps: float = 1e-12) -> float:
     raise SeriesCapError("moment series exceeded the term cap")
 
 
-def _power_weighted_sum(params: UgdgeParams, z: float, eps: float) -> float:
-    """``sum_x pmf(x) * z**x`` with a certified geometric tail bound.
+def _power_weighted_sum(shapes, p: float, theta: float, z: float, eps: float) -> np.ndarray:
+    """``sum_x pmf(x) * z**x`` for each law (shape, p, theta) of the 1-D array ``shapes``.
 
-    Requires ``p * |z| < 1``.  The tail past x is bounded in absolute value
-    using ``P(X >= x) <= 1.01 * alpha * p^x / theta``, valid once
-    ``p^x <= 1e-3``.
+    Requires ``p * |z| < 1``.  The laws share `dge._base_logs` at each block of
+    x, which grow from 64 to at most `_CHUNK` elements a law.  A law's tail past
+    x is bounded in absolute value using ``P(X >= x) <= 1.01 * shape * p^x /
+    theta``, valid once ``p^x <= 1e-3``, and the sum stops once every tail is
+    below ``eps`` times its total; where z < 0 lets a total vanish, below
+    ``eps`` times the total plus ``eps``.
     """
-    al, p, th = params.as_tuple()
     q = p * abs(z)
     if not q < 1.0:
         raise ValueError(f"series diverges: p * |weight| = {q:g} >= 1")
-    total = 0.0
-    block = 1024
-    start = 0
-    tail_const = 1.01 * al / th
+    shapes = np.asarray(shapes, dtype=float)[:, None]
+    if z == 1.0:  # the total mass
+        return np.ones(shapes.shape[0])
+    if z == 0.0:
+        return np.exp(_uni_logpmf(shapes, p, theta, np.zeros(1)))[:, 0]
+    lz, floor = math.log(abs(z)), (eps if z < 0.0 else 0.0)
+    tail_const = 1.01 * shapes[:, 0] / theta
+    total = np.zeros(shapes.shape[0])
+    start, block = 0, 64
     while start <= SERIES_CAP:
         xs = np.arange(start, start + block, dtype=float)
         # pmf * z**x in log space: the factors can under/overflow separately
         # (z = e^t may exceed 1) while their product stays tame
-        terms = np.exp(_uni_logpmf(al, p, th, xs) + xs * math.log(abs(z)))
+        terms = np.exp(_uni_logpmf(shapes, p, theta, xs) + xs * lz)
         if z < 0.0:
             terms = np.where(xs % 2 == 0, terms, -terms)
-        total += float(terms.sum())
-        last = start + block - 1
-        if p ** last <= 1e-3:
-            tail = tail_const * q ** (last + 1) / (1.0 - q)
-            if tail < eps * (abs(total) + 1.0):
-                return total
+        total += terms.sum(axis=1)
         start += block
+        if p ** (start - 1) <= 1e-3 and np.all(tail_const * q ** start / (1.0 - q) <= eps * (np.abs(total) + floor)):
+            return total
+        block = min(2 * block, max(64, _CHUNK // shapes.shape[0]))
     raise SeriesCapError("generating-function series exceeded the term cap")
 
 
@@ -240,14 +246,12 @@ def ugdge_pgf(params: UgdgeParams, z: float, eps: float = 1e-12) -> float:
     """Probability generating function ``E z^X`` for |z| < 1."""
     if not abs(z) < 1.0:
         raise ValueError(f"pgf argument must satisfy |z| < 1, got {z!r}")
-    if z == 0.0:
-        return float(ugdge_pmf(params, 0))
-    return _power_weighted_sum(params, float(z), eps)
+    return float(_power_weighted_sum([params.alpha], params.p, params.theta, float(z), eps)[0])
 
 
 def ugdge_mgf(params: UgdgeParams, t: float, eps: float = 1e-12) -> float:
     """Moment generating function ``E exp(t X)``; finite iff ``p*e^t < 1``."""
-    return _power_weighted_sum(params, math.exp(float(t)), eps)
+    return float(_power_weighted_sum([params.alpha], params.p, params.theta, math.exp(float(t)), eps)[0])
 
 
 def mixture_cdf_approx(params: UgdgeParams, x, n_terms: int):
@@ -395,10 +399,8 @@ def _count_modes(theta, coords, n_cap):
 
 def _coords(params, *cell):
     """``(alpha, p, x)`` of each coordinate of ``params`` at a cell, rejecting all but nonnegative integers."""
-    if any(v < 0 or v != int(v) for v in cell):
-        raise ValueError(f"cell coordinates must be nonnegative integers, got {cell!r}")
     q = params.as_tuple()
-    return [(q[2 * j], q[2 * j + 1], float(v)) for j, v in enumerate(cell)]
+    return [(q[2 * j], q[2 * j + 1], float(v)) for j, v in enumerate(_nonneg(cell, "a cell"))]
 
 
 def cond_n_pmf(params: UgdgeParams, x: int, n):

@@ -27,6 +27,8 @@ from gdge import (
     max_params,
     prob_eq_le,
     ugdge_cdf,
+    ugdge_mgf,
+    ugdge_pgf,
     ugdge_pmf,
 )
 from latent_series import series_biv_cond_n_mean
@@ -270,6 +272,31 @@ def test_mgf_matches_grid_sum():
     for t1, t2 in [(-0.5, -1.0), (0.3, 0.2), (0.5, -0.4), (0.0, 0.0)]:
         oracle = (rect * np.outer(np.exp(t1 * g), np.exp(t2 * g))).sum()
         assert bgdge_mgf(params, t1, t2) == pytest.approx(float(oracle), rel=1e-7)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.25, 0.05, 0.01])
+@pytest.mark.parametrize("law", [(2.0, 0.25, 2.0, 0.25), (2.0, 0.9, 2.0, 0.9), (0.5, 0.4, 0.8, 0.6)])
+def test_mgf_at_a_zero_rate_is_the_other_marginal(law, theta):
+    # the old count-sum stop, tau^n < eps (|total| + 1), left 1.8e-12 of the
+    # mass of (2, .25, 2, .25, .25) and 1.9e-12 of (2, .9, 2, .9, .05) unsummed
+    params = BgdgeParams.from_values(*law, theta)
+    assert bgdge_mgf(params, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    for axis, t_hi in (("x", -math.log(law[1])), ("y", -math.log(law[3]))):
+        margin = marginal_params(params, axis)
+        for t in (-1.0, -0.1, 0.3 * t_hi, 0.8 * t_hi):
+            ts = (t, 0.0) if axis == "x" else (0.0, t)
+            assert bgdge_mgf(params, *ts) == pytest.approx(ugdge_mgf(margin, t), rel=1e-12)
+
+
+def test_pgf_at_one_zero_argument_is_a_count_sum_of_the_other():
+    # z = 0 on one axis keeps only x = 0 there: sum_y P(0, y) z^y, summed over the cells
+    params = CASES[0]
+    ys = np.arange(200)
+    for z in (0.4, -0.7):
+        want = math.fsum((bgdge_pmf(params, 0, ys) * z ** ys).tolist())
+        assert bgdge_pgf(params, 0.0, z) == pytest.approx(want, rel=1e-12)
+        assert bgdge_pgf(params, z, 0.0) == pytest.approx(want, rel=1e-12)
+    assert ugdge_pgf(marginal_params(params, "x"), 0.0) == ugdge_pmf(marginal_params(params, "x"), 0)
 
 
 def test_mgf_domain():

@@ -1,6 +1,7 @@
 """EM machinery and maximum-likelihood drivers."""
 
 import math
+import warnings
 from collections import Counter
 
 import mpmath as mp
@@ -496,6 +497,19 @@ def test_dataset_validation():
     table = d.contingency_table()
     assert table.shape == (4, 3)
     assert table[1, 2] == 1 and table.sum() == 3
+
+
+def test_counts_name_the_value_that_is_not_a_nonnegative_integer():
+    for bad, fault in (([1.0, np.inf], "x takes integers >= 0; inf is not finite"),
+                       ([np.nan, 2.0], "nan is not finite"), ([1.0, 2.5], "2.5 is not an integer"),
+                       ([3, -1], "-1 is below 0")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=fault):
+                BivDataset(np.array(bad), np.zeros(2, dtype=int))
+    with pytest.raises(ValueError, match="y takes integers >= 0; -2 is below 0"):
+        BivDataset(np.array([1, 2]), np.array([0, -2]))
+    assert fit_uni_mle(np.array([0.0, 1.0, 1.0, 3.0])).loglik == fit_uni_mle(np.array([0, 1, 1, 3])).loglik
 
 
 def test_em_config_validation():

@@ -1,7 +1,11 @@
 """The log-space pmf kernel, likelihoods on distinct cells, the blocked mode scan, and the
 latent-count laws and conditionals built on the kernel."""
 
+import functools
+import inspect
 import itertools
+import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -14,9 +18,12 @@ from gdge import (
     BivDataset,
     DgeParams,
     EmConfig,
+    GeParams,
     SeriesCapError,
     UgdgeParams,
     bgdge_cdf,
+    bgdge_mgf,
+    bgdge_pgf,
     bgdge_pmf,
     bgdge_sample,
     biv_cond_n_argmax,
@@ -27,19 +34,29 @@ from gdge import (
     cond_n_argmax,
     cond_n_mean,
     cond_n_pmf,
+    dge_cdf,
+    dge_hazard,
     dge_pmf,
     e_step,
     e_step_uni,
     hazard_weight,
+    ge_cdf,
     latent_weighted_loglik,
     observed_loglik_biv,
     observed_loglik_uni,
+    pmf_weight,
+    prob_eq_le,
     profile_alpha_max,
     ugdge_cdf,
+    ugdge_hazard,
+    ugdge_mgf,
     ugdge_moment,
+    ugdge_pgf,
     ugdge_pmf,
+    ugdge_quantile,
     ugdge_sample,
 )
+from gdge import bivariate, dge, univariate
 from gdge.dge import _biv_logpmf, _biv_logpmf_and_grad, _cdf_logs, _uni_logpmf, _uni_logpmf_and_grad
 from gdge.fitting import _latent_ll
 from latent_series import series_cond_n_mean
@@ -83,9 +100,9 @@ def ref_biv_pmf(a1, p1, a2, p2, theta, x, y):
 def assert_close(got, want):
     got = np.ravel(got)
     want = np.asarray(want, dtype=float)
-    mask = want > TINY
+    mask = np.abs(want) > TINY
     assert mask.any()
-    err = np.abs(got[mask] - want[mask]) / want[mask]
+    err = np.abs(got[mask] - want[mask]) / np.abs(want[mask])
     assert err.max() <= REL, f"relative error {err.max():.3g}"
 
 
@@ -629,11 +646,132 @@ def check_ugdge_moment(q):
     return [ugdge_moment(law, r) for r in (1, 2)], [ref_moment(*q, r) for r in (1, 2)]
 
 
+def check_ugdge_hazard(q, xs):
+    """The pmf over ``P(X >= x) = 1 - F(x - 1)``."""
+    with mp.workdps(REF_DPS):
+        want = [(ref_cdf(*q, x) - ref_cdf(*q, x - 1)) / (1 - ref_cdf(*q, x - 1)) for x in xs]
+    return ugdge_hazard(UgdgeParams.from_values(*q), xs), want
+
+
+def check_pmf_weight(q, xs):
+    """The compounded pmf over the base pmf."""
+    with mp.workdps(REF_DPS):
+        want = [(ref_cdf(*q, x) - ref_cdf(*q, x - 1)) / (ref_base(*q[:2], x) - ref_base(*q[:2], x - 1)) for x in xs]
+    return pmf_weight(UgdgeParams.from_values(*q), xs), want
+
+
+# the base law's evaluators, at real arguments too: law (alpha, p) and values
+BASES = [(law, [*grid.tolist(), *(x + 0.25 for x in grid.tolist()), -0.5]) for law, grid in DEEP_UNI]
+
+
+def check_dge_cdf(law, xs):
+    with mp.workdps(REF_DPS):
+        return dge_cdf(DgeParams(*law), xs), [ref_base(*law, math.floor(x)) for x in xs]
+
+
+def check_ge_cdf(law, xs):
+    """The continuous law with rate ``-log p``: ``(1 - exp(-lam y))^alpha`` at y >= 0."""
+    alpha, p = law
+    lam = -math.log(p)
+    with mp.workdps(REF_DPS):
+        want = [(1 - mp.exp(-mp.mpf(lam) * mp.mpf(y))) ** alpha if y > 0 else 0 for y in xs]
+    return ge_cdf(GeParams(alpha, lam), xs), want
+
+
+def check_dge_hazard(law, xs):
+    xs = [x for x in xs if x >= 0 and x == int(x)]
+    with mp.workdps(REF_DPS):
+        want = [(ref_base(*law, x) - ref_base(*law, x - 1)) / (1 - ref_base(*law, x - 1)) for x in xs]
+    return dge_hazard(DgeParams(*law), xs), want
+
+
+def check_prob_eq_le(q, xs, ys):
+    """``P(X = x, Y <= y) = F(x, y) - F(x - 1, y)`` of the joint CDF F, y from -1."""
+    def joint(s, t):
+        w, th = ref_base(*q[:2], s) * ref_base(*q[2:4], t), mp.mpf(q[4])
+        return th * w / (1 - (1 - th) * w)
+
+    cells = list(itertools.product(xs, [-1, *ys]))
+    with mp.workdps(REF_DPS):
+        want = [joint(x, y) - joint(x - 1, y) for x, y in cells]
+    law = BgdgeParams.from_values(*q)
+    return [prob_eq_le(law, x, y) for x, y in cells], want
+
+
+# generating functions: the references sum the pmf against the weights over
+# x < 300 (one coordinate) and the cells [0, 100)^2 (a pair), which leaves tails
+# below 1e-20 of every total at these laws and arguments
+GF_UNI = [(1.5, 0.4, theta) for theta in (0.05, 0.5, 1.0)]
+GF_BIV = [(2.0, 0.25, 1.5, 0.4, theta) for theta in (0.05, 0.5, 1.0)]
+GF_ZS = (-0.9, -0.3, 0.0, 0.4, 0.95)
+GF_TS = (-1.0, 0.0, 0.6)  # p e^t = 0.73 at t = 0.6
+GF_Z_PAIRS = ((0.5, 0.5), (0.0, 0.6), (0.7, 0.0), (-0.6, 0.8), (0.9, -0.3), (-0.5, -0.5))
+GF_T_PAIRS = ((0.0, 0.0), (0.0, 0.3), (-0.4, 0.0), (0.3, 0.2), (0.5, -0.4), (-0.5, -1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def ref_pmf_row(q):
+    """The pmf of one coordinate at x < 300, at `REF_DPS` digits."""
+    with mp.workdps(REF_DPS):
+        cdf = [ref_cdf(*q, x) for x in range(-1, 300)]
+        return [b - a for a, b in zip(cdf, cdf[1:])]
+
+
+@functools.lru_cache(maxsize=None)
+def ref_pmf_grid(q):
+    """The joint pmf at the cells [0, 100)^2, at 60 digits."""
+    with mp.workdps(60):
+        a = [ref_base(*q[:2], x) for x in range(-1, 100)]
+        b = [ref_base(*q[2:4], y) for y in range(-1, 100)]
+        th = mp.mpf(q[4])
+        f = [[th * u * v / (1 - (1 - th) * u * v) for v in b] for u in a]
+        return [[f[i][j] - f[i - 1][j] - f[i][j - 1] + f[i - 1][j - 1] for j in range(1, 101)] for i in range(1, 101)]
+
+
+def ref_weighted(row, z):
+    return mp.fsum(f * z ** x for x, f in enumerate(row))
+
+
+def check_ugdge_pgf(q, zs):
+    with mp.workdps(REF_DPS):
+        want = [ref_weighted(ref_pmf_row(q), mp.mpf(z)) for z in zs]
+    return [ugdge_pgf(UgdgeParams.from_values(*q), z) for z in zs], want
+
+
+def check_ugdge_mgf(q, ts):
+    with mp.workdps(REF_DPS):
+        want = [ref_weighted(ref_pmf_row(q), mp.exp(t)) for t in ts]
+    return [ugdge_mgf(UgdgeParams.from_values(*q), t) for t in ts], want
+
+
+def ref_joint_weighted(q, z1, z2):
+    with mp.workdps(60):
+        return ref_weighted([ref_weighted(row, z2) for row in ref_pmf_grid(q)], z1)
+
+
+def check_bgdge_pgf(q, pairs):
+    law = BgdgeParams.from_values(*q)
+    return ([bgdge_pgf(law, z1, z2) for z1, z2 in pairs],
+            [ref_joint_weighted(q, mp.mpf(z1), mp.mpf(z2)) for z1, z2 in pairs])
+
+
+def check_bgdge_mgf(q, pairs):
+    law = BgdgeParams.from_values(*q)
+    return ([bgdge_mgf(law, t1, t2) for t1, t2 in pairs],
+            [ref_joint_weighted(q, mp.exp(t1), mp.exp(t2)) for t1, t2 in pairs])
+
+
 EXACT = [
-    *((check, q, (xs,)) for check in (check_cond_n_pmf, check_cond_n_mean, check_e_step_uni) for q, xs in SINGLES),
+    *((check, q, (xs,)) for check in (check_cond_n_pmf, check_cond_n_mean, check_e_step_uni, check_ugdge_hazard,
+                                      check_pmf_weight) for q, xs in SINGLES),
+    *((check, law, (xs,)) for check in (check_ge_cdf, check_dge_cdf, check_dge_hazard) for law, xs in BASES),
     *((check, q, (xs, ys)) for check in (check_biv_cond_n_pmf, check_biv_cond_n_mean, check_e_step,
-                                         check_cond_cdf_given_eq, check_cond_given_le) for q, xs, ys in PAIRS),
+                                         check_cond_cdf_given_eq, check_cond_given_le, check_prob_eq_le)
+      for q, xs, ys in PAIRS),
     *((check_ugdge_moment, q, ()) for q in MOMENT_LAWS),
+    *((check, q, (args,)) for q in GF_UNI for check, args in ((check_ugdge_pgf, GF_ZS), (check_ugdge_mgf, GF_TS))),
+    *((check, q, (args,)) for q in GF_BIV
+      for check, args in ((check_bgdge_pgf, GF_Z_PAIRS), (check_bgdge_mgf, GF_T_PAIRS))),
 ]
 
 
@@ -641,3 +779,105 @@ EXACT = [
 def test_latent_count_laws_and_conditionals_match_reference(check, params, grids):
     got, want = check(params, *grids)
     assert_close(got, np.ravel(want))
+
+
+# ---------------------------------------------------------------------------
+# integer-valued evaluators against mpmath, exactly
+
+
+def ref_quantile(q, gamma):
+    """Smallest integer x with ``F(x) >= gamma``, by bisection on the CDF at 60 digits."""
+    with mp.workdps(60):
+        lo, hi = -1, 1  # F(lo) < gamma <= F(hi)
+        while ref_cdf(*q, hi) < gamma:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if ref_cdf(*q, mid) >= gamma else (mid, hi)
+        return hi
+
+
+def ref_count_mode(q, cell):
+    """Smallest mode over n of ``tau^(n-1) prod_j (u_j^n - v_j^n)``, scanned up to the first n whose
+    envelope ``tau^(n-1) prod_j u_j^n`` falls to the running maximum."""
+    with mp.workdps(40):
+        pairs, tau = ref_pairs(q, cell), 1 - mp.mpf(q[-1])
+        best, mode, n = mp.mpf(-1), 0, 0
+        while True:
+            n += 1
+            lead = tau ** (n - 1)
+            if lead * mp.fprod(u ** n for u, _ in pairs) <= best:
+                return mode
+            term = lead * mp.fprod(u ** n - v ** n for u, v in pairs)
+            if term > best:
+                best, mode = term, n
+
+
+LEVELS = (0.001, 0.1, 0.5, 0.9, 0.999)
+
+
+def check_ugdge_quantile(q):
+    law = UgdgeParams.from_values(*q)
+    return [ugdge_quantile(law, g) for g in LEVELS], [ref_quantile(q, g) for g in LEVELS]
+
+
+def check_cond_n_argmax(q, xs):
+    law = UgdgeParams.from_values(*q)
+    return [cond_n_argmax(law, x) for x in xs], [ref_count_mode(q, (x,)) for x in xs]
+
+
+def check_biv_cond_n_argmax(q, xs, ys):
+    law, cells = BgdgeParams.from_values(*q), list(itertools.product(xs, ys))
+    return [biv_cond_n_argmax(law, x, y) for x, y in cells], [ref_count_mode(q, c) for c in cells]
+
+
+# the modes are checked where the base CDFs at x and x - 1 differ by at least 1e-8,
+# so that rounding them cannot reorder neighbouring counts
+INTEGER = [
+    *((check_ugdge_quantile, q, ()) for q in MOMENT_LAWS),
+    *((check_cond_n_argmax, (1.5, 0.4, theta), (list(range(16)),)) for theta in (1.0, 0.5, 0.05, 0.01)),
+    *((check_biv_cond_n_argmax, (1.5, 0.4, 2.0, 0.3, theta), (list(range(0, 16, 3)), list(range(0, 13, 3))))
+      for theta in (1.0, 0.5, 0.05, 0.01)),
+]
+
+
+@pytest.mark.parametrize("check,params,grids", INTEGER, ids=[f"{c.__name__[6:]}-{q}" for c, q, _ in INTEGER])
+def test_integer_valued_evaluators_match_reference(check, params, grids):
+    got, want = check(params, *grids)
+    assert list(got) == list(want)
+
+
+# ---------------------------------------------------------------------------
+# every public law evaluator has a reference check
+
+#: Public functions of `dge`, `univariate` and `bivariate` that no mpmath check
+#: names, and why.
+NO_REFERENCE = {
+    "ge_sample": "a sampler: inverse transform, checked by round trip through ge_cdf",
+    "dge_sample": "a sampler: checked by chi-square against the pmf",
+    "ugdge_sample": "a sampler: checked by chi-square against the pmf",
+    "bgdge_sample": "a sampler: checked by chi-square against the pmf",
+    "mixture_cdf_approx": "a documented truncation, checked against its stated error bound",
+    "compound_geometric_params": "a parameter map",
+    "biv_compound_geometric_params": "a parameter map",
+    "marginal_params": "a parameter map",
+    "max_params": "a parameter map",
+}
+
+#: The tests outside `EXACT` and `INTEGER` that compare evaluators with mpmath.
+REFERENCE_TESTS = (
+    test_univariate_kernel_matches_reference_in_deep_tail,
+    test_bivariate_kernel_matches_reference_in_deep_tail,
+    test_cdfs_and_hazard_weight_match_reference_at_small_theta,
+)
+
+
+def test_every_public_evaluator_has_a_reference_check():
+    checks = {*REFERENCE_TESTS, *(check for check, _, _ in EXACT + INTEGER)}
+    sources = "\n".join(inspect.getsource(check) for check in checks)
+    public = {name for module in (dge, univariate, bivariate) for name in module.__all__
+              if inspect.isfunction(getattr(module, name))}
+    checked = {name for name in public if re.search(rf"\b{name}\b", sources)}
+    assert set(NO_REFERENCE) <= public, "stale exemption"
+    assert not checked & set(NO_REFERENCE), "an exempt evaluator has a reference check"
+    assert public - checked - set(NO_REFERENCE) == set(), "evaluators without a reference check"

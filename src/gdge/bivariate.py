@@ -142,10 +142,12 @@ def cond_given_le(params: BgdgeParams, y: int) -> UgdgeParams:
 
     Conditioning on a small Y makes large latent counts unlikely, so the
     conditional compounding parameter ``1 - (1-theta) * B(y)`` (`_den`)
-    exceeds theta and tends to theta as y grows.
+    exceeds theta and tends to theta as y grows.  A real y counts as its
+    floor, as in the cdf-type evaluators, and ``y = inf`` gives theta itself.
     """
-    if y < 0:
-        raise ValueError(f"y must be a nonnegative integer, got {y!r}")
+    y = _floor(y)
+    if y != math.inf:
+        _nonneg(y, "cond_given_le y")
     theta_star = _den(params.theta, _log_cdf(params.m2.alpha, params.m2.p, float(y)))
     return UgdgeParams(params.m1, float(theta_star))
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .bivariate import BgdgeParams
 from .dge import (
@@ -322,7 +321,7 @@ def _latent_ll(cells, q):
 def _geometric_p(values, w=None) -> float:
     """The geometric (shape 1) maximum-likelihood p, ``mean / (1 + mean)``, inside the search box."""
     mean = float(np.average(values, weights=w))
-    return float(np.clip(mean / (1.0 + mean), *expit(_W_UNIT)))
+    return float(np.clip(mean / (1.0 + mean), *map(_expit, _W_UNIT)))
 
 
 def _latent_search(cells, p, free, cfg: EmConfig):
@@ -362,7 +361,7 @@ def m_step_pair(values, counts, cfg: EmConfig | None = None):
             RuntimeWarning,
             stacklevel=2,
         )
-        return 1.0, float(expit(_W_UNIT[0]))
+        return 1.0, _expit(_W_UNIT[0])
     return _latent_search(cells, _geometric_p(cells[0], cells[2]), slice(None), cfg or EmConfig())[0]
 
 
@@ -482,6 +481,29 @@ def em_fit_biv(
 _W_SHAPE = (math.log(1e-3), math.log(1e3))
 _W_UNIT = (-13.815510557964274, 13.815510557964274)  # logit(1e-6), logit(1 - 1e-6)
 
+
+# A probability is searched as its logit.  The maps are scipy.special's formulas for
+# expit and logit, evaluated element by element with libm through `math`: numpy's own
+# vectorized exp can differ from libm's in the last bit, and that moves reported digits.
+def _expit(w: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-w))
+    except OverflowError:
+        return 0.0
+
+
+def _logit(v: float) -> float:
+    if 0.3 <= v <= 0.65:  # log(v / (1 - v)) loses digits near v = 1/2
+        s = 2.0 * (v - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    if v == 0.0 or v == 1.0:
+        return math.copysign(math.inf, v - 0.5)
+    return math.log(v / (1.0 - v))
+
+
+_EXPIT, _LOGIT = np.frompyfunc(_expit, 1, 1), np.frompyfunc(_logit, 1, 1)
+
+
 #: Compounding probabilities at which the theta = 1 fit seeds a search.
 _START_THETAS = (0.25, 0.75)
 
@@ -506,8 +528,16 @@ def _box(q, free=slice(None)):
     i = np.arange(len(q))[free]
     shape = (i % 2 == 0) & (i < len(q) - 1)
     v = np.asarray(q, dtype=float)[free]
-    w = np.where(shape, np.log(v), logit(v))
+    w = np.log(v)
+    w[~shape] = _LOGIT(v[~shape])
     return w, np.where(shape, _W_SHAPE[0], _W_UNIT[0]), np.where(shape, _W_SHAPE[1], _W_UNIT[1]), shape
+
+
+def _from_search(w, shape):
+    """The values at search coordinates ``w`` (the last axis as in `_box`): a shape's exp, a probability's expit."""
+    v = np.exp(w)
+    v[..., ~shape] = _EXPIT(w[..., ~shape])
+    return v
 
 
 def _on_bound(q) -> np.ndarray:
@@ -620,7 +650,7 @@ def _search(ll, starts, free, cfg: EmConfig):
 
     def f(w):  # -ll and its gradient in the search coordinates, at the rows of w
         q = np.repeat(q0[None], len(w), axis=0)
-        v = q[:, free] = np.where(shape, np.exp(w), expit(w))
+        v = q[:, free] = _from_search(w, shape)
         value, grad = ll(q)
         return -value, -grad[:, free] * np.where(shape, v, v * (1.0 - v))
 
@@ -665,7 +695,7 @@ def _search(ll, starts, free, cfg: EmConfig):
             break
         w, fw, g, hess, steps = trials[j], ft[j], gt[j], ht[j], steps + 1
     stop = "converged" if _passes(w, g, lo, hi) else "max_iter" if capped else "gradient_above_tol"
-    q0[free] = np.where(shape, np.exp(w), expit(w))
+    q0[free] = _from_search(w, shape)
     return tuple(float(v) for v in q0), float(-fw), stop, nit + steps, [*trace, -fw]
 
 

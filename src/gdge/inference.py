@@ -21,8 +21,9 @@ usual chi-square statistic.  The pooling rule and degrees-of-freedom
 convention are explicit arguments because published tables rarely state
 theirs.
 
-Every p-value comes from the chi-square upper tail, computed with
-`scipy.special.chdtrc`; importing this module does not load `scipy.stats`.
+Every p-value comes from the chi-square upper tail, `chi2_sf`, which sums the
+closed forms of an integer number of degrees of freedom with `math`, so this
+module needs no scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .bivariate import BgdgeParams, bgdge_cdf, bgdge_pmf, marginal_params
 from .fitting import BivDataset, EmConfig, _as_counts, _fit_biv, _fit_equal_margins
@@ -74,17 +74,37 @@ class GofResult:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function (upper tail probability).
+    """Chi-square survival function (upper tail probability) for a positive integer ``df``.
 
-    Computed with `scipy.special.chdtrc`, the routine behind
-    `scipy.stats.chi2.sf`.  Where `chdtrc` differs, the guards return
-    `chi2.sf`'s values: `nan` for df <= 0 and 1.0 for x < 0.
+    With ``y = x / 2`` and ``m = df // 2`` the tail has finite-sum forms
+    (Abramowitz and Stegun 1964, section 26.4): ``exp(-y) sum_{k<m} y^k / k!`` for even
+    df and ``erfc(sqrt(y)) + exp(-y) sum_{k<m} y^(k+1/2) / Gamma(k+3/2)`` for odd df.
+    The terms are positive, each the last times ``y / (k + 1)`` or ``y / (k + 3/2)``.
+    From ``y = 700``, where ``exp(-y)`` nears underflow, the sum enters as
+    ``exp(log(sum) - y)``; it is rescaled by powers of two before it could overflow.
+    Guards: ``nan`` for df <= 0 or nan, 1.0 for x < 0, 0.0 at ``x = inf`` and ``nan``
+    at ``x = nan``.  A df that is not an integer raises `ValueError`.
     """
     if not df > 0:
         return math.nan
+    if not float(df).is_integer():
+        raise ValueError(f"chi2_sf takes an integer df; got {df!r}")
     if x < 0:
         return 1.0
-    return float(chdtrc(df, x))
+    if not x < math.inf:
+        return 0.0 if x == math.inf else math.nan
+    y, half = x / 2.0, 0.5 * (int(df) % 2)
+    term = 2.0 * math.sqrt(y / math.pi) if half else 1.0
+    total, scale = 0.0, 0  # the sum so far is total * 2**scale
+    for k in range(int(df) // 2):
+        total += term
+        term *= y / (k + 1 + half)
+        if term > 2.0**900:
+            total, term, scale = total * 2.0**-900, term * 2.0**-900, scale + 900
+    head = math.erfc(math.sqrt(y)) if half else 0.0
+    if y < 700.0 or total == 0.0:
+        return min(1.0, head + math.exp(-y) * total)
+    return head + math.exp(math.log(total) + scale * math.log(2.0) - y)
 
 
 # ---------------------------------------------------------------------------

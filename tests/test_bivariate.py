@@ -178,6 +178,15 @@ def test_cond_given_le_is_compounded_with_shifted_theta():
             assert ugdge_cdf(cond, x) == pytest.approx(oracle, rel=1e-10)
 
 
+def test_cond_given_le_floors_y_and_names_it_when_nan():
+    b = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
+    assert cond_given_le(b, 2.5) == cond_given_le(b, 2)
+    assert cond_given_le(b, math.inf).theta == b.theta
+    for y in (math.nan, -1):
+        with pytest.raises(ValueError, match="cond_given_le y"):
+            cond_given_le(b, y)
+
+
 def test_cond_cdf_given_eq_matches_bayes_oracle():
     params = CASES[1]
     my = marginal_params(params, "y")

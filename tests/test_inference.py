@@ -1,11 +1,14 @@
 """Likelihood-ratio tests and binned goodness-of-fit."""
 
+import inspect
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -45,24 +48,122 @@ def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def test_chi2_sf_is_scipy_stats_bit_for_bit():
-    dfs = (1, 2, 3, 9, 40, 0.5, 2.5, 0, -1)
-    xs = (-5.0, -0.1, 0.0, 1e-300, 1e-10, 3.84, 1e3, 1500.0, math.inf, math.nan)
+CHI2_XS = (0.0, 1e-300, 1e-10, 0.3, 3.84, 20.0, 150.0, 400.0, 1000.0, 1450.0, 1500.0)
+
+
+def _chi2_draws():
+    """Seeded (df, x) draws over df in [-1, 50] and x in [-5, inf), df rounded to an integer."""
     rng = np.random.default_rng(20261018)
-    draws = [(float(d), float(x)) for d, x in zip(
+    return [(round(float(d)), float(x)) for d, x in zip(
         rng.uniform(-1.0, 50.0, 400), rng.exponential(30.0, 400) - 5.0)]
-    for df, x in [(d, x) for d in dfs for x in xs] + draws:
-        got, want = chi2_sf(x, df), float(chi2.sf(x, df))
-        assert _same(got, want), (x, df, got, want)
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.linalg"])
-def test_import_does_not_load(module):
-    code = f"import sys, gdge, gdge.cli; print({module!r} in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(gdge.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+def _chi2_guard(x: float, df: int):
+    """What `chi2_sf` must return exactly outside the interior, else None."""
+    if not df > 0 or math.isnan(x):
+        return math.nan
+    return 1.0 if x < 0 else 0.0 if x == math.inf else None
+
+
+def _chi2_cases():
+    """df 1-60 over `CHI2_XS`, and the draws inside the guards."""
+    grid = [(df, x) for df in range(1, 61) for x in CHI2_XS]
+    return grid + [(df, x) for df, x in _chi2_draws() if _chi2_guard(x, df) is None]
+
+
+def _chi2_mp(x: float, df: int):
+    """The regularized upper incomplete gamma Q(df/2, x/2), at the caller's mpmath precision."""
+    return mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+
+
+def test_chi2_sf_matches_mpmath_reference():
+    with mpmath.workdps(50):
+        for df, x in _chi2_cases():
+            want, got = _chi2_mp(x, df), chi2_sf(x, df)
+            if want > 1e-300:
+                assert abs(got - want) <= 1e-13 * want, (df, x, got, float(want))
+            else:
+                assert abs(got - want) <= 1e-313, (df, x, got, float(want))
+
+
+def test_chi2_sf_rescales_a_sum_past_overflow():
+    # near x = df = 3000 the terms y^k / k! exceed the double range before exp(-y) shrinks them;
+    # the log route then costs about 1e-16 * x / 2 of relative accuracy
+    with mpmath.workdps(50):
+        for df, x in ((2001, 2100.0), (3000, 2900.0), (3000, 3000.0)):
+            want = _chi2_mp(x, df)
+            assert abs(chi2_sf(x, df) - want) <= 1e-12 * want, (df, x)
+
+
+def test_chi2_sf_guards_are_exact():
+    dfs = (1, 2, 3, 9, 40, 0, -1, math.nan)
+    xs = (-5.0, -0.1, 0.0, 3.84, math.inf, math.nan)
+    cases = [(d, x) for d in dfs for x in xs] + _chi2_draws()
+    for df, x in cases:
+        want = _chi2_guard(x, df)
+        if want is not None:
+            assert _same(chi2_sf(x, df), want), (df, x)
+    for df in (1, 2, 3, 9, 40):
+        assert chi2_sf(0.0, df) == 1.0
+
+
+@pytest.mark.parametrize("df", [0.5, 2.5])
+def test_chi2_sf_rejects_a_df_that_is_not_an_integer(df):
+    with pytest.raises(ValueError, match=str(df)):
+        chi2_sf(3.0, df)
+
+
+def test_chi2_sf_agrees_with_scipy_stats():
+    for df, x in _chi2_cases():
+        want = float(chi2.sf(x, df))
+        if want > 1e-300:
+            assert chi2_sf(x, df) == pytest.approx(want, rel=2e-13, abs=0.0), (df, x)
+
+
+SRC = str(Path(gdge.__file__).resolve().parents[1])
+SERIEA = [["fit", "{data}", "--uni", "--column", "x"], ["fit", "{data}", "--uni", "--column", "y"],
+          ["fit", "{data}", "--biv", "--gof"], ["test", "{data}", "--test", "both"]]
+
+
+def _run_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, gdge, gdge.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    assert _run_python(code).strip() == "[]"
+
+
+def _cli_reports(argvs):
+    """``[exit code, stdout]`` of `gdge.cli.main` for each argv; self-contained, as its source also runs in a subprocess."""
+    import contextlib
+    import io
+
+    import gdge.cli
+
+    out = []
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = gdge.cli.main(argv)
+        out.append([code, buf.getvalue()])
+    return out
+
+
+def test_cli_runs_seriea_with_scipy_blocked():
+    argvs = [[a.format(data=gdge.bundled_data_path()) for a in argv] for argv in SERIEA]
+    code = "\n".join([
+        "import json, sys",
+        "sys.modules['scipy'] = None  # an import of scipy or scipy.* now raises ImportError",
+        inspect.getsource(_cli_reports),
+        f"print(json.dumps(_cli_reports({argvs!r})))",
+    ])
+    blocked = json.loads(_run_python(code))
+    assert [c for c, _ in blocked] == [0, 0, 0, 0]
+    assert blocked == _cli_reports(argvs)
 
 
 def test_chi2_sf_matches_closed_form_reference():

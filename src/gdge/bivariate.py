@@ -145,9 +145,8 @@ def cond_given_le(params: BgdgeParams, y: int) -> UgdgeParams:
     exceeds theta and tends to theta as y grows.  A real y counts as its
     floor, as in the cdf-type evaluators, and ``y = inf`` gives theta itself.
     """
-    y = _floor(y)
-    if y != math.inf:
-        _nonneg(y, "cond_given_le y")
+    if not y >= 0:
+        raise ValueError(f"cond_given_le y must be a nonnegative integer, got {y!r}")
     theta_star = _den(params.theta, _log_cdf(params.m2.alpha, params.m2.p, float(y)))
     return UgdgeParams(params.m1, float(theta_star))
 

@@ -80,8 +80,9 @@ def chi2_sf(x: float, df: int) -> float:
     (Abramowitz and Stegun 1964, section 26.4): ``exp(-y) sum_{k<m} y^k / k!`` for even
     df and ``erfc(sqrt(y)) + exp(-y) sum_{k<m} y^(k+1/2) / Gamma(k+3/2)`` for odd df.
     The terms are positive, each the last times ``y / (k + 1)`` or ``y / (k + 3/2)``.
-    From ``y = 700``, where ``exp(-y)`` nears underflow, the sum enters as
-    ``exp(log(sum) - y)``; it is rescaled by powers of two before it could overflow.
+    The sum is rescaled by powers of two before it could overflow, and the scale comes
+    back with ``ldexp``; from ``y = 700``, where ``exp(-y)`` nears underflow, the sum
+    enters as ``exp(log(sum) - y)`` instead.
     Guards: ``nan`` for df <= 0 or nan, 1.0 for x < 0, 0.0 at ``x = inf`` and ``nan``
     at ``x = nan``.  A df that is not an integer raises `ValueError`.
     """
@@ -102,9 +103,10 @@ def chi2_sf(x: float, df: int) -> float:
         if term > 2.0**900:
             total, term, scale = total * 2.0**-900, term * 2.0**-900, scale + 900
     head = math.erfc(math.sqrt(y)) if half else 0.0
-    if y < 700.0 or total == 0.0:
-        return min(1.0, head + math.exp(-y) * total)
-    return head + math.exp(math.log(total) + scale * math.log(2.0) - y)
+    if y < 700.0 or total == 0.0:  # total's mantissa keeps exp(-y) * total off underflow
+        mant, power = math.frexp(total)
+        return min(1.0, head + math.ldexp(math.exp(-y) * mant, power + scale))
+    return min(1.0, head + math.exp(math.log(total) + scale * math.log(2.0) - y))
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,10 @@ def test_chi2_sf_matches_mpmath_reference():
 
 def test_chi2_sf_rescales_a_sum_past_overflow():
     # near x = df = 3000 the terms y^k / k! exceed the double range before exp(-y) shrinks them;
-    # the log route then costs about 1e-16 * x / 2 of relative accuracy
+    # the log route then costs about 1e-16 * x / 2 of relative accuracy.  Below x = 1400 the
+    # rescaled sum comes back through exp(-y) and its power of two.
     with mpmath.workdps(50):
-        for df, x in ((2001, 2100.0), (3000, 2900.0), (3000, 3000.0)):
+        for df, x in ((2000, 1360.0), (1300, 1300.0), (2001, 2100.0), (3000, 2900.0), (3000, 3000.0)):
             want = _chi2_mp(x, df)
             assert abs(chi2_sf(x, df) - want) <= 1e-12 * want, (df, x)
 

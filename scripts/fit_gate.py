@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Fit-by-fit record of the maximum-likelihood fitter, and a comparison of two records.
+
+Without ``--compare``, fits the datasets of the replicated study and of the
+boundary likelihood-ratio test and prints one JSON line per fit:
+
+* ``study``: `fit_biv_mle` at the paper's truth, n = 25 and 100, data from
+  ``default_rng([20260822, n, r])`` (as `run_simulation` draws them);
+* ``margin_x``, ``margin_y``: `fit_uni_mle` on each coordinate of those data;
+* ``boundary``: the full fit behind `test_independence` at the theta = 1 truth,
+  n = 100, data from ``default_rng([99, 100, r])`` (as
+  ``scripts/boundary_study.py`` draws them); ``ll_null`` is its theta = 1 fit.
+
+Each line holds kind, n, r, loglik, converged and the kernel calls
+(`fitting._biv_ll` or `fitting._uni_ll`) the fit made.
+
+``--compare A B`` matches the fits of two records and prints how many end more
+than 1e-12 lower or higher in B than in A, which ones, how many lose (or gain)
+convergence, and the total kernel calls of each.
+
+    PYTHONPATH=src python scripts/fit_gate.py > parent.jsonl
+    PYTHONPATH=src python scripts/fit_gate.py --compare parent.jsonl change.jsonl
+"""
+
+import argparse
+import json
+import sys
+
+import numpy as np
+
+from gdge import BgdgeParams, BivDataset, bgdge_sample, fast_sim_config, fit_biv_mle, fit_uni_mle, fitting
+
+STUDY_TRUTH = (2.0, 0.25, 2.0, 0.25, 0.25)
+BOUNDARY_TRUTH = (2.0, 0.25, 2.0, 0.25, 1.0)
+STUDY_SEED, BOUNDARY_SEED = 20260822, 99
+#: A fit "ends lower" or "higher" when its log-likelihoods differ by more than this.
+LL_TOL = 1e-12
+
+
+def counted(name):
+    """Replace the kernel ``fitting.<name>`` by a wrapper that counts its calls; returns the count box."""
+    kernel, box = getattr(fitting, name), [0]
+
+    def wrapper(*args):
+        box[0] += 1
+        return kernel(*args)
+
+    setattr(fitting, name, wrapper)
+    return box
+
+
+def record(reps):
+    """Yield one dict per fit."""
+    calls = {name: counted(name) for name in ("_biv_ll", "_uni_ll")}
+    cfg = fast_sim_config()
+
+    def run(kind, n, r, fit):
+        for box in calls.values():
+            box[0] = 0
+        loglik, converged, extra = fit()
+        return {"kind": kind, "n": n, "r": r, "loglik": loglik, "converged": converged,
+                "calls": sum(box[0] for box in calls.values()), **extra}
+
+    truth = BgdgeParams.from_values(*STUDY_TRUTH)
+    for n in (25, 100):
+        for r in range(reps):
+            data = BivDataset(*bgdge_sample(truth, np.random.default_rng([STUDY_SEED, n, r]), size=n))
+
+            def biv():
+                rep = fit_biv_mle(data, cfg, compute_se=False)
+                return rep.loglik, rep.converged, {}
+
+            yield run("study", n, r, biv)
+            for kind, x in (("margin_x", data.x), ("margin_y", data.y)):
+
+                def uni(x=x):
+                    rep = fit_uni_mle(x, cfg, compute_se=False)
+                    return rep.loglik, rep.converged, {}
+
+                yield run(kind, n, r, uni)
+    null = BgdgeParams.from_values(*BOUNDARY_TRUTH)
+    for r in range(reps):
+        data = BivDataset(*bgdge_sample(null, np.random.default_rng([BOUNDARY_SEED, 100, r]), size=100))
+
+        def boundary():
+            f = fitting._fit_biv(data, cfg)
+            return f.loglik, f.stop == "converged", {"ll_null": f.ll_base}
+
+        yield run("boundary", 100, r, boundary)
+
+
+def load(path):
+    with open(path) as fh:
+        return {(d["kind"], d["n"], d["r"]): d for d in map(json.loads, fh)}
+
+
+def compare(path_a, path_b):
+    a, b = load(path_a), load(path_b)
+    common = sorted(a.keys() & b.keys())
+    lower = [k for k in common if b[k]["loglik"] < a[k]["loglik"] - LL_TOL]
+    higher = [k for k in common if b[k]["loglik"] > a[k]["loglik"] + LL_TOL]
+    lost = [k for k in common if a[k]["converged"] and not b[k]["converged"]]
+    gained = [k for k in common if b[k]["converged"] and not a[k]["converged"]]
+    print(f"fits compared: {len(common)} (only in A: {len(a.keys() - b.keys())}, only in B: {len(b.keys() - a.keys())})")
+    for name, keys in (("lower", lower), ("higher", higher)):
+        print(f"ending more than {LL_TOL:g} {name} in B: {len(keys)}")
+        for k in keys:
+            print(f"  {k}: {a[k]['loglik']!r} -> {b[k]['loglik']!r}")
+    print(f"losing convergence: {len(lost)} {lost}")
+    print(f"gaining convergence: {len(gained)} {gained}")
+    for kind in sorted({k[0] for k in common}):
+        keys = [k for k in common if k[0] == kind]
+        print(f"kernel calls, {kind}: A {sum(a[k]['calls'] for k in keys)}, B {sum(b[k]['calls'] for k in keys)}")
+    print(f"kernel calls, total: A {sum(a[k]['calls'] for k in common)}, B {sum(b[k]['calls'] for k in common)}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--reps", type=int, default=200, help="replications per sample size and boundary LRTs")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records instead of fitting")
+    args = ap.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    for line in record(args.reps):
+        print(json.dumps(line), flush=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

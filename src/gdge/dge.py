@@ -251,17 +251,23 @@ def _evaluate(fn, *args):
 
 
 def _base_logs(p, x):
-    """Shape-free pieces of the base CDF at ``x``.
+    """Shape-free pieces of the base CDF at ``x``, and the powers they come from.
 
     Returns ``l1 = log(1 - p^(x+1))``, ``l0 = log(1 - p^x)`` (-inf at 0) and
     ``r = l1 - l0``, formed as ``log1p(p^x (1-p) / (1-p^x))`` (inf at 0) so
-    that it keeps full relative precision where ``l1`` and ``l0`` nearly agree.
+    that it keeps full relative precision where ``l1`` and ``l0`` nearly agree;
+    then ``p^x``, ``1 - p^x`` and ``1 - p^(x+1)``, which `_coord_partials` reuses.
+    ``l1`` is ``log1p(-p^(x+1))`` except where ``p^(x+1) > 1/2``: there the
+    rounding of the power would cost digits, and ``l1`` is the log of
+    ``1 - p^(x+1) = -expm1((x+1) log p)``.
     """
     with np.errstate(divide="ignore"):
-        px = np.power(p, x)
-        q = 0.0 - np.expm1(x * np.log(p))  # 1 - p^x, and +0.0 (not -0.0) at x = 0
-        r = np.log1p(px * (1.0 - p) / q)
-        return np.log1p(-np.power(p, x + 1.0)), np.log1p(-px), r
+        lp = np.log(p)
+        px, pw = np.power(p, x), np.power(p, x + 1.0)
+        q0 = 0.0 - np.expm1(x * lp)  # 1 - p^x, and +0.0 (not -0.0) at x = 0
+        q1 = -np.expm1((x + 1.0) * lp)
+        l1 = np.where(pw > 0.5, np.log(q1), np.log1p(-pw))
+        return l1, np.log1p(-px), np.log1p(px * (1.0 - p) / q0), px, q0, q1
 
 
 def _log1mexp(lt):
@@ -280,7 +286,7 @@ def _log_gap(l1, r, shape):
 
 def _coord_logs(alpha, p, x):
     """`_base_logs` at (p, x) and the `_cdf_logs` triple they give at shape ``alpha``."""
-    logs = l1, l0, r = _base_logs(p, x)
+    logs = l1, l0, r, *_ = _base_logs(p, x)
     return logs, (alpha * l1, alpha * l0, _log_gap(l1, r, alpha))
 
 
@@ -347,7 +353,9 @@ def _biv_logpmf(tx, ty, theta):
 # gradient of the kernel: a log-pmf holds a coordinate's (alpha, p) through
 # log(u - v) and through the compounding factor h(log u, log v, ..., theta).
 # The fitter passes parameters as columns (k, 1) against cells (c,): every
-# array below is then (k, c), one row per parameter point.
+# array below is then (k, c), one row per parameter point, and the bivariate
+# law stacks its two coordinates first, (2, k, c), so that one pass of the
+# coordinate formulas serves both margins.
 
 
 def _coord_partials(alpha, p, x, logs, c1, c0):
@@ -357,14 +365,12 @@ def _coord_partials(alpha, p, x, logs, c1, c0):
     ``log v``; ``log(u - v) = log u + log(1 - exp(-alpha r))`` (`_log_gap`),
     ``dr/dp = p^x / (1-p^(x+1)) (x (1-p) / (p (1-p^x)) - 1)``.
     """
-    l1, l0, r = logs
-    lp = np.log(p)
+    l1, l0, r, px, q0, q1 = logs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        px, q0, q1 = np.exp(x * lp), -np.expm1(x * lp), -np.expm1((x + 1.0) * lp)
         dlr = 1.0 / np.expm1(alpha * r)  # d log(1 - exp(-z)) / dz at z = alpha r
-        d_alpha = c1 * l1 + np.where(x > 0, c0 * l0 + r * dlr, 0.0)
-        d_p = -c1 * (x + 1.0) * px / q1 + np.where(
-            x > 0, px / q1 * (x * (1.0 - p) / (p * q0) - 1.0) * dlr - c0 * x * px / (p * q0), 0.0)
+        a, b, lower = px / q1, x / (p * q0), x > 0  # b is inf at x = 0, where v's terms vanish
+        d_alpha = c1 * l1 + np.where(lower, c0 * l0 + r * dlr, 0.0)
+        d_p = np.where(lower, a * ((1.0 - p) * b - 1.0) * dlr - c0 * px * b, 0.0) - c1 * (x + 1.0) * a
     return d_alpha, alpha * d_p
 
 
@@ -383,30 +389,42 @@ def _uni_logpmf_and_grad(alpha, p, theta, x):
     return logpmf, np.array([*_coord_partials(alpha, p, x, logs, 1.0 + tau * eu, tau * ev), 1.0 / theta - eu - ev])
 
 
+def _pair(a, b, nd):
+    """``a`` and ``b`` on a new first axis, with ``nd`` axes after it to broadcast against the others."""
+    if np.shape(a) != np.shape(b):
+        a, b = np.broadcast_arrays(a, b)
+    ab = np.array([a, b], dtype=float)
+    return ab if ab.ndim == nd + 1 else ab.reshape(2, *(1,) * (nd + 1 - ab.ndim), *ab.shape[1:])
+
+
 def _biv_terms(x, y, a1, p1, a2, p2, theta):
-    """`_base_logs` of each coordinate, the log-pmf, ``w / (1 - tau w)`` at the four corners w and
+    """The two coordinates' (shape, p, cell) stacked first, their `_base_logs` from one pass, the log-pmf,
+    ``w / (1 - tau w)`` at the four corners w, (2, 2, ...) over (x, x - 1) by (y, y - 1), and
     ``P / (1 - tau^2 P)``, P their product.  The log-pmf's theta-partial is ``1/theta - S`` with
     ``S = sum of the corner terms - 2 tau P / (1 - tau^2 P)``."""
-    (lx, (lu, lu_, gx)), (ly, (lv, lv_, gy)) = _coord_logs(a1, p1, x), _coord_logs(a2, p2, y)
-    tau, lprod = 1.0 - theta, lu + lu_ + lv + lv_
+    nd = max(map(np.ndim, (x, y, a1, p1, a2, p2, theta)))
+    coords = alpha, p, cell = [_pair(a, b, nd) for a, b in ((a1, a2), (p1, p2), (x, y))]
+    logs, (lw, lw_, g) = _coord_logs(alpha, p, cell)
+    tau, lprod = 1.0 - theta, lw[0] + lw_[0] + lw[1] + lw_[1]
     den_p = theta * (2.0 - theta) - tau * tau * np.expm1(lprod)  # 1 - tau^2 P
-    corners = [a + b for a in (lu, lu_) for b in (lv, lv_)]  # log w at (x, y), (x, y-1), (x-1, y), (x-1, y-1)
-    dens = [_den(theta, lw) for lw in corners]
-    logpmf = gx + gy
+    at = np.array([lw, lw_])  # log of the base CDFs at the cell (0) and below it (1), per coordinate
+    corners = at[:, None, 0] + at[None, :, 1]  # log w, [i, j] at (x - i, y - j)
+    dens = _den(theta, corners)
+    logpmf = g[0] + g[1]
     logpmf += np.log(theta) + np.log(den_p)
-    for d in dens:
-        logpmf -= np.log(d)
-    return lx, ly, logpmf, [np.exp(lw) / d for lw, d in zip(corners, dens)], np.exp(lprod) / den_p
+    for ld in np.log(dens).reshape(4, *dens.shape[2:]):
+        logpmf -= ld
+    return coords, logs, logpmf, np.exp(corners) / dens, np.exp(lprod) / den_p
 
 
 def _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta):
     """`_biv_logpmf` and its partials in (alpha1, p1, alpha2, p2, theta), stacked first, from one
-    `_base_logs` per coordinate."""
-    lx, ly, logpmf, (e00, e01, e10, e11), ratio = _biv_terms(x, y, a1, p1, a2, p2, theta)
+    `_base_logs` pass on both coordinates."""
+    (alpha, p, cell), logs, logpmf, e, ratio = _biv_terms(x, y, a1, p1, a2, p2, theta)
     tau = 1.0 - theta
     k = tau * tau * ratio
-    return logpmf, np.array([
-        *_coord_partials(a1, p1, x, lx, 1.0 - k + tau * (e00 + e01), tau * (e10 + e11) - k),
-        *_coord_partials(a2, p2, y, ly, 1.0 - k + tau * (e00 + e10), tau * (e01 + e11) - k),
-        1.0 / theta + 2.0 * tau * ratio - ((e00 + e01) + (e10 + e11)),
-    ])
+    cross = np.array([e[0, 1], e[1, 0]])  # the corners (x, y - 1) and (x - 1, y)
+    c1, c0 = 1.0 - k + tau * (e[0, 0] + cross), tau * (e[1, 1] + cross[::-1]) - k
+    d_alpha, d_p = _coord_partials(alpha, p, cell, logs, c1, c0)
+    d_theta = 1.0 / theta + 2.0 * tau * ratio - ((e[0, 0] + e[0, 1]) + (e[1, 0] + e[1, 1]))
+    return logpmf, np.array([d_alpha[0], d_p[0], d_alpha[1], d_p[1], d_theta])

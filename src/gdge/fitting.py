@@ -2,14 +2,17 @@
 
 Every maximum-likelihood fit -- univariate (`fit_uni_mle`), bivariate
 (`fit_biv_mle`) and the equal-margins null of the likelihood-ratio test --
-runs through one search, `_fit_mle`: a trust-region Newton method (Moré and
-Sorensen 1983) in bounded log/logit coordinates, on the analytic gradient of
-the `dge` kernel and a Hessian from differences of that gradient, with all
-starts advancing in lockstep.  The kernel takes parameters as columns, so one
-call evaluates every start's trial point together with the neighbours that
-give its Hessian.  Newton steps on the best endpoint finish.  The theta = 1
-submodel (pure base law / independence) wins ties.  Standard errors come from
-the same kind of Hessian.
+runs through one search, `_fit_mle`: a trust-region Newton method whose step
+is a Newton step shifted just enough to make its matrix positive definite,
+on the analytic gradient of the `dge` kernel and a Hessian from differences
+of that gradient, with all starts advancing in lockstep.  It searches a
+bounded box in log coordinates for shapes and theta (up to exactly
+theta = 1) and logit coordinates for probabilities.  The kernel takes
+parameters as columns, so one call evaluates every start's trial point
+together with the neighbours that give its Hessian.  Newton steps on the
+best endpoint finish.  The theta = 1 submodel (pure base law /
+independence) wins ties.  Standard errors come from the same kind of
+Hessian.
 
 EM, the paper's algorithm, stays as `em_fit_uni`/`em_fit_biv`.  Given each
 observation's latent geometric count n_i, the complete-data likelihood
@@ -234,7 +237,7 @@ def latent_weighted_loglik(values, counts, alpha: float, p: float) -> float:
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     shape = np.broadcast_to(np.asarray(counts, dtype=float) * alpha, v.shape)
-    l1, _, r = _base_logs(p, v)
+    l1, _, r, *_ = _base_logs(p, v)
     total = float(_log_gap(l1, r, shape).sum())
     return total if total > -math.inf else -math.inf
 
@@ -313,7 +316,7 @@ def _latent_cells(values, counts):
 def _latent_ll(cells, q):
     """`latent_weighted_loglik` on (value, count, weight) cells and its gradient in (alpha, p), per point."""
     (x, n, w), (alpha, p) = cells, _columns(q)
-    logs = l1, _, r = _base_logs(p, x)
+    logs = l1, _, r, *_ = _base_logs(p, x)
     d_shape, d_p = _coord_partials(n * alpha, p, x, logs, 1.0, 0.0)
     return _ll_and_grad(_log_gap(l1, r, n * alpha), np.array([n * d_shape, d_p]), w)
 
@@ -477,7 +480,8 @@ def em_fit_biv(
 
 # The search box.  On an escape ridge shape and compounding go to zero together
 # toward a limit law outside the family, and an unbounded search would follow
-# it indefinitely: shapes stay in [1e-3, 1e3], probabilities in [1e-6, 1 - 1e-6].
+# it indefinitely: shapes stay in [1e-3, 1e3], probabilities in [1e-6, 1 - 1e-6],
+# theta in [1e-6, 1].
 _W_SHAPE = (math.log(1e-3), math.log(1e3))
 _W_UNIT = (-13.815510557964274, 13.815510557964274)  # logit(1e-6), logit(1 - 1e-6)
 
@@ -503,6 +507,17 @@ def _logit(v: float) -> float:
 
 _EXPIT, _LOGIT = np.frompyfunc(_expit, 1, 1), np.frompyfunc(_logit, 1, 1)
 
+# Theta is searched as its log, up to exactly theta = 1.  Where the likelihood rises
+# toward the theta = 1 submodel, a logit search coordinate would move about one unit
+# per Newton step toward an edge that never reaches theta = 1; a step in log theta that
+# meets the edge lands on theta = 1.
+_W_THETA = (math.log(_expit(_W_UNIT[0])), 0.0)
+
+#: The roles of a parameter, in the order of `_EDGES`, the search box of each role's
+#: coordinate: the (shape, p) pairs alternate 0, 1, and a last, odd one is theta.
+_SHAPE, _P, _THETA = range(3)
+_EDGES = np.array([_W_SHAPE, _W_UNIT, _W_THETA])
+
 
 #: Compounding probabilities at which the theta = 1 fit seeds a search.
 _START_THETAS = (0.25, 0.75)
@@ -518,32 +533,39 @@ _HESS_STEP = 1e-4
 #: exceeds the second value, and a start whose radius falls below the third has stalled.
 _RADIUS = (1.0, 64.0, 1e-10)
 
+#: The shifted Newton step keeps the least eigenvalue of its matrix at about this or above.
+_MIN_CURVATURE = 1e-8
+
 
 def _box(q, free=slice(None)):
-    """Search coordinates of ``q[free]``, their bounds, and which of them are shapes.
+    """Search coordinates of ``q[free]``, their bounds, and the role of each.
 
-    A shape (the even positions before the last) is searched as its log, a
-    probability as its logit.
+    The parameters come in (shape, p) pairs, and a last one of an odd count is
+    theta.  A shape and theta are searched as their logs, a probability as its
+    logit.
     """
-    i = np.arange(len(q))[free]
-    shape = (i % 2 == 0) & (i < len(q) - 1)
+    n = len(q)
+    role = np.arange(n) % 2
+    if n % 2:
+        role[-1] = _THETA
+    role = role[free]
     v = np.asarray(q, dtype=float)[free]
     w = np.log(v)
-    w[~shape] = _LOGIT(v[~shape])
-    return w, np.where(shape, _W_SHAPE[0], _W_UNIT[0]), np.where(shape, _W_SHAPE[1], _W_UNIT[1]), shape
+    w[role == _P] = _LOGIT(v[role == _P])
+    return w, *_EDGES[role].T, role
 
 
-def _from_search(w, shape):
-    """The values at search coordinates ``w`` (the last axis as in `_box`): a shape's exp, a probability's expit."""
+def _from_search(w, role):
+    """The values at search coordinates ``w`` (the last axis as in `_box`): exp, or a probability's expit."""
     v = np.exp(w)
-    v[..., ~shape] = _EXPIT(w[..., ~shape])
+    v[..., role == _P] = _EXPIT(w[..., role == _P])
     return v
 
 
 def _on_bound(q) -> np.ndarray:
-    """Which parameters sit on an edge of the search box."""
-    w, lo, hi, _ = _box(q)
-    return (np.abs(w - lo) <= 1e-8) | (np.abs(w - hi) <= 1e-8)
+    """Which parameters sit on an edge of the search box.  Theta = 1 is the submodel, not an edge."""
+    w, lo, hi, role = _box(q)
+    return (np.abs(w - lo) <= 1e-8) | ((np.abs(w - hi) <= 1e-8) & (role != _THETA))
 
 
 def _with_hessian(fun, x, h):
@@ -561,48 +583,21 @@ def _with_hessian(fun, x, h):
     return value[:k], grad[:k], 0.5 * (cols + np.swapaxes(cols, 1, 2))
 
 
-def _trust_step(hess, grad, radius):
-    """Minimizer ``s`` of ``grad . s + s . hess . s / 2`` over ``|s| <= radius``, for stacks of problems.
+def _shifted_newton(hess, grad, radius, move):
+    """The step ``s = -(H + mu I)^-1 g`` on the coordinates ``move``, cut back to ``|s| <= radius``, for stacks
+    of problems.
 
-    Moré and Sorensen (1983): ``s = -(hess + mu I)^-1 grad`` with ``hess + mu I`` positive
-    semidefinite, and ``mu = 0`` or ``|s| = radius``.  On the eigenvectors of ``hess`` the
-    shift ``mu`` solves the secular equation ``1 / |s(mu)| = 1 / radius`` by Newton steps
-    from below the root, where ``1 / |s(mu)|`` is concave and the steps rise monotonically
-    to it.  In the hard case, when the least admissible shift already leaves ``|s|`` short
-    of the radius, the rest is taken along the eigenvector of the least eigenvalue.  A
-    component of ``grad`` too small to move the shift off that eigenvalue counts as 0.
-    Returns ``(s, mu)``.
+    The others are held: they get no gradient and a unit curvature of their own, so the step leaves them.
+    ``mu = max(0, _MIN_CURVATURE - 1.01 lam_min)``, ``lam_min`` the least eigenvalue of ``H``: no shift
+    where ``H`` is safely positive definite, else just enough of one to make it so.  Every trust-region
+    step has this form for some ``mu >= 0`` (Nocedal and Wright 2006, Thm 4.1); the radius, which the
+    ratio test adapts, bounds its length.
     """
-    lam, vec = np.linalg.eigh(hess)
-    gt = np.einsum("kji,kj->ki", vec, grad)  # grad on the eigenvectors
-    low = np.maximum(0.0, -lam[:, 0])  # the least shift that leaves hess + mu I semidefinite
-
-    def shifted(mu):  # -s on the eigenvectors, lam + mu (inf at a pole) and |s|, at shift mu
-        den = lam + mu[:, None]
-        den = np.where(den > 0.0, den, np.inf)
-        return gt / den, den, np.sqrt(((gt / den) ** 2).sum(axis=1))
-
-    c, den, norm = shifted(low)
-    mu = np.maximum(low, (np.abs(gt) / radius[:, None] - lam).max(axis=1))  # where one component alone
-    todo = (mu > low) | (norm > radius)                                    # makes |s| = radius, or below
-    c, den, norm = shifted(mu)
-    for _ in range(50):
-        todo &= norm > radius * (1.0 + 1e-12)
-        if not todo.any():
-            break
-        c2 = c * c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = mu + (norm / radius - 1.0) * c2.sum(axis=1) / (c2 / den).sum(axis=1)
-        todo &= new > mu  # a root within rounding of the pole stops the rise
-        mu = np.where(todo, new, mu)
-        c, den, norm = shifted(mu)
-    # the hard case, and a root that rounding keeps the shift from reaching (so close to the pole
-    # that |s| jumps past the radius in one unit of mu): the rest of the radius goes along the
-    # eigenvector of the least eigenvalue
-    fill = (mu > 0.0) & (np.abs(norm - radius) > 1e-12 * radius)
-    rest = np.sqrt(np.maximum(radius**2 - (c[:, 1:] ** 2).sum(axis=1), 0.0))
-    c[fill, 0] = np.where(gt[fill, 0] < 0.0, -rest[fill], rest[fill])
-    return -np.einsum("kij,kj->ki", vec, c), mu
+    eye = np.eye(move.shape[-1])
+    hess = np.where(move[:, :, None] & move[:, None, :], hess, eye)
+    mu = np.maximum(0.0, _MIN_CURVATURE - 1.01 * np.linalg.eigvalsh(hess)[:, 0])
+    step = -np.linalg.solve(hess + mu[:, None, None] * eye, np.where(move, grad, 0.0)[..., None])[..., 0]
+    return step * (radius / np.maximum(np.linalg.norm(step, axis=1), radius))[:, None]
 
 
 def _held(w, g, lo, hi):
@@ -615,15 +610,22 @@ def _passes(w, g, lo, hi):
     return np.all(np.abs(np.where(_held(w, g, lo, hi), 0.0, g)) <= _GTOL, axis=-1)
 
 
-def _into_box(w, step, lo, hi):
-    """``w + step`` cut back to the box and, if that cuts it, also ``w + t step`` for the largest
-    ``0 < t < 1`` inside the box, the first bound met exactly: one or two rows."""
+def _shortened(w, step, lo, hi):
+    """``w + t step`` for the largest ``t <= 1`` that stays in the box, with the first bound met exactly, per
+    row; cut back to the box instead where that ``t`` is 0, a step that leaves a bound it starts on."""
+    bound = np.where(step < 0.0, lo, hi)
     with np.errstate(divide="ignore", invalid="ignore"):  # how far along step each bound lies
-        room = np.where(step < 0.0, (lo - w) / step, np.where(step > 0.0, (hi - w) / step, np.inf))
-    t = room.min()
-    if not 0.0 < t < 1.0:
-        return np.clip(w + step, lo, hi)[None]
-    return np.clip([w + step, np.where(room <= t, np.where(step < 0.0, lo, hi), w + t * step)], lo, hi)
+        room = np.where(step == 0.0, np.inf, (bound - w) / step)
+    t = room.min(axis=-1, keepdims=True)
+    t = np.where(t > 0.0, np.minimum(t, 1.0), 1.0)
+    return np.clip(np.where(room <= t, bound, w + t * step), lo, hi)
+
+
+def _into_box(w, step, lo, hi):
+    """``w + step`` cut back to the box and, where `_shortened` differs from that, also `_shortened`: one or
+    two rows."""
+    clipped, short = np.clip(w + step, lo, hi), _shortened(w, step, lo, hi)
+    return clipped[None] if np.array_equal(clipped, short) else np.array([clipped, short])
 
 
 def _search(ll, starts, free, cfg: EmConfig):
@@ -634,8 +636,10 @@ def _search(ll, starts, free, cfg: EmConfig):
     every running start's trial point and the neighbours that give its
     Hessian (`_with_hessian`), so an accepted trial brings its gradient and
     Hessian, and a rejected one only shrinks the trust radius.  The step
-    (`_trust_step`) moves the coordinates that no bound holds and is cut back
-    to the box.  A start stops when its projected gradient falls to `_GTOL`,
+    (`_shifted_newton`) moves the coordinates that no bound holds, nor one
+    that the step would push beyond a bound it sits on, and stops at the
+    first bound it meets (`_shortened`), which a later step then holds.
+    A start stops when its projected gradient falls to `_GTOL`,
     or its radius below ``_RADIUS[2]``; ``cfg.max_iter`` caps the iterations.
     Up to three Newton steps on the best endpoint finish, each kept unless the
     likelihood falls by more than its rounding; a step that leaves the box is
@@ -645,14 +649,14 @@ def _search(ll, starts, free, cfg: EmConfig):
     start, at its trust-region endpoint and at the end.
     """
     q0 = np.array(starts[0], dtype=float)
-    lo, hi, shape = _box(q0, free)[1:]
+    lo, hi, role = _box(q0, free)[1:]
     h = np.full(lo.size, _HESS_STEP)
 
     def f(w):  # -ll and its gradient in the search coordinates, at the rows of w
         q = np.repeat(q0[None], len(w), axis=0)
-        v = q[:, free] = _from_search(w, shape)
+        v = q[:, free] = _from_search(w, role)
         value, grad = ll(q)
-        return -value, -grad[:, free] * np.where(shape, v, v * (1.0 - v))
+        return -value, -grad[:, free] * np.where(role == _P, v * (1.0 - v), v)
 
     w = np.clip([_box(q, free)[0] for q in starts], lo, hi)
     fw, g, hess = _with_hessian(f, w, h)
@@ -661,10 +665,12 @@ def _search(ll, starts, free, cfg: EmConfig):
     while live.any() and nit < cfg.max_iter:
         nit += 1
         i = np.flatnonzero(live)
-        # a held coordinate gets no gradient and a unit curvature of its own, so the step leaves it
         move = ~_held(w[i], g[i], lo, hi)
-        pinned = np.where(move[:, :, None] & move[:, None, :], hess[i], np.eye(lo.size))
-        trial = np.clip(w[i] + _trust_step(pinned, np.where(move, g[i], 0.0), radius[i])[0], lo, hi)
+        step = _shifted_newton(hess[i], g[i], radius[i], move)
+        out = _held(w[i], -step, lo, hi)  # on a bound that the step would push beyond: held too
+        if out.any():
+            step = _shifted_newton(hess[i], g[i], radius[i], move & ~out)
+        trial = _shortened(w[i], step, lo, hi)
         step = trial - w[i]
         pred = -np.einsum("kj,kj->k", step, g[i] + 0.5 * np.einsum("kjl,kl->kj", hess[i], step))
         ft, gt, ht = _with_hessian(f, trial, h)
@@ -695,7 +701,7 @@ def _search(ll, starts, free, cfg: EmConfig):
             break
         w, fw, g, hess, steps = trials[j], ft[j], gt[j], ht[j], steps + 1
     stop = "converged" if _passes(w, g, lo, hi) else "max_iter" if capped else "gradient_above_tol"
-    q0[free] = _from_search(w, shape)
+    q0[free] = _from_search(w, role)
     return tuple(float(v) for v in q0), float(-fw), stop, nit + steps, [*trace, -fw]
 
 
@@ -838,7 +844,7 @@ def std_errors(params, data):
             return -value, -grad[:, free]
 
         v = q[free]
-        info = _with_hessian(neg, v[None], _HESS_STEP * np.where(_box(q, free)[3], v, v * (1.0 - v)))[2][0]
+        info = _with_hessian(neg, v[None], _HESS_STEP * np.where(_box(q, free)[3] == _SHAPE, v, v * (1.0 - v)))[2][0]
         try:
             cov = np.linalg.inv(info)
         except np.linalg.LinAlgError:

@@ -73,6 +73,11 @@ class GofResult:
     p_value: float
 
 
+#: log 2 in two parts: the leading one (fdlibm's ``ln2_hi``) has 32 significant bits, so
+#: ``n * _LN2[0]`` is exact for ``|n| < 2^20``.
+_LN2 = (6.93147180369123816490e-01, 1.90821492927058770002e-10)
+
+
 def chi2_sf(x: float, df: int) -> float:
     """Chi-square survival function (upper tail probability) for a positive integer ``df``.
 
@@ -81,8 +86,10 @@ def chi2_sf(x: float, df: int) -> float:
     df and ``erfc(sqrt(y)) + exp(-y) sum_{k<m} y^(k+1/2) / Gamma(k+3/2)`` for odd df.
     The terms are positive, each the last times ``y / (k + 1)`` or ``y / (k + 3/2)``.
     The sum is rescaled by powers of two before it could overflow, and the scale comes
-    back with ``ldexp``; from ``y = 700``, where ``exp(-y)`` nears underflow, the sum
-    enters as ``exp(log(sum) - y)`` instead.
+    back with ``ldexp``; from ``y = 700``, where ``exp(-y)`` nears underflow, ``exp(-y)``
+    enters as ``2^-n exp(-r)`` (Cody and Waite 1980), ``n`` the nearest integer to
+    ``y / log 2`` and ``r`` the remainder, formed with a two-part ``log 2`` so that it
+    keeps its digits for ``y`` up to about 7e5.
     Guards: ``nan`` for df <= 0 or nan, 1.0 for x < 0, 0.0 at ``x = inf`` and ``nan``
     at ``x = nan``.  A df that is not an integer raises `ValueError`.
     """
@@ -103,10 +110,12 @@ def chi2_sf(x: float, df: int) -> float:
         if term > 2.0**900:
             total, term, scale = total * 2.0**-900, term * 2.0**-900, scale + 900
     head = math.erfc(math.sqrt(y)) if half else 0.0
-    if y < 700.0 or total == 0.0:  # total's mantissa keeps exp(-y) * total off underflow
-        mant, power = math.frexp(total)
+    mant, power = math.frexp(total)
+    if y < 700.0:  # total's mantissa keeps exp(-y) * total off underflow
         return min(1.0, head + math.ldexp(math.exp(-y) * mant, power + scale))
-    return min(1.0, head + math.exp(math.log(total) + scale * math.log(2.0) - y))
+    n = round(y / _LN2[0])
+    r = (y - n * _LN2[0]) - n * _LN2[1]  # exp(-y) = 2^-n exp(-r), |r| <= log(2) / 2
+    return min(1.0, head + math.ldexp(math.exp(-r) * mant, power + scale - n))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .dge import (
     _floor,
     _ge_inverse,
     _log_cdf,
-    _log1mexp,
     _log_gap,
     _maybe_scalar,
     _nonneg,
@@ -362,8 +361,8 @@ def _count_terms(theta, coords):
         logs, logpmf, eu, ev = _uni_terms(alpha, p, theta, x)
         return [logs], logpmf, eu + ev
     (a1, p1, x), (a2, p2, y) = coords
-    lx, ly, logpmf, (e00, e01, e10, e11), ratio = _biv_terms(x, y, a1, p1, a2, p2, theta)
-    return [lx, ly], logpmf, ((e00 + e01) + (e10 + e11)) - 2.0 * (1.0 - theta) * ratio
+    _, logs, logpmf, e, ratio = _biv_terms(x, y, a1, p1, a2, p2, theta)
+    return list(zip(*logs)), logpmf, ((e[0, 0] + e[0, 1]) + (e[1, 0] + e[1, 1])) - 2.0 * (1.0 - theta) * ratio
 
 
 def _count_mean(theta, coords):
@@ -374,8 +373,8 @@ def _count_mean(theta, coords):
 def _count_pmf(theta, coords, n):
     """``P(N = n | cell)``, from ``log(u^n - v^n) = `_log_gap`(log(1 - p^(x+1)), r, n alpha)`` per coordinate.
 
-    n multiplies the error of ``log(1 - p^(x+1))``, so that is taken by `_log1mexp`, not from `_base_logs`,
-    whose ``log1p(-p^(x+1))`` loses digits where ``p^(x+1)`` crowds 1.
+    n multiplies the error of ``log(1 - p^(x+1))``, which `_base_logs` keeps to full relative precision
+    also where ``p^(x+1)`` crowds 1.
     """
     n = np.asarray(n)
     if np.any(n < 1) or not np.issubdtype(n.dtype, np.integer):
@@ -386,8 +385,7 @@ def _count_pmf(theta, coords, n):
     logs, logpmf, _ = _count_terms(theta, coords)
     if not np.all(logpmf > -math.inf):
         raise ValueError("pmf vanished at the cell; conditional law undefined")
-    gaps = sum(_log_gap(_log1mexp((x + 1.0) * math.log(p)), r, n * alpha)
-               for (alpha, p, x), (_, _, r) in zip(coords, logs))
+    gaps = sum(_log_gap(l1, r, n * alpha) for (alpha, _, _), (l1, _, r, *_) in zip(coords, logs))
     return np.exp(math.log(theta) + (n - 1.0) * math.log1p(-theta) + gaps - logpmf)
 
 

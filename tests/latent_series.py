@@ -21,7 +21,7 @@ def series_cond_n_mean(params, x, eps=1e-12):
     ``eps * (mean + 1)``.
     """
     al, p, th = params.as_tuple()
-    l1, _, lr = (float(t) for t in _base_logs(p, float(x)))
+    l1, _, lr = (float(t) for t in _base_logs(p, float(x))[:3])
     u, ar, tau = math.exp(al * l1), al * lr, 1.0 - th
     if tau == 0.0:
         return 1.0

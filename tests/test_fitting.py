@@ -33,6 +33,7 @@ from gdge import (
     ugdge_sample,
 )
 from gdge import fitting
+from gdge import test_independence as lrt_independence
 from gdge.dge import _base_logs, _biv_logpmf_and_grad, _log_gap
 from gdge.fitting import _fit_biv, _fit_equal_margins, _fit_uni
 from gdge.simulate import fast_sim_config
@@ -318,6 +319,30 @@ def test_biv_mle_fits_no_margin_to_start(football, monkeypatch):
     assert not calls
 
 
+def counted_kernel_calls(monkeypatch):
+    """The list that every later call of the fitter's likelihood kernels appends to."""
+    calls = []
+    for name in ("_biv_ll", "_uni_ll"):
+        kernel = getattr(fitting, name)
+        monkeypatch.setattr(fitting, name, lambda *a, kernel=kernel: calls.append(a) or kernel(*a))
+    return calls
+
+
+def test_a_search_rising_to_theta_1_lands_there(monkeypatch):
+    # theta is searched as log theta up to exactly 1; as a logit it crept up to its box edge one
+    # unit per Newton step: 35 kernel calls for this boundary LRT, 49 for the zero-heavy fit
+    calls = counted_kernel_calls(monkeypatch)
+    null = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 1.0)
+    lrt_independence(BivDataset(*bgdge_sample(null, np.random.default_rng([99, 100, 3]), size=100)))
+    assert len(calls) <= 20
+    calls.clear()
+    x = ugdge_sample(UgdgeParams.from_values(0.3, 0.5, 0.9), np.random.default_rng([1, 10_000, 0]), size=10_000)
+    rep = fit_uni_mle(x)
+    assert len(calls) <= 25
+    assert rep.estimates[2] == 1.0 and rep.converged
+    assert not [note for note in rep.notes if "search box" in note]
+
+
 def gate_datasets():
     truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
     for n in (25, 100):
@@ -344,7 +369,7 @@ def base_grid_max(x, size=400):
     alphas = np.geomspace(1e-3, 1e3, size)[:, None]
     best = -math.inf
     for p in np.linspace(1e-6, 1.0 - 1e-6, size):
-        l1, _, r = _base_logs(p, vals.astype(float))
+        l1, _, r, *_ = _base_logs(p, vals.astype(float))
         best = max(best, float(np.max(_log_gap(l1, r, alphas) @ w)))
     return best
 
@@ -528,26 +553,6 @@ def test_fit_requires_nonempty_data():
 
 # ---------------------------------------------------------------------------
 # the trust-region search
-
-
-def test_trust_step_meets_the_more_sorensen_conditions():
-    rng = np.random.default_rng(20261019)
-    for k in range(2000):
-        d = int(rng.integers(2, 6))
-        a = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3, 3)
-        hess = a @ a.T if k % 3 == 0 else 0.5 * (a + a.T)  # every third positive definite
-        grad = rng.normal(size=d) * 10.0 ** rng.uniform(-4, 2)
-        lam, vec = np.linalg.eigh(hess)
-        if k % 5 == 0:  # the hard case: no pull along the least eigenvector
-            grad -= vec[:, 0] * (vec[:, 0] @ grad)
-        radius = 10.0 ** rng.uniform(-3, 2)
-        (s,), (mu,) = fitting._trust_step(hess[None], grad[None], np.array([radius]))
-        size = np.linalg.norm(s)
-        scale = np.abs(lam).max() + mu
-        assert mu >= 0.0 and size <= radius * (1.0 + 1e-12)
-        assert np.abs((hess + mu * np.eye(d)) @ s + grad).max() <= 1e-13 * (scale * radius + np.abs(grad).max())
-        assert lam[0] + mu >= -1e-14 * scale
-        assert mu == 0.0 or radius - size <= 1e-12 * radius
 
 
 def test_lockstep_search_reaches_the_better_of_its_starts(football):

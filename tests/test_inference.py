@@ -87,13 +87,21 @@ def test_chi2_sf_matches_mpmath_reference():
 
 
 def test_chi2_sf_rescales_a_sum_past_overflow():
-    # near x = df = 3000 the terms y^k / k! exceed the double range before exp(-y) shrinks them;
-    # the log route then costs about 1e-16 * x / 2 of relative accuracy.  Below x = 1400 the
-    # rescaled sum comes back through exp(-y) and its power of two.
+    # near x = df = 3000 the terms y^k / k! exceed the double range before exp(-y) shrinks them.
+    # Below x = 1400 the rescaled sum comes back through exp(-y) and its power of two.
     with mpmath.workdps(50):
         for df, x in ((2000, 1360.0), (1300, 1300.0), (2001, 2100.0), (3000, 2900.0), (3000, 3000.0)):
             want = _chi2_mp(x, df)
             assert abs(chi2_sf(x, df) - want) <= 1e-12 * want, (df, x)
+
+
+def test_chi2_sf_keeps_its_digits_where_exp_of_minus_half_x_underflows():
+    # from x = 1400 exp(-x/2) enters split into a power of two and exp of a remainder;
+    # as exp(log(sum) - x/2) it lost about 1e-16 * x/2 relative (1.1e-13 and 3.1e-12 at the first two)
+    with mpmath.workdps(50):
+        for df, x in ((3000, 3000.0), (100_000, 99_000.0), (2001, 2100.0), (3000, 2900.0)):
+            want = _chi2_mp(x, df)
+            assert abs(chi2_sf(x, df) - want) <= 5e-14 * want, (df, x)
 
 
 def test_chi2_sf_guards_are_exact():

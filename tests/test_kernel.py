@@ -139,6 +139,19 @@ def test_bivariate_kernel_matches_reference_in_deep_tail(law, grid, theta_overri
     assert_close(got, [ref_biv_pmf(*law, int(x), int(y)) for x, y in zip(gx.ravel(), gy.ravel())])
 
 
+@pytest.mark.parametrize("p", [0.9999, 0.99999])
+def test_kernel_keeps_its_digits_where_the_base_power_crowds_1(p):
+    # log(1 - p^(x+1)) taken from the rounded power p^(x+1) was off by up to 1e-12 here
+    xs = np.arange(4)
+    gx, gy = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+    for got, want in [
+        (ugdge_pmf(UgdgeParams.from_values(0.7, p, 0.5), xs), [ref_uni_pmf(0.7, p, 0.5, int(x)) for x in xs]),
+        (bgdge_pmf(BgdgeParams.from_values(0.7, p, 0.7, p, 0.5), gx, gy),
+         [ref_biv_pmf(0.7, p, 0.7, p, 0.5, int(x), int(y)) for x, y in zip(gx, gy)]),
+    ]:
+        assert np.abs(got / np.array(want) - 1.0).max() <= 5e-14
+
+
 @given(
     st.floats(0.2, 8.0),
     st.floats(0.05, 0.95),

@@ -555,6 +555,36 @@ def test_fit_requires_nonempty_data():
 # the trust-region search
 
 
+def test_shifted_newton_step_descends_within_its_radius():
+    rng = np.random.default_rng(20261019)
+    for k in range(1000):
+        d = int(rng.integers(2, 6))
+        a = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3, 3)
+        hess = a @ a.T if k % 3 == 0 else 0.5 * (a + a.T)  # every third positive definite
+        grad = rng.normal(size=d) * 10.0 ** rng.uniform(-4, 2)
+        move = rng.random(d) < 0.8
+        radius = 10.0 ** rng.uniform(-3, 2)
+        (s,) = fitting._shifted_newton(hess[None], grad[None], np.array([radius]), move[None])
+        assert np.all(s[~move] == 0.0) and np.linalg.norm(s) <= radius * (1.0 + 1e-12)
+        if move.any():
+            assert s @ grad < 0.0
+        sub = hess[np.ix_(move, move)]
+        if k % 3 == 0 and move.any() and np.linalg.eigvalsh(sub)[0] > 1e-6:  # no shift: Newton, cut back
+            newton = -np.linalg.solve(sub, grad[move])
+            want = newton * min(1.0, radius / np.linalg.norm(newton))
+            assert np.allclose(s[move], want, rtol=1e-8, atol=1e-12 * np.abs(want).max())
+
+
+def test_shortened_step_stops_on_the_first_bound_it_meets():
+    lo, hi = np.array([0.0, -1.0, -2.0]), np.array([1.0, 1.0, 0.0])
+    w = np.array([[0.5, 0.0, -1.0], [0.5, 0.0, 0.0], [0.2, 0.2, -0.2]])
+    step = np.array([[1.0, 0.2, 0.0], [0.2, 0.2, 1.0], [0.1, -0.1, 0.1]])
+    got = fitting._shortened(w, step, lo, hi)
+    # row 0 meets x0 = 1 halfway; row 1 starts on its bound and leaves it, so it is cut back to
+    # the box; row 2 stays inside
+    assert np.array_equal(got[:2], [[1.0, 0.1, -1.0], [0.7, 0.2, 0.0]]) and np.array_equal(got[2], w[2] + step[2])
+
+
 def test_lockstep_search_reaches_the_better_of_its_starts(football):
     truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
     ridge = BivDataset(*bgdge_sample(truth, np.random.default_rng([20260822, 25, 1]), size=25))

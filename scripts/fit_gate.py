@@ -11,12 +11,14 @@ boundary likelihood-ratio test and prints one JSON line per fit:
   n = 100, data from ``default_rng([99, 100, r])`` (as
   ``scripts/boundary_study.py`` draws them); ``ll_null`` is its theta = 1 fit.
 
-Each line holds kind, n, r, loglik, converged and the kernel calls
-(`fitting._biv_ll` or `fitting._uni_ll`) the fit made.
+Each line holds kind, n, r, loglik, converged, the search's iterations and
+stop reason, and the kernel calls (`fitting._biv_ll` or `fitting._uni_ll`) the
+fit made.
 
 ``--compare A B`` matches the fits of two records and prints how many end more
 than 1e-12 lower or higher in B than in A, which ones, how many lose (or gain)
-convergence, and the total kernel calls of each.
+convergence, and the total kernel calls and iterations of each, per kind.  It
+exits 1 when a fit ends more than 1e-12 lower in B or loses convergence there.
 
     PYTHONPATH=src python scripts/fit_gate.py > parent.jsonl
     PYTHONPATH=src python scripts/fit_gate.py --compare parent.jsonl change.jsonl
@@ -57,9 +59,9 @@ def record(reps):
     def run(kind, n, r, fit):
         for box in calls.values():
             box[0] = 0
-        loglik, converged, extra = fit()
-        return {"kind": kind, "n": n, "r": r, "loglik": loglik, "converged": converged,
-                "calls": sum(box[0] for box in calls.values()), **extra}
+        loglik, converged, iters, stop, extra = fit()
+        return {"kind": kind, "n": n, "r": r, "loglik": loglik, "converged": converged, "iters": iters,
+                "stop": stop, "calls": sum(box[0] for box in calls.values()), **extra}
 
     truth = BgdgeParams.from_values(*STUDY_TRUTH)
     for n in (25, 100):
@@ -68,14 +70,14 @@ def record(reps):
 
             def biv():
                 rep = fit_biv_mle(data, cfg, compute_se=False)
-                return rep.loglik, rep.converged, {}
+                return rep.loglik, rep.converged, rep.iters, rep.stop_reason, {}
 
             yield run("study", n, r, biv)
             for kind, x in (("margin_x", data.x), ("margin_y", data.y)):
 
                 def uni(x=x):
                     rep = fit_uni_mle(x, cfg, compute_se=False)
-                    return rep.loglik, rep.converged, {}
+                    return rep.loglik, rep.converged, rep.iters, rep.stop_reason, {}
 
                 yield run(kind, n, r, uni)
     null = BgdgeParams.from_values(*BOUNDARY_TRUTH)
@@ -84,7 +86,7 @@ def record(reps):
 
         def boundary():
             f = fitting._fit_biv(data, cfg)
-            return f.loglik, f.stop == "converged", {"ll_null": f.ll_base}
+            return f.loglik, f.stop == "converged", f.iters, f.stop, {"ll_null": f.ll_base}
 
         yield run("boundary", 100, r, boundary)
 
@@ -108,10 +110,12 @@ def compare(path_a, path_b):
             print(f"  {k}: {a[k]['loglik']!r} -> {b[k]['loglik']!r}")
     print(f"losing convergence: {len(lost)} {lost}")
     print(f"gaining convergence: {len(gained)} {gained}")
-    for kind in sorted({k[0] for k in common}):
-        keys = [k for k in common if k[0] == kind]
-        print(f"kernel calls, {kind}: A {sum(a[k]['calls'] for k in keys)}, B {sum(b[k]['calls'] for k in keys)}")
-    print(f"kernel calls, total: A {sum(a[k]['calls'] for k in common)}, B {sum(b[k]['calls'] for k in common)}")
+    for field, label in (("calls", "kernel calls"), ("iters", "iterations")):
+        for kind in sorted({k[0] for k in common}):
+            keys = [k for k in common if k[0] == kind]
+            print(f"{label}, {kind}: A {sum(a[k][field] for k in keys)}, B {sum(b[k][field] for k in keys)}")
+        print(f"{label}, total: A {sum(a[k][field] for k in common)}, B {sum(b[k][field] for k in common)}")
+    return 1 if lower or lost else 0
 
 
 def main():
@@ -120,8 +124,7 @@ def main():
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records instead of fitting")
     args = ap.parse_args()
     if args.compare:
-        compare(*args.compare)
-        return
+        return compare(*args.compare)
     for line in record(args.reps):
         print(json.dumps(line), flush=True)
 

@@ -12,6 +12,7 @@ converge (the report is still written).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -119,6 +120,14 @@ def _make_cfg(args, cfg: EmConfig) -> EmConfig:
     return cfg
 
 
+def _check_gof_flags(args) -> None:
+    """Reject a ``--df`` below 1 and a non-finite ``--pool-min``."""
+    if args.df is not None and args.df < 1:
+        raise _InputError("--df must be >= 1")
+    if not math.isfinite(args.pool_min):
+        raise _InputError("--pool-min must be finite")
+
+
 def _emit(pairs, out):
     text = write_report(pairs, out)
     if out is None:
@@ -186,6 +195,7 @@ def _test_pairs(result, prefix: str = ""):
 
 def _cmd_fit(args) -> int:
     cfg = _make_cfg(args, EmConfig())
+    _check_gof_flags(args)
     mode = "biv" if args.biv else "uni"
     pairs = [("command", "fit"), ("mode", mode), ("data", args.data)]
     if args.no_polish and args.init is None:
@@ -240,6 +250,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_gof(args) -> int:
+    _check_gof_flags(args)
     mode = "biv" if args.biv else "uni"
     pairs = [("command", "gof"), ("mode", mode), ("data", args.data)]
     if args.biv:

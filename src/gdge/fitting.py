@@ -9,10 +9,10 @@ of that gradient, with all starts advancing in lockstep.  It searches a
 bounded box in log coordinates for shapes and theta (up to exactly
 theta = 1) and logit coordinates for probabilities.  The kernel takes
 parameters as columns, so one call evaluates every start's trial point
-together with the neighbours that give its Hessian.  Newton steps on the
-best endpoint finish.  The theta = 1 submodel (pure base law /
-independence) wins ties.  Standard errors come from the same kind of
-Hessian.
+together with the neighbours that give its Hessian.  One acceptance rule
+and one stop rule serve every iteration, the last ones near the optimum
+included.  The theta = 1 submodel (pure base law / independence) wins
+ties.  Standard errors come from the same kind of Hessian.
 
 EM, the paper's algorithm, stays as `em_fit_uni`/`em_fit_biv`.  Given each
 observation's latent geometric count n_i, the complete-data likelihood
@@ -61,7 +61,6 @@ __all__ = [
     "complete_loglik",
     "e_step",
     "e_step_uni",
-    "profile_alpha_max",
     "m_step_pair",
     "em_fit_uni",
     "em_fit_biv",
@@ -126,8 +125,8 @@ class BivDataset:
 @dataclass(frozen=True)
 class EmConfig:
     """Tolerances and budgets of EM.  ``max_iter`` also caps the iterations of each trust-region
-    search, those of EM's M-step included; maximum-likelihood searches stop on their gradient
-    test alone, so ``ll_rel_tol`` and ``param_tol`` bound EM only."""
+    search, those of EM's M-step included; maximum-likelihood searches stop by their own rule
+    (`_search`), so ``ll_rel_tol`` and ``param_tol`` bound EM only."""
 
     ll_rel_tol: float = 1e-8
     param_tol: float = 1e-6
@@ -327,28 +326,6 @@ def _geometric_p(values, w=None) -> float:
     return float(np.clip(mean / (1.0 + mean), *map(_expit, _W_UNIT)))
 
 
-def _latent_search(cells, p, free, cfg: EmConfig):
-    """`_search` of the weighted base log-likelihood from shape 1 / (mean count) and ``p``."""
-    start = (1.0 / np.average(cells[1], weights=cells[2]), p)
-    return _search(lambda q: _latent_ll(cells, q), [start], free, cfg)
-
-
-def profile_alpha_max(p: float, values, counts):
-    """Best shape at fixed p for the weighted base log-likelihood.
-
-    `_search` with p held, from shape 1 / (mean count); the shape stays in
-    the search box [1e-3, 1e3].  Returns ``(alpha, value)``.
-    """
-    cells = _latent_cells(values, counts)
-    if np.all(cells[0] == 0):
-        raise ValueError(
-            "all observations are zero: the weighted log-likelihood is monotone "
-            "in the shape (boundary ridge, no interior maximizer)"
-        )
-    (alpha, _), value, *_ = _latent_search(cells, p, slice(0, 1), EmConfig())
-    return alpha, value
-
-
 def m_step_pair(values, counts, cfg: EmConfig | None = None):
     """Joint maximizer of the weighted base log-likelihood over (shape, p).
 
@@ -365,7 +342,8 @@ def m_step_pair(values, counts, cfg: EmConfig | None = None):
             stacklevel=2,
         )
         return 1.0, _expit(_W_UNIT[0])
-    return _latent_search(cells, _geometric_p(cells[0], cells[2]), slice(None), cfg or EmConfig())[0]
+    start = (1.0 / np.average(cells[1], weights=cells[2]), _geometric_p(cells[0], cells[2]))
+    return _search(lambda q: _latent_ll(cells, q), [start], slice(None), cfg or EmConfig())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -621,32 +599,27 @@ def _shortened(w, step, lo, hi):
     return np.clip(np.where(room <= t, bound, w + t * step), lo, hi)
 
 
-def _into_box(w, step, lo, hi):
-    """``w + step`` cut back to the box and, where `_shortened` differs from that, also `_shortened`: one or
-    two rows."""
-    clipped, short = np.clip(w + step, lo, hi), _shortened(w, step, lo, hi)
-    return clipped[None] if np.array_equal(clipped, short) else np.array([clipped, short])
-
-
 def _search(ll, starts, free, cfg: EmConfig):
     """Maximize ``ll``, a log-likelihood with its gradient per row of points, over the ``free`` parameters.
 
     The others stay as in the first start.  A trust-region Newton method runs
     from every start in lockstep: each iteration makes one call of ``ll``, on
     every running start's trial point and the neighbours that give its
-    Hessian (`_with_hessian`), so an accepted trial brings its gradient and
+    Hessian (`_with_hessian`), so a kept trial brings its gradient and
     Hessian, and a rejected one only shrinks the trust radius.  The step
     (`_shifted_newton`) moves the coordinates that no bound holds, nor one
     that the step would push beyond a bound it sits on, and stops at the
     first bound it meets (`_shortened`), which a later step then holds.
-    A start stops when its projected gradient falls to `_GTOL`,
-    or its radius below ``_RADIUS[2]``; ``cfg.max_iter`` caps the iterations.
-    Up to three Newton steps on the best endpoint finish, each kept unless the
-    likelihood falls by more than its rounding; a step that leaves the box is
-    tried both cut back to it and shortened into it (`_into_box`).  Returns
-    ``(params, ll, stop, iterations, trace)``: ``stop`` is "converged" when
-    the end passes `_GTOL`; ``trace`` is the log-likelihood at the winning
-    start, at its trust-region endpoint and at the end.
+    A trial is kept when its gain is more than 1e-4 of the predicted one,
+    or when it passes the projected-gradient test `_GTOL` and its likelihood
+    is within the rounding of a likelihood near its maximum (1e-14 relative)
+    of the current one.  A start that passes `_GTOL` refines until its next
+    step is at most 1e-13 in every coordinate (checked before the call) or
+    its trial is not kept; any start stops when its radius falls below
+    ``_RADIUS[2]``; ``cfg.max_iter`` caps the iterations.  Returns
+    ``(params, ll, stop, iterations, trace)`` at the start that ends highest:
+    ``stop`` is "converged" when its end passes `_GTOL`; ``trace`` is the
+    log-likelihood at its start and at its end.
     """
     q0 = np.array(starts[0], dtype=float)
     lo, hi, role = _box(q0, free)[1:]
@@ -661,9 +634,8 @@ def _search(ll, starts, free, cfg: EmConfig):
     w = np.clip([_box(q, free)[0] for q in starts], lo, hi)
     fw, g, hess = _with_hessian(f, w, h)
     f_start, radius = fw.copy(), np.full(len(w), _RADIUS[0])
-    live, nit = ~_passes(w, g, lo, hi), 0
+    passed, live, nit = _passes(w, g, lo, hi), np.ones(len(w), dtype=bool), 0
     while live.any() and nit < cfg.max_iter:
-        nit += 1
         i = np.flatnonzero(live)
         move = ~_held(w[i], g[i], lo, hi)
         step = _shifted_newton(hess[i], g[i], radius[i], move)
@@ -672,37 +644,28 @@ def _search(ll, starts, free, cfg: EmConfig):
             step = _shifted_newton(hess[i], g[i], radius[i], move & ~out)
         trial = _shortened(w[i], step, lo, hi)
         step = trial - w[i]
+        short = passed[i] & np.all(np.abs(step) <= 1e-13, axis=1)  # too short to move an estimate
+        if short.any():
+            live[i[short]] = False
+            i, trial, step = i[~short], trial[~short], step[~short]
+            if not i.size:
+                break
+        nit += 1
         pred = -np.einsum("kj,kj->k", step, g[i] + 0.5 * np.einsum("kjl,kl->kj", hess[i], step))
         ft, gt, ht = _with_hessian(f, trial, h)
         rho = np.where(pred > 0.0, (fw[i] - ft) / np.where(pred > 0.0, pred, 1.0), -np.inf)
         size = np.linalg.norm(step, axis=1)
         grown = np.where((rho > 0.75) & (size > 0.8 * radius[i]), np.minimum(2.0 * radius[i], _RADIUS[1]), radius[i])
         radius[i] = np.where(rho >= 0.25, grown, 0.25 * size)  # a nan trial shrinks it too
-        keep = rho > 1e-4
+        trial_passes = _passes(trial, gt, lo, hi)
+        keep = (rho > 1e-4) | (trial_passes & (ft <= fw[i] + 1e-14 * np.abs(fw[i])))
+        live[i] = (keep | ~passed[i]) & (radius[i] >= _RADIUS[2])
+        passed[i[keep]] = trial_passes[keep]
         w[i[keep]], fw[i[keep]], g[i[keep]], hess[i[keep]] = trial[keep], ft[keep], gt[keep], ht[keep]
-        live[i] = ~_passes(w[i], g[i], lo, hi) & (radius[i] >= _RADIUS[2])
     best = int(np.argmin(fw))
-    capped = bool(live[best])
-    trace = [-f_start[best], -fw[best]]
-    w, fw, g, hess = w[best], fw[best], g[best], hess[best]
-    steps = 0
-    for _ in range(3):
-        move, step = ~_held(w, g, lo, hi), np.zeros_like(w)
-        try:
-            step[move] = -np.linalg.solve(hess[np.ix_(move, move)], g[move])
-        except np.linalg.LinAlgError:
-            break
-        if np.abs(step).max() <= 1e-13:  # too short to move an estimate
-            break
-        trials = _into_box(w, step, lo, hi)
-        ft, gt, ht = _with_hessian(f, trials, h)
-        j = int(np.argmin(ft))
-        if not ft[j] <= fw + 1e-14 * abs(fw):  # the rounding of a log-likelihood near its maximum
-            break
-        w, fw, g, hess, steps = trials[j], ft[j], gt[j], ht[j], steps + 1
-    stop = "converged" if _passes(w, g, lo, hi) else "max_iter" if capped else "gradient_above_tol"
-    q0[free] = _from_search(w, role)
-    return tuple(float(v) for v in q0), float(-fw), stop, nit + steps, [*trace, -fw]
+    stop = "converged" if passed[best] else "max_iter" if live[best] else "gradient_above_tol"
+    q0[free] = _from_search(w[best], role)
+    return tuple(float(v) for v in q0), float(-fw[best]), stop, nit, [-f_start[best], -fw[best]]
 
 
 class _Fit(NamedTuple):

@@ -69,9 +69,8 @@ class SimTable:
     def report_pairs(self):
         """Flatten into ordered (key, value) pairs for the report format."""
         pairs = [("replications", self.metadata["replications"]), ("seed", self.metadata["seed"])]
-        for key in ("init_rule", "e_step"):
-            if key in self.metadata:
-                pairs.append((key, self.metadata[key]))
+        if "init_rule" in self.metadata:
+            pairs.append(("init_rule", self.metadata["init_rule"]))
         for i, name in enumerate(self.param_names):
             pairs.append((f"truth_{name}", self.truth[i]))
         for n in self.sample_sizes:
@@ -121,7 +120,6 @@ def run_simulation(spec: SimSpec, progress: bool = False) -> SimTable:
         "replications": spec.replications,
         "seed": spec.seed,
         "init_rule": "theta-one-fit+theta-grid",
-        "e_step": spec.cfg.e_step,
     }
     return SimTable(
         param_names=_PARAM_NAMES,

@@ -27,7 +27,6 @@ from gdge import (
     m_step_pair,
     observed_loglik_biv,
     observed_loglik_uni,
-    profile_alpha_max,
     std_errors,
     ugdge_pmf,
     ugdge_sample,
@@ -117,21 +116,7 @@ def test_m_step_pair_beats_dense_grid():
             assert best >= latent_weighted_loglik(values, counts, pa, pp) - 1e-6
 
 
-def test_profile_alpha_max_dominates_shape_grid():
-    values = np.array([0.0, 1.0, 1.0, 2.0, 4.0, 7.0])
-    counts = np.array([1.0, 1.0, 2.0, 1.0, 3.0, 1.0])
-    for p in (0.2, 0.5, 0.8):
-        alpha, val = profile_alpha_max(p, values, counts)
-        assert val == pytest.approx(latent_weighted_loglik(values, counts, alpha, p))
-        for a in np.geomspace(0.01, 50.0, 200):
-            assert val >= latent_weighted_loglik(values, counts, a, p) - 1e-9
-
-
 def test_m_step_degenerate_inputs():
-    with pytest.raises(ValueError):
-        profile_alpha_max(0.5, [], [])
-    with pytest.raises(ValueError):
-        profile_alpha_max(0.5, [0, 0, 0], [1, 1, 1])
     with pytest.warns(RuntimeWarning):
         alpha, p = m_step_pair([0, 0], [1, 1])
     assert alpha == 1.0 and 0.0 < p < 0.01
@@ -288,9 +273,9 @@ def test_box_edge_estimate_is_noted_and_gets_nan_standard_error():
     assert all(math.isfinite(s) for s in rep.std_errors[1:])
 
 
-def test_newton_finish_drives_the_gradient_to_rounding_on_a_large_sample():
+def test_search_drives_the_gradient_to_rounding_on_a_large_sample():
     # at n = 1000 a Newton step gains less than the rounding of the
-    # log-likelihood, which the step's ascent guard must allow for
+    # log-likelihood, which the search's acceptance rule must allow for
     truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
     bx, by = bgdge_sample(truth, np.random.default_rng(31), size=1000)
     rep = fit_biv_mle(BivDataset(bx, by), fast_sim_config(), compute_se=False)
@@ -300,6 +285,23 @@ def test_newton_finish_drives_the_gradient_to_rounding_on_a_large_sample():
     q = np.array(rep.estimates)
     assert rep.converged
     assert np.abs(grad * np.where([True, False, True, False, False], q, q * (1 - q))).max() <= 1e-9
+
+
+def test_search_keeps_a_passing_trial_whose_gain_is_below_rounding():
+    # -ll = 2^23 + |w - w*|^2 / 2 in (log shape, logit p): 3.6e-6 from w* the gain left is below the
+    # rounding of -ll, so a ratio test alone rejects the Newton step to w* until the radius stalls
+    opt = np.array([1.0, 0.3])
+    calls = []
+
+    def ll(q):
+        calls.append(len(q))
+        d = np.column_stack([np.log(q[:, 0]), np.log(q[:, 1] / (1.0 - q[:, 1]))]) - opt
+        return -(2.0**23) - 0.5 * (d**2).sum(axis=1), -d / np.column_stack([q[:, 0], q[:, 1] * (1.0 - q[:, 1])])
+
+    w0 = opt + [3e-6, -2e-6]
+    start = (math.exp(w0[0]), fitting._expit(w0[1]))
+    _, _, stop, iters, _ = fitting._search(ll, [start], slice(None), fast_sim_config())
+    assert (stop, iters, len(calls)) == ("converged", 1, 2)
 
 
 def test_biv_mle_meets_its_convergence_test_on_the_ridge():

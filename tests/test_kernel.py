@@ -46,7 +46,6 @@ from gdge import (
     observed_loglik_uni,
     pmf_weight,
     prob_eq_le,
-    profile_alpha_max,
     ugdge_cdf,
     ugdge_hazard,
     ugdge_mgf,
@@ -56,7 +55,7 @@ from gdge import (
     ugdge_quantile,
     ugdge_sample,
 )
-from gdge import bivariate, dge, univariate
+from gdge import bivariate, dge, fitting, univariate
 from gdge.dge import _biv_logpmf, _biv_logpmf_and_grad, _cdf_logs, _uni_logpmf, _uni_logpmf_and_grad
 from gdge.fitting import _latent_ll
 from latent_series import series_cond_n_mean
@@ -238,13 +237,14 @@ def test_loglik_on_cells_equals_per_observation_sum():
     assert observed_loglik_uni(uni, x) == pytest.approx(per_obs, rel=1e-12)
 
 
-def test_profile_on_cells_equals_latent_loglik_per_observation():
+def test_latent_ll_on_cells_equals_latent_loglik_per_observation():
     rng = np.random.default_rng(33)
     values = rng.integers(0, 9, size=2000)
     counts = rng.integers(1, 5, size=2000)
-    alpha, val = profile_alpha_max(0.4, values, counts)
-    direct = latent_weighted_loglik(values, counts, alpha, 0.4)
-    assert val == pytest.approx(direct, rel=1e-12)
+    points = [(0.3, 0.4), (1.0, 0.4), (2.5, 0.7)]
+    on_cells = fitting._latent_ll(fitting._latent_cells(values, counts), points)[0]
+    direct = [latent_weighted_loglik(values, counts, alpha, p) for alpha, p in points]
+    assert on_cells == pytest.approx(direct, rel=1e-12)
 
 
 def test_latent_loglik_is_exact_where_direct_difference_cancels():

@@ -233,6 +233,16 @@ def test_cli_input_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["fit", "--biv", bundled_data_path(), "--tol", "1e-1"]) == 2  # EM-only, needs --no-polish
     capsys.readouterr()
+    params = "2,0.25,2,0.25,0.25"
+    assert main(["gof", "--biv", "--params", params, bundled_data_path(), "--df", "0"]) == 2
+    capsys.readouterr()
+    assert main(["fit", "--biv", bundled_data_path(), "--gof", "--df", "-1"]) == 2
+    capsys.readouterr()
+    for pool_min in ("nan", "inf"):
+        assert main(["gof", "--biv", "--params", params, bundled_data_path(), "--pool-min", pool_min]) == 2
+        capsys.readouterr()
+    assert main(["fit", "--uni", str(uni), "--gof", "--pool-min", "nan"]) == 2
+    capsys.readouterr()
 
 
 def test_cli_numerical_failure_exit_code(capsys, tmp_path):
@@ -356,6 +366,7 @@ def test_cli_simulate_tiny(capsys):
     assert rc == 0
     assert "command = simulate" in out
     assert "init_rule = theta-one-fit+theta-grid" in out
+    assert "e_step" not in out  # the study fits by maximum likelihood and runs no E-step
     assert "ae_n12_alpha1 = " in out
     assert "excluded_n12 = 0" in out
 

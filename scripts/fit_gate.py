@@ -12,8 +12,7 @@ boundary likelihood-ratio test and prints one JSON line per fit:
   ``scripts/boundary_study.py`` draws them); ``ll_null`` is its theta = 1 fit.
 
 Each line holds kind, n, r, loglik, converged, the search's iterations and
-stop reason, and the kernel calls (`fitting._biv_ll` or `fitting._uni_ll`) the
-fit made.
+stop reason, and the calls of the likelihood kernel `fitting._ll` the fit made.
 
 ``--compare A B`` matches the fits of two records and prints how many end more
 than 1e-12 lower or higher in B than in A, which ones, how many lose (or gain)
@@ -39,29 +38,28 @@ STUDY_SEED, BOUNDARY_SEED = 20260822, 99
 LL_TOL = 1e-12
 
 
-def counted(name):
-    """Replace the kernel ``fitting.<name>`` by a wrapper that counts its calls; returns the count box."""
-    kernel, box = getattr(fitting, name), [0]
+def counted():
+    """Replace the kernel `fitting._ll` by a wrapper that counts its calls; returns the count box."""
+    kernel, box = fitting._ll, [0]
 
     def wrapper(*args):
         box[0] += 1
         return kernel(*args)
 
-    setattr(fitting, name, wrapper)
+    fitting._ll = wrapper
     return box
 
 
 def record(reps):
     """Yield one dict per fit."""
-    calls = {name: counted(name) for name in ("_biv_ll", "_uni_ll")}
+    calls = counted()
     cfg = fast_sim_config()
 
     def run(kind, n, r, fit):
-        for box in calls.values():
-            box[0] = 0
+        calls[0] = 0
         loglik, converged, iters, stop, extra = fit()
         return {"kind": kind, "n": n, "r": r, "loglik": loglik, "converged": converged, "iters": iters,
-                "stop": stop, "calls": sum(box[0] for box in calls.values()), **extra}
+                "stop": stop, "calls": calls[0], **extra}
 
     truth = BgdgeParams.from_values(*STUDY_TRUTH)
     for n in (25, 100):
@@ -85,7 +83,7 @@ def record(reps):
         data = BivDataset(*bgdge_sample(null, np.random.default_rng([BOUNDARY_SEED, 100, r]), size=100))
 
         def boundary():
-            f = fitting._fit_biv(data, cfg)
+            f = fitting._fit(data, cfg)
             return f.loglik, f.stop == "converged", f.iters, f.stop, {"ll_null": f.ll_base}
 
         yield run("boundary", 100, r, boundary)

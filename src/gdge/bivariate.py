@@ -23,13 +23,13 @@ from .dge import (
     SERIES_CAP,
     DgeParams,
     SeriesCapError,
-    _biv_logpmf,
     _cdf_logs,
     _den,
     _evaluate,
     _floor,
     _ge_inverse,
     _log_cdf,
+    _logpmf,
     _maybe_scalar,
     _nonneg,
 )
@@ -118,12 +118,12 @@ def bgdge_pmf(params: BgdgeParams, x, y):
     """Joint pmf on nonnegative integer cells, exact deep in the tails.
 
     The four-corner difference of the joint CDF is evaluated in closed form
-    as a product of positive factors (see `dge._biv_logpmf`).
+    as a product of positive factors (see `dge._terms`).
     """
     a1, p1, a2, p2, th = params.as_tuple()
 
     def pmf(x, y):
-        return np.exp(_biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), th))
+        return np.exp(_logpmf(th, [(a1, p1, x), (a2, p2, y)]))
 
     return _evaluate(pmf, _nonneg(x, "bgdge_pmf x"), _nonneg(y, "bgdge_pmf y"))
 

@@ -121,11 +121,15 @@ def _make_cfg(args, cfg: EmConfig) -> EmConfig:
 
 
 def _check_gof_flags(args) -> None:
-    """Reject a ``--df`` below 1 and a non-finite ``--pool-min``."""
+    """Reject a ``--df`` below 1 or without ``--biv``, a non-finite ``--pool-min`` and a ``--tail`` with ``--biv``."""
     if args.df is not None and args.df < 1:
         raise _InputError("--df must be >= 1")
     if not math.isfinite(args.pool_min):
         raise _InputError("--pool-min must be finite")
+    if args.df is not None and not args.biv:
+        raise _InputError("--df only applies to --biv")
+    if args.tail != "cell" and args.biv:
+        raise _InputError("--tail only applies to --uni")
 
 
 def _emit(pairs, out):
@@ -254,15 +258,11 @@ def _cmd_gof(args) -> int:
     mode = "biv" if args.biv else "uni"
     pairs = [("command", "gof"), ("mode", mode), ("data", args.data)]
     if args.biv:
-        if args.tail != "cell":
-            raise _InputError("--tail only applies to --uni")
         data = _load(args.data, args)
         pairs.append(("m", len(data)))
         fitted = _biv_params(args.params)
         gof = gof_chisq_biv(data, fitted, pool_min=args.pool_min, df_override=args.df)
     else:
-        if args.df is not None:
-            raise _InputError("--df only applies to --biv")
         x = _load(args.data, args)
         pairs.append(("m", int(x.size)))
         fitted = _uni_params(args.params)
@@ -275,26 +275,18 @@ def _cmd_gof(args) -> int:
 def _cmd_table(args) -> int:
     if args.horizon < 0:
         raise _InputError("--horizon must be >= 0")
-    h = args.horizon
-    lines = []
+    grid = range(args.horizon + 1)
+    g = np.array(grid)
     if args.biv:
         params = _biv_params(args.params)
-        lines.append(f"# params: {_BIV_ORDER} = {args.params}")
-        lines.append("x,y,pmf,cdf")
-        for x in range(h + 1):
-            for y in range(h + 1):
-                pm = bgdge_pmf(params, x, y)
-                cd = bgdge_cdf(params, x, y)
-                lines.append(f"{x},{y},{pm:.10g},{cd:.10g}")
+        lines = [f"# params: {_BIV_ORDER} = {args.params}", "x,y,pmf,cdf"]
+        pm, cd = bgdge_pmf(params, g[:, None], g), bgdge_cdf(params, g[:, None], g)
+        lines += [f"{x},{y},{pm[x, y]:.10g},{cd[x, y]:.10g}" for x in grid for y in grid]
     else:
         params = _uni_params(args.params)
-        lines.append(f"# params: {_UNI_ORDER} = {args.params}")
-        lines.append("x,pmf,cdf")
-        grid = np.arange(h + 1)
-        pm = np.atleast_1d(ugdge_pmf(params, grid))
-        cd = np.atleast_1d(ugdge_cdf(params, grid))
-        for x in range(h + 1):
-            lines.append(f"{x},{pm[x]:.10g},{cd[x]:.10g}")
+        lines = [f"# params: {_UNI_ORDER} = {args.params}", "x,pmf,cdf"]
+        pm, cd = ugdge_pmf(params, g), ugdge_cdf(params, g)
+        lines += [f"{x},{pm[x]:.10g},{cd[x]:.10g}" for x in grid]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -318,44 +318,64 @@ def _survival(lv):
     return surv
 
 
-def _uni_logpmf(alpha, p, theta, x):
-    """Log-pmf ``log[theta (u - v) / ((1 - tau u)(1 - tau v))]`` of the compounded law."""
-    lu, lv, lg = _cdf_logs(alpha, p, x)
-    if theta == 1.0:
-        return lg
-    return lg + np.log(theta) - np.log(_den(theta, lu)) - np.log(_den(theta, lv))
+def _stacked(coords):
+    """The shapes, the probabilities and the cells of ``coords``, one ``(shape, p, x)`` per coordinate, each
+    stacked on a new first axis with as many axes after it as the widest input, so that they broadcast."""
+    if len(coords) == 1:  # a view, and a leading axis of length 1 broadcasts as it is
+        return [np.asarray(v, dtype=float)[None] for v in coords[0]]
+    out = [np.array(np.broadcast_arrays(*v) if len(set(map(np.shape, v))) > 1 else v, dtype=float) for v in zip(*coords)]
+    nd = max(a.ndim for a in out)
+    return [a if a.ndim == nd else a.reshape(len(a), *(1,) * (nd - a.ndim), *a.shape[1:]) for a in out]
 
 
-def _biv_logpmf(tx, ty, theta):
-    """Joint log-pmf from the `_cdf_logs` triples of the two coordinates.
+def _terms(theta, coords):
+    """The compounded law of one or two coordinates at their cells, ``coords`` holding ``(shape, p, x)`` per
+    coordinate, stacked first (`_stacked`) so that one pass of the coordinate formulas serves them all.
 
-    With u, u_ (v, v_) the base CDFs of x at x, x-1 (of y at y, y-1) the
-    four-corner difference of ``theta w / (1 - tau w)`` is exactly
+    With u_j, v_j the base CDFs of coordinate j at x_j and x_j - 1, the pmf is the difference of
+    ``theta w / (1 - tau w)`` over the corners w of the cell, the products of one of u_j, v_j per coordinate;
+    it is exactly
 
-        theta (u - u_)(v - v_) (1 - tau^2 u u_ v v_) / prod_corners (1 - tau w),
+        theta (u - v) / ((1 - tau u)(1 - tau v))                                   (one coordinate),
+        theta (u1 - v1)(u2 - v2) (1 - tau^2 P) / prod_corners (1 - tau w)         (two),
 
-    a product of positive factors; ``1 - tau^2 P`` is taken as
-    ``theta (2 - theta) - tau^2 expm1(log P)``.
+    with P = u1 v1 u2 v2: a product of positive factors, ``1 - tau^2 P`` taken as
+    ``theta (2 - theta) - tau^2 expm1(log P)``.  Returns the stacked (shape, p, x), their `_base_logs`, the
+    log-pmf, the corners' ``log w`` and `_den` with the corners first, (u, v) for one coordinate and
+    (u1 u2, u1 v2, v1 u2, v1 v2) for two, and ``log P`` with ``1 - tau^2 P`` (-inf and 1 for one
+    coordinate, which has no such factor).
     """
-    (lu, lu_, gx), (lv, lv_, gy) = tx, ty
-    out = gx + gy
+    stacked = alpha, p, x = _stacked(coords)
+    logs, (lw, lw_, g) = _coord_logs(alpha, p, x)
+    at = np.array([lw, lw_])  # log of the base CDFs at the cell (0) and below it (1), per coordinate
+    if len(coords) == 1:
+        corners, lprod, den_p = at[:, 0], -math.inf, 1.0
+        logpmf = g[0] + np.log(theta)
+    else:
+        tau, lprod = 1.0 - theta, lw[0] + lw_[0] + lw[1] + lw_[1]
+        den_p = theta * (2.0 - theta) - tau * tau * np.expm1(lprod)
+        logpmf = g[0] + g[1]
+        logpmf += np.log(theta) + np.log(den_p)
+        corners = (at[:, None, 0] + at[None, :, 1]).reshape(4, *at.shape[2:])
+    dens = _den(theta, corners)
+    for ld in np.log(dens):
+        logpmf -= ld
+    return stacked, logs, logpmf, corners, dens, lprod, den_p
+
+
+def _logpmf(theta, coords):
+    """The log-pmf of `_terms`, without the pieces of its gradient; at theta = 1 the sum of the base laws'."""
     if theta == 1.0:
-        return out
-    tau = 1.0 - theta
-    out += np.log(theta) + np.log(theta * (2.0 - theta) - tau * tau * np.expm1(lu + lu_ + lv + lv_))
-    for a in (lu, lu_):
-        for b in (lv, lv_):
-            out -= np.log(_den(theta, a + b))
-    return out
+        return _coord_logs(*_stacked(coords))[1][2].sum(axis=0)
+    return _terms(theta, coords)[2]
 
 
 # ---------------------------------------------------------------------------
 # gradient of the kernel: a log-pmf holds a coordinate's (alpha, p) through
 # log(u - v) and through the compounding factor h(log u, log v, ..., theta).
 # The fitter passes parameters as columns (k, 1) against cells (c,): every
-# array below is then (k, c), one row per parameter point, and the bivariate
-# law stacks its two coordinates first, (2, k, c), so that one pass of the
-# coordinate formulas serves both margins.
+# array below is then (d, k, c), d coordinates stacked first, one row per
+# parameter point.
 
 
 def _coord_partials(alpha, p, x, logs, c1, c0):
@@ -374,57 +394,24 @@ def _coord_partials(alpha, p, x, logs, c1, c0):
     return d_alpha, alpha * d_p
 
 
-def _uni_terms(alpha, p, theta, x):
-    """`_base_logs` at (p, x), the log-pmf, and ``w / (1 - tau w)`` at w = u, v (the base CDF at x, x - 1),
-    whose sum S gives the log-pmf's theta-partial ``1/theta - S``."""
-    logs, (lu, lv, lg) = _coord_logs(alpha, p, x)
-    du, dv = _den(theta, lu), _den(theta, lv)
-    return logs, lg + np.log(theta) - np.log(du) - np.log(dv), np.exp(lu) / du, np.exp(lv) / dv
+def _logpmf_and_grad(theta, coords):
+    """`_logpmf` and its partials in each coordinate's (shape, p), then in theta, stacked first, from one
+    `_base_logs` pass on all coordinates.
 
-
-def _uni_logpmf_and_grad(alpha, p, theta, x):
-    """`_uni_logpmf` and its partials in (alpha, p, theta), stacked first, from one `_base_logs`."""
-    logs, logpmf, eu, ev = _uni_terms(alpha, p, theta, x)
-    tau = 1.0 - theta
-    return logpmf, np.array([*_coord_partials(alpha, p, x, logs, 1.0 + tau * eu, tau * ev), 1.0 / theta - eu - ev])
-
-
-def _pair(a, b, nd):
-    """``a`` and ``b`` on a new first axis, with ``nd`` axes after it to broadcast against the others."""
-    if np.shape(a) != np.shape(b):
-        a, b = np.broadcast_arrays(a, b)
-    ab = np.array([a, b], dtype=float)
-    return ab if ab.ndim == nd + 1 else ab.reshape(2, *(1,) * (nd + 1 - ab.ndim), *ab.shape[1:])
-
-
-def _biv_terms(x, y, a1, p1, a2, p2, theta):
-    """The two coordinates' (shape, p, cell) stacked first, their `_base_logs` from one pass, the log-pmf,
-    ``w / (1 - tau w)`` at the four corners w, (2, 2, ...) over (x, x - 1) by (y, y - 1), and
-    ``P / (1 - tau^2 P)``, P their product.  The log-pmf's theta-partial is ``1/theta - S`` with
-    ``S = sum of the corner terms - 2 tau P / (1 - tau^2 P)``."""
-    nd = max(map(np.ndim, (x, y, a1, p1, a2, p2, theta)))
-    coords = alpha, p, cell = [_pair(a, b, nd) for a, b in ((a1, a2), (p1, p2), (x, y))]
-    logs, (lw, lw_, g) = _coord_logs(alpha, p, cell)
-    tau, lprod = 1.0 - theta, lw[0] + lw_[0] + lw[1] + lw_[1]
-    den_p = theta * (2.0 - theta) - tau * tau * np.expm1(lprod)  # 1 - tau^2 P
-    at = np.array([lw, lw_])  # log of the base CDFs at the cell (0) and below it (1), per coordinate
-    corners = at[:, None, 0] + at[None, :, 1]  # log w, [i, j] at (x - i, y - j)
-    dens = _den(theta, corners)
-    logpmf = g[0] + g[1]
-    logpmf += np.log(theta) + np.log(den_p)
-    for ld in np.log(dens).reshape(4, *dens.shape[2:]):
-        logpmf -= ld
-    return coords, logs, logpmf, np.exp(corners) / dens, np.exp(lprod) / den_p
-
-
-def _biv_logpmf_and_grad(x, y, a1, p1, a2, p2, theta):
-    """`_biv_logpmf` and its partials in (alpha1, p1, alpha2, p2, theta), stacked first, from one
-    `_base_logs` pass on both coordinates."""
-    (alpha, p, cell), logs, logpmf, e, ratio = _biv_terms(x, y, a1, p1, a2, p2, theta)
-    tau = 1.0 - theta
-    k = tau * tau * ratio
-    cross = np.array([e[0, 1], e[1, 0]])  # the corners (x, y - 1) and (x - 1, y)
-    c1, c0 = 1.0 - k + tau * (e[0, 0] + cross), tau * (e[1, 1] + cross[::-1]) - k
-    d_alpha, d_p = _coord_partials(alpha, p, cell, logs, c1, c0)
-    d_theta = 1.0 / theta + 2.0 * tau * ratio - ((e[0, 0] + e[0, 1]) + (e[1, 0] + e[1, 1]))
-    return logpmf, np.array([d_alpha[0], d_p[0], d_alpha[1], d_p[1], d_theta])
+    With ``e = w / (1 - tau w)`` at each corner w of `_terms`, a coordinate's ``c1`` and ``c0`` (see
+    `_coord_partials`) sum e over the corners at its u and at its v, and the theta-partial is ``1/theta - S``,
+    S the sum of e over all corners, less ``2 tau P / (1 - tau^2 P)`` for two coordinates.
+    """
+    (alpha, p, x), logs, logpmf, corners, dens, lprod, den_p = _terms(theta, coords)
+    tau, e = 1.0 - theta, np.exp(corners) / dens
+    if len(coords) == 1:
+        c1, c0 = 1.0 + tau * e[:1], tau * e[1:]
+        d_theta = 1.0 / theta - e[0] - e[1]
+    else:
+        ratio = np.exp(lprod) / den_p
+        k = tau * tau * ratio
+        sums = np.array([e[0::2] + e[1::2], e[:2] + e[2:]])  # [j, i]: coordinate j at its u (0) or v (1)
+        c1, c0 = 1.0 - k + tau * sums[:, 0], tau * sums[:, 1] - k
+        d_theta = 1.0 / theta + 2.0 * tau * ratio - (sums[0, 0] + sums[0, 1])
+    d_alpha, d_p = _coord_partials(alpha, p, x, logs, c1, c0)
+    return logpmf, np.array([v for pair in zip(d_alpha, d_p) for v in pair] + [d_theta])

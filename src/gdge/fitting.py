@@ -1,5 +1,9 @@
 """Maximum-likelihood fitting of the compounded laws.
 
+The univariate and the bivariate law are one law of one or two coordinates
+that share the geometric count, and one path fits both: `_model` gives the
+law on counts or on a `BivDataset` (its log-likelihood `_ll` on the
+kernel `dge._logpmf_and_grad`, and its EM steps), and `_fit` fits it.
 Every maximum-likelihood fit -- univariate (`fit_uni_mle`), bivariate
 (`fit_biv_mle`) and the equal-margins null of the likelihood-ratio test --
 runs through one search, `_fit_mle`: a trust-region Newton method whose step
@@ -38,17 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bivariate import BgdgeParams
-from .dge import (
-    _base_logs,
-    _biv_logpmf,
-    _biv_logpmf_and_grad,
-    _cdf_logs,
-    _coord_partials,
-    _log_gap,
-    _nonneg,
-    _uni_logpmf,
-    _uni_logpmf_and_grad,
-)
+from .dge import _base_logs, _coord_partials, _log_gap, _logpmf, _logpmf_and_grad, _nonneg
 from .univariate import UgdgeParams, _count_mean, _count_modes
 
 __all__ = [
@@ -194,14 +188,17 @@ def _ll_and_grad(logpmf, grad, w):
     return np.where(low, _LOG_FLOOR, logpmf) @ w, (np.where(low, 0.0, grad) @ w).T
 
 
-def _uni_ll(cells, q):
-    """Log-likelihood on ``(values, weights)`` and its gradient in (alpha, p, theta), per point of ``q``."""
-    return _ll_and_grad(*_uni_logpmf_and_grad(*_columns(q), cells[0]), cells[1])
+def _coords(q, cells):
+    """``(shape, p, x)`` per coordinate, from parameters ``q`` that hold a (shape, p) pair per coordinate."""
+    return [(q[2 * j], q[2 * j + 1], x) for j, x in enumerate(cells)]
 
 
-def _biv_ll(cells, q):
-    """Log-likelihood on ``(x, y, weights)`` and its gradient in (alpha1, p1, alpha2, p2, theta), per point."""
-    return _ll_and_grad(*_biv_logpmf_and_grad(*cells[:2], *_columns(q)), cells[2])
+def _ll(cells, q):
+    """Log-likelihood on ``(*columns, weights)`` of one or two coordinates and its gradient in each coordinate's
+    (shape, p), then theta, per point of ``q``."""
+    *cols, w = cells
+    q = _columns(q)
+    return _ll_and_grad(*_logpmf_and_grad(q[-1], _coords(q, cols)), w)
 
 
 def _checked_ll(logpmf, w, where) -> float:
@@ -211,21 +208,26 @@ def _checked_ll(logpmf, w, where) -> float:
     return float(w @ logpmf)
 
 
+def _observed_loglik(params, data) -> float:
+    """Observed-data log-likelihood of the law of one or two coordinates on its `_cols`."""
+    *cells, w, _ = _distinct(*_cols(data))
+    q = params.as_tuple()
+
+    def where(k):
+        at = [int(c[k]) for c in cells]
+        return f"x={at[0]}" if len(at) == 1 else f"cell=({at[0]}, {at[1]})"
+
+    return _checked_ll(_logpmf(q[-1], _coords(q, cells)), w, where)
+
+
 def observed_loglik_uni(params: UgdgeParams, x) -> float:
     """Observed-data log-likelihood; raises if any observation has no mass."""
-    vals, w, _ = _distinct(_as_counts(x))
-    return _checked_ll(_uni_logpmf(*params.as_tuple(), vals), w, lambda k: f"x={int(vals[k])}")
+    return _observed_loglik(params, _as_counts(x))
 
 
 def observed_loglik_biv(params: BgdgeParams, data: BivDataset) -> float:
     """Observed-data log-likelihood; raises if any cell has no mass."""
-    a1, p1, a2, p2, th = params.as_tuple()
-    cx, cy, w, _ = _distinct(data.x, data.y)
-    return _checked_ll(
-        _biv_logpmf(_cdf_logs(a1, p1, cx), _cdf_logs(a2, p2, cy), th),
-        w,
-        lambda k: f"cell=({int(cx[k])}, {int(cy[k])})",
-    )
+    return _observed_loglik(params, data)
 
 
 def latent_weighted_loglik(values, counts, alpha: float, p: float) -> float:
@@ -350,14 +352,22 @@ def m_step_pair(values, counts, cfg: EmConfig | None = None):
 # EM drivers
 
 
-_UNI_NAMES = ("alpha", "p", "theta")
-_BIV_NAMES = ("alpha1", "p1", "alpha2", "p2", "theta")
+#: By number of coordinates: the parameter record, its parameters' names and the theta = 1 submodel.
+_LAWS = {
+    1: (UgdgeParams, ("alpha", "p", "theta"), "base-law"),
+    2: (BgdgeParams, ("alpha1", "p1", "alpha2", "p2", "theta"), "independence"),
+}
+
+
+def _cols(data):
+    """The count columns of ``data``: a `BivDataset`'s two, or the one array of counts."""
+    return (data.x, data.y) if isinstance(data, BivDataset) else (data,)
 
 
 def _finish_report(params, data, iters, trace, stop_reason, converged, method, notes, compute_se):
     """The `FitReport` of an estimate whose log-likelihood is ``trace[-1]``."""
-    names = _UNI_NAMES if isinstance(params, UgdgeParams) else _BIV_NAMES
     est = params.as_tuple()
+    names = _LAWS[len(est) // 2][1]
     notes = [*notes, *(f"{name} = {v:g} on the edge of the search box"
                        for name, v, edge in zip(names, est, _on_bound(np.array(est))) if edge)]
     if compute_se:
@@ -385,23 +395,15 @@ def _finish_report(params, data, iters, trace, stop_reason, converged, method, n
     )
 
 
-def _uni_model(xi, cfg: EmConfig):
-    """The univariate law on counts ``xi``: its log-likelihood with gradient, and its `_em` steps."""
-    cells = _distinct(xi)[:2]
-    return lambda q: _uni_ll(cells, q), (
-        lambda q: e_step_uni(UgdgeParams.from_values(*q), xi, cfg),
-        lambda ns: m_step_pair(xi, ns, cfg),
-        xi.size,
-    )
-
-
-def _biv_model(data: BivDataset, cfg: EmConfig):
-    """The bivariate law on ``data``, as `_uni_model`."""
-    cells = _distinct(data.x, data.y)[:3]
-    return lambda q: _biv_ll(cells, q), (
-        lambda q: e_step(BgdgeParams.from_values(*q), data, cfg),
-        lambda ns: m_step_pair(data.x, ns, cfg) + m_step_pair(data.y, ns, cfg),
-        len(data),
+def _model(data, cfg: EmConfig):
+    """The law on ``data``, counts or a `BivDataset`: its log-likelihood with gradient, and its `_em` steps."""
+    cols = _cols(data)
+    cells = _distinct(*cols)[:-1]
+    record, impute = _LAWS[len(cols)][0], e_step_uni if len(cols) == 1 else e_step
+    return lambda q: _ll(cells, q), (
+        lambda q: impute(record.from_values(*q), data, cfg),
+        lambda ns: sum((m_step_pair(c, ns, cfg) for c in cols), ()),
+        cols[0].size,
     )
 
 
@@ -433,23 +435,24 @@ def _em(ll, em, start, cfg: EmConfig):
     return params, trace, stop
 
 
+def _em_fit(data, init, cfg: EmConfig | None, compute_se: bool) -> FitReport:
+    """EM for the law on ``data`` from the parameter record ``init``, with ascent guard."""
+    cfg = cfg or EmConfig()
+    est, trace, stop = _em(*_model(data, cfg), init.as_tuple(), cfg)
+    params = type(init).from_values(*est)
+    return _finish_report(params, data, len(trace) - 1, trace, stop, stop != "max_iter", "em", (), compute_se)
+
+
 def em_fit_uni(x, init: UgdgeParams, cfg: EmConfig | None = None, compute_se: bool = True) -> FitReport:
     """EM for the univariate law from a given start, with ascent guard."""
-    cfg = cfg or EmConfig()
-    xi = _as_counts(x)
-    est, trace, stop = _em(*_uni_model(xi, cfg), init.as_tuple(), cfg)
-    params = UgdgeParams.from_values(*est)
-    return _finish_report(params, xi, len(trace) - 1, trace, stop, stop != "max_iter", "em", (), compute_se)
+    return _em_fit(_as_counts(x), init, cfg, compute_se)
 
 
 def em_fit_biv(
     data: BivDataset, init: BgdgeParams, cfg: EmConfig | None = None, compute_se: bool = True
 ) -> FitReport:
     """EM for the bivariate law from a given start, with ascent guard."""
-    cfg = cfg or EmConfig()
-    est, trace, stop = _em(*_biv_model(data, cfg), init.as_tuple(), cfg)
-    params = BgdgeParams.from_values(*est)
-    return _finish_report(params, data, len(trace) - 1, trace, stop, stop != "max_iter", "em", (), compute_se)
+    return _em_fit(data, init, cfg, compute_se)
 
 
 # ---------------------------------------------------------------------------
@@ -705,15 +708,12 @@ def _fit_mle(ll, init, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _
     return _Fit(est, ll_best, stop, iters, trace, notes, base, ll_base)
 
 
-def _fit_uni(xi, cfg: EmConfig, init: UgdgeParams | None = None) -> _Fit:
-    """`_fit_mle` of the univariate law, its theta = 1 search from the geometric fit."""
-    return _fit_mle(_uni_model(xi, cfg)[0], init, (1.0, _geometric_p(xi), 1.0), cfg, "base-law")
-
-
-def _fit_biv(data: BivDataset, cfg: EmConfig, init: BgdgeParams | None = None, extra_starts=()) -> _Fit:
-    """`_fit_mle` of the bivariate law, its theta = 1 search from each margin's geometric fit."""
-    base = (1.0, _geometric_p(data.x), 1.0, _geometric_p(data.y), 1.0)
-    return _fit_mle(_biv_model(data, cfg)[0], init, base, cfg, "independence", extra_starts)
+def _fit(data, cfg: EmConfig, init=None, extra_starts=()) -> _Fit:
+    """`_fit_mle` of the law on ``data`` (counts or a `BivDataset`), its theta = 1 search from each
+    coordinate's geometric fit."""
+    cols = _cols(data)
+    base = (*(v for c in cols for v in (1.0, _geometric_p(c))), 1.0)
+    return _fit_mle(_model(data, cfg)[0], init, base, cfg, _LAWS[len(cols)][2], extra_starts)
 
 
 _TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five bivariate parameters
@@ -724,7 +724,7 @@ def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
 
     The fit's ``est`` and ``base`` are five-parameter tuples.
     """
-    ll = _biv_model(data, cfg)[0]
+    ll = _model(data, cfg)[0]
 
     def tied(q):
         value, grad = ll(np.asarray(q)[..., _TIE])
@@ -738,6 +738,13 @@ def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
 _METHOD = "trust-newton"
 
 
+def _mle_report(data, cfg: EmConfig | None, init, extra_starts, compute_se: bool) -> FitReport:
+    """The `FitReport` of `_fit` on ``data``."""
+    f = _fit(data, cfg or EmConfig(), init, extra_starts)
+    params = _LAWS[len(f.est) // 2][0].from_values(*f.est)
+    return _finish_report(params, data, f.iters, f.trace, f.stop, f.stop == "converged", _METHOD, f.notes, compute_se)
+
+
 def fit_uni_mle(x, cfg: EmConfig | None = None, init: UgdgeParams | None = None, compute_se: bool = True) -> FitReport:
     """Univariate maximum likelihood through `_fit_mle`.
 
@@ -745,10 +752,7 @@ def fit_uni_mle(x, cfg: EmConfig | None = None, init: UgdgeParams | None = None,
     with theta = 0.5.  The theta = 1 submodel (pure base law) wins ties
     within a slack, and the report's notes then say so.
     """
-    xi = _as_counts(x)
-    f = _fit_uni(xi, cfg or EmConfig(), init)
-    params = UgdgeParams.from_values(*f.est)
-    return _finish_report(params, xi, f.iters, f.trace, f.stop, f.stop == "converged", _METHOD, f.notes, compute_se)
+    return _mle_report(_as_counts(x), cfg, init, (), compute_se)
 
 
 def fit_biv_mle(
@@ -764,9 +768,7 @@ def fit_biv_mle(
     (independence) fit with theta = 0.5.  ``extra_starts`` (5-tuples) are
     further starts; the independence submodel wins ties within a slack.
     """
-    f = _fit_biv(data, cfg or EmConfig(), init, extra_starts)
-    params = BgdgeParams.from_values(*f.est)
-    return _finish_report(params, data, f.iters, f.trace, f.stop, f.stop == "converged", _METHOD, f.notes, compute_se)
+    return _mle_report(data, cfg, init, extra_starts, compute_se)
 
 
 # ---------------------------------------------------------------------------
@@ -783,14 +785,11 @@ def std_errors(params, data):
     information is taken over the rest.  Non-invertible or non-positive
     information yields NaNs with an explanatory note, not an exception.
     """
-    if isinstance(params, BgdgeParams):
-        ll, names = _biv_model(data, EmConfig())[0], _BIV_NAMES
-    elif isinstance(params, UgdgeParams):
-        ll, names = _uni_model(_as_counts(data), EmConfig())[0], _UNI_NAMES
-    else:
+    if not isinstance(params, (UgdgeParams, BgdgeParams)):
         raise TypeError(f"unsupported parameter record {type(params).__name__}")
-
+    ll = _model(data if isinstance(params, BgdgeParams) else _as_counts(data), EmConfig())[0]
     q = np.array(params.as_tuple())
+    names = _LAWS[q.size // 2][1]
     free = ~_on_bound(q)
     notes = [f"{name} on the edge of the search box: its standard error is undefined (reported NaN)"
              for name, f in zip(names, free) if not f]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivariate import BgdgeParams, bgdge_cdf, bgdge_pmf, marginal_params
-from .fitting import BivDataset, EmConfig, _as_counts, _fit_biv, _fit_equal_margins
+from .fitting import BivDataset, EmConfig, _as_counts, _fit, _fit_equal_margins
 from .univariate import UgdgeParams, ugdge_cdf, ugdge_pmf
 
 __all__ = [
@@ -148,7 +148,7 @@ def _lrt(data: BivDataset, full, null_params, ll_null, reference: str, p_value) 
 def _equal_fits(data: BivDataset, cfg: EmConfig):
     """The equal-margins null and the full fit, whose starts include the null optimum."""
     null = _fit_equal_margins(data, cfg)
-    return null, _fit_biv(data, cfg, extra_starts=[null.est])
+    return null, _fit(data, cfg, extra_starts=[null.est])
 
 
 def _equal_lrt(data: BivDataset, null, full) -> TestResult:
@@ -177,7 +177,7 @@ def test_independence(data: BivDataset, cfg: EmConfig | None = None) -> TestResu
     point mass at 0 and chi-square with 1 df: p = 1 when the statistic is
     0, else half the chi-square(1) tail.
     """
-    return _indep_lrt(data, _fit_biv(data, cfg or EmConfig()))
+    return _indep_lrt(data, _fit(data, cfg or EmConfig()))
 
 
 def _test_both(data: BivDataset, cfg: EmConfig):

@@ -28,7 +28,6 @@ from .dge import (
     SERIES_CAP,
     DgeParams,
     SeriesCapError,
-    _biv_terms,
     _cdf_logs,
     _den,
     _evaluate,
@@ -36,11 +35,11 @@ from .dge import (
     _ge_inverse,
     _log_cdf,
     _log_gap,
+    _logpmf,
     _maybe_scalar,
     _nonneg,
     _survival,
-    _uni_logpmf,
-    _uni_terms,
+    _terms,
     dge_cdf,
 )
 
@@ -105,7 +104,7 @@ def ugdge_cdf(params: UgdgeParams, x):
 def ugdge_pmf(params: UgdgeParams, x):
     """pmf ``theta*(u - v) / ((1 - tau*u)(1 - tau*v))``, u/v base CDF at x, x-1."""
     al, p, th = params.as_tuple()
-    return _evaluate(lambda x: np.exp(_uni_logpmf(al, p, th, x)), _nonneg(x, "ugdge_pmf"))
+    return _evaluate(lambda x: np.exp(_logpmf(th, [(al, p, x)])), _nonneg(x, "ugdge_pmf"))
 
 
 def ugdge_hazard(params: UgdgeParams, x):
@@ -221,7 +220,7 @@ def _power_weighted_sum(shapes, p: float, theta: float, z: float, eps: float) ->
     if z == 1.0:  # the total mass
         return np.ones(shapes.shape[0])
     if z == 0.0:
-        return np.exp(_uni_logpmf(shapes, p, theta, np.zeros(1)))[:, 0]
+        return np.exp(_logpmf(theta, [(shapes, p, np.zeros(1))]))[:, 0]
     lz, floor = math.log(abs(z)), (eps if z < 0.0 else 0.0)
     tail_const = 1.01 * shapes[:, 0] / theta
     total = np.zeros(shapes.shape[0])
@@ -230,7 +229,7 @@ def _power_weighted_sum(shapes, p: float, theta: float, z: float, eps: float) ->
         xs = np.arange(start, start + block, dtype=float)
         # pmf * z**x in log space: the factors can under/overflow separately
         # (z = e^t may exceed 1) while their product stays tame
-        terms = np.exp(_uni_logpmf(shapes, p, theta, xs) + xs * lz)
+        terms = np.exp(_logpmf(theta, [(shapes, p, xs)]) + xs * lz)
         if z < 0.0:
             terms = np.where(xs % 2 == 0, terms, -terms)
         total += terms.sum(axis=1)
@@ -355,14 +354,11 @@ def _argmax_scan(parts, tau: float, n_cap: int) -> np.ndarray:
 
 
 def _count_terms(theta, coords):
-    """The kernel's `_base_logs` per coordinate, log-pmf and S at the cells."""
-    if len(coords) == 1:
-        ((alpha, p, x),) = coords
-        logs, logpmf, eu, ev = _uni_terms(alpha, p, theta, x)
-        return [logs], logpmf, eu + ev
-    (a1, p1, x), (a2, p2, y) = coords
-    _, logs, logpmf, e, ratio = _biv_terms(x, y, a1, p1, a2, p2, theta)
-    return list(zip(*logs)), logpmf, ((e[0, 0] + e[0, 1]) + (e[1, 0] + e[1, 1])) - 2.0 * (1.0 - theta) * ratio
+    """The kernel's `_base_logs` per coordinate, log-pmf and S at the cells (see `dge._logpmf_and_grad`), the
+    corner terms summed in pairs."""
+    _, logs, logpmf, corners, dens, lprod, den_p = _terms(theta, coords)
+    e = np.exp(corners) / dens
+    return list(zip(*logs)), logpmf, (e[0::2] + e[1::2]).sum(axis=0) - 2.0 * (1.0 - theta) * (np.exp(lprod) / den_p)
 
 
 def _count_mean(theta, coords):

@@ -33,8 +33,8 @@ from gdge import (
 )
 from gdge import fitting
 from gdge import test_independence as lrt_independence
-from gdge.dge import _base_logs, _biv_logpmf_and_grad, _log_gap
-from gdge.fitting import _fit_biv, _fit_equal_margins, _fit_uni
+from gdge.dge import _base_logs, _log_gap, _logpmf_and_grad
+from gdge.fitting import _fit, _fit_equal_margins
 from gdge.simulate import fast_sim_config
 
 
@@ -281,7 +281,8 @@ def test_search_drives_the_gradient_to_rounding_on_a_large_sample():
     rep = fit_biv_mle(BivDataset(bx, by), fast_sim_config(), compute_se=False)
     cells = Counter(zip(bx.tolist(), by.tolist()))
     cx, cy = (np.array(c, dtype=float) for c in zip(*cells))
-    grad = _biv_logpmf_and_grad(cx, cy, *rep.estimates)[1] @ np.array(list(cells.values()), dtype=float)
+    a1, p1, a2, p2, theta = rep.estimates
+    grad = _logpmf_and_grad(theta, [(a1, p1, cx), (a2, p2, cy)])[1] @ np.array(list(cells.values()), dtype=float)
     q = np.array(rep.estimates)
     assert rep.converged
     assert np.abs(grad * np.where([True, False, True, False, False], q, q * (1 - q))).max() <= 1e-9
@@ -313,21 +314,29 @@ def test_biv_mle_meets_its_convergence_test_on_the_ridge():
     assert rep.converged and rep.stop_reason == "converged"
 
 
-def test_biv_mle_fits_no_margin_to_start(football, monkeypatch):
-    calls = []
-    uni_ll = fitting._uni_ll
-    monkeypatch.setattr(fitting, "_uni_ll", lambda *a: calls.append(a) or uni_ll(*a))
-    assert fit_biv_mle(football).converged
-    assert not calls
-
-
 def counted_kernel_calls(monkeypatch):
-    """The list that every later call of the fitter's likelihood kernels appends to."""
+    """The list that every later call of the fitter's likelihood kernel `fitting._ll` appends to."""
     calls = []
-    for name in ("_biv_ll", "_uni_ll"):
-        kernel = getattr(fitting, name)
-        monkeypatch.setattr(fitting, name, lambda *a, kernel=kernel: calls.append(a) or kernel(*a))
+    kernel = fitting._ll
+    monkeypatch.setattr(fitting, "_ll", lambda *a: calls.append(a) or kernel(*a))
     return calls
+
+
+def coordinate_columns(call):
+    """How many coordinate columns the cells ``(*columns, weights)`` of an `_ll` call hold."""
+    return len(call[0]) - 1
+
+
+def test_biv_mle_fits_no_margin_to_start(football, monkeypatch):
+    calls = counted_kernel_calls(monkeypatch)
+    assert fit_biv_mle(football).converged
+    assert calls and all(coordinate_columns(call) == 2 for call in calls)
+
+
+def test_uni_mle_calls_the_kernel_with_one_coordinate_only(football, monkeypatch):
+    calls = counted_kernel_calls(monkeypatch)
+    assert fit_uni_mle(football.x).converged
+    assert calls and all(coordinate_columns(call) == 1 for call in calls)
 
 
 def test_a_search_rising_to_theta_1_lands_there(monkeypatch):
@@ -355,7 +364,7 @@ def gate_datasets():
 def test_biv_mle_default_starts_lose_nothing_to_the_margin_averaged_start(football):
     cfg = fast_sim_config()
     for data in [football, *gate_datasets()]:
-        f1, f2 = (_fit_uni(c, cfg).est for c in (data.x, data.y))
+        f1, f2 = (_fit(c, cfg).est for c in (data.x, data.y))
         averaged = (*f1[:2], *f2[:2], min(1.0, 0.5 * (f1[2] + f2[2])))
         default = fit_biv_mle(data, cfg, compute_se=False).loglik
         assert fit_biv_mle(data, cfg, extra_starts=[averaged], compute_se=False).loglik <= default + 1e-9
@@ -387,7 +396,7 @@ def test_uni_fit_far_from_zero_converges_above_the_base_grid(law, seed):
     x = ugdge_sample(UgdgeParams.from_values(*law), np.random.default_rng(seed), size=25)
     rep = fit_uni_mle(x, compute_se=False)
     assert rep.converged
-    assert _fit_uni(x, EmConfig()).ll_base >= base_grid_max(x) - 1e-9
+    assert _fit(x, EmConfig()).ll_base >= base_grid_max(x) - 1e-9
 
 
 def test_biv_fit_far_from_zero_converges_above_the_base_grid():
@@ -396,12 +405,12 @@ def test_biv_fit_far_from_zero_converges_above_the_base_grid():
     data = BivDataset(bx, by)
     rep = fit_biv_mle(data, fast_sim_config(), compute_se=False)
     assert rep.converged
-    assert _fit_biv(data, fast_sim_config()).ll_base >= base_grid_max(bx) + base_grid_max(by) - 1e-9
+    assert _fit(data, fast_sim_config()).ll_base >= base_grid_max(bx) + base_grid_max(by) - 1e-9
 
 
 def test_base_fits_reach_the_base_grid_on_serie_a(football):
     for x in (football.x, football.y):
-        assert _fit_uni(x, EmConfig()).ll_base >= base_grid_max(x) - 1e-9
+        assert _fit(x, EmConfig()).ll_base >= base_grid_max(x) - 1e-9
     pooled = np.concatenate([football.x, football.y])
     assert _fit_equal_margins(football, EmConfig()).ll_base >= base_grid_max(pooled) - 1e-9
 
@@ -592,8 +601,8 @@ def test_lockstep_search_reaches_the_better_of_its_starts(football):
     ridge = BivDataset(*bgdge_sample(truth, np.random.default_rng([20260822, 25, 1]), size=25))
     cfg = fast_sim_config()
     for data in (football, ridge):
-        ll = fitting._biv_model(data, cfg)[0]
-        base = _fit_biv(data, cfg).base
+        ll = fitting._model(data, cfg)[0]
+        base = _fit(data, cfg).base
         a, b = (*base[:-1], 0.25), (*base[:-1], 0.75)
         alone = max(fitting._search(ll, [s], slice(None), cfg)[1] for s in (a, b))
         assert fitting._search(ll, [a, b], slice(None), cfg)[1] == pytest.approx(alone, rel=0, abs=1e-12)

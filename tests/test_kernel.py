@@ -56,7 +56,7 @@ from gdge import (
     ugdge_sample,
 )
 from gdge import bivariate, dge, fitting, univariate
-from gdge.dge import _biv_logpmf, _biv_logpmf_and_grad, _cdf_logs, _uni_logpmf, _uni_logpmf_and_grad
+from gdge.dge import _logpmf, _logpmf_and_grad
 from gdge.fitting import _latent_ll
 from latent_series import series_cond_n_mean
 
@@ -381,7 +381,8 @@ SERIEA_MLE = (2.648138531581, 0.204063392347, 6.782315129779, 0.1603608641943, 0
 def test_bivariate_gradient_matches_reference(params, football):
     cells = sorted(set(zip(football.x.tolist(), football.y.tolist())))
     cx, cy = (np.array(c, dtype=float) for c in zip(*cells))
-    got = _biv_logpmf_and_grad(cx, cy, *params)[1]
+    a1, p1, a2, p2, theta = params
+    got = _logpmf_and_grad(theta, [(a1, p1, cx), (a2, p2, cy)])[1]
     assert_partials_close(got.T, [ref_partials(ref_biv_logpmf, params, c) for c in cells])
 
 
@@ -395,7 +396,8 @@ def test_bivariate_gradient_matches_reference(params, football):
     ],
 )
 def test_univariate_gradient_matches_reference(params, grid):
-    got = _uni_logpmf_and_grad(*params, grid.astype(float))[1]
+    alpha, p, theta = params
+    got = _logpmf_and_grad(theta, [(alpha, p, grid.astype(float))])[1]
     assert_partials_close(got.T, [ref_partials(ref_uni_logpmf, params, (int(x),)) for x in grid])
 
 
@@ -411,9 +413,10 @@ THETAS = st.one_of(st.just(1.0), UNITS)
 def test_univariate_fused_logpmf_equals_the_evaluators(points, xs):
     x = np.array(xs, dtype=float)
     with np.errstate(all="ignore"):
-        got = _uni_logpmf_and_grad(*np.array(points).T[..., None], x)[0]
+        cols = np.array(points).T[..., None]
+        got = _logpmf_and_grad(cols[2], [(cols[0], cols[1], x)])[0]
         for row, (alpha, p, theta) in zip(got, points):
-            assert np.array_equal(row, _uni_logpmf(alpha, p, theta, x))
+            assert np.array_equal(row, _logpmf(theta, [(alpha, p, x)]))
 
 
 @given(st.lists(st.tuples(SHAPES, UNITS, SHAPES, UNITS, THETAS), min_size=1, max_size=3),
@@ -421,9 +424,10 @@ def test_univariate_fused_logpmf_equals_the_evaluators(points, xs):
 def test_bivariate_fused_logpmf_equals_the_evaluators(points, cells):
     x, y = (np.array(c, dtype=float) for c in zip(*cells))
     with np.errstate(all="ignore"):
-        got = _biv_logpmf_and_grad(x, y, *np.array(points).T[..., None])[0]
+        cols = np.array(points).T[..., None]
+        got = _logpmf_and_grad(cols[4], [(cols[0], cols[1], x), (cols[2], cols[3], y)])[0]
         for row, (a1, p1, a2, p2, theta) in zip(got, points):
-            assert np.array_equal(row, _biv_logpmf(_cdf_logs(a1, p1, x), _cdf_logs(a2, p2, y), theta))
+            assert np.array_equal(row, _logpmf(theta, [(a1, p1, x), (a2, p2, y)]))
 
 
 def ref_latent_logpmf(alpha, p, x, n):

@@ -14,6 +14,8 @@ from gdge import (
     BivDataset,
     DataFormatError,
     SimSpec,
+    bgdge_cdf,
+    bgdge_pmf,
     bundled_data_path,
     fit_biv_mle,
     format_report,
@@ -243,6 +245,15 @@ def test_cli_input_errors(capsys, tmp_path):
         capsys.readouterr()
     assert main(["fit", "--uni", str(uni), "--gof", "--pool-min", "nan"]) == 2
     capsys.readouterr()
+    # the flags of the other mode: rejected by fit as by gof
+    assert main(["fit", "--uni", bundled_data_path(), "--gof", "--df", "5"]) == 2
+    capsys.readouterr()
+    assert main(["fit", "--biv", bundled_data_path(), "--gof", "--tail", "none"]) == 2
+    capsys.readouterr()
+    assert main(["gof", "--uni", "--params", "2,0.3,0.5", bundled_data_path(), "--df", "5"]) == 2
+    capsys.readouterr()
+    assert main(["gof", "--biv", "--params", params, bundled_data_path(), "--tail", "none"]) == 2
+    capsys.readouterr()
 
 
 def test_cli_numerical_failure_exit_code(capsys, tmp_path):
@@ -282,8 +293,8 @@ def test_cli_test_both_fits_the_full_model_once(capsys, monkeypatch):
     import gdge.inference as inference
 
     calls = []
-    fit_biv = inference._fit_biv
-    monkeypatch.setattr(inference, "_fit_biv", lambda *a, **k: calls.append(k) or fit_biv(*a, **k))
+    fit = inference._fit
+    monkeypatch.setattr(inference, "_fit", lambda *a, **k: calls.append(k) or fit(*a, **k))
     rc, both = run_cli(capsys, ["test", bundled_data_path(), "--test", "both"])
     assert rc == 0 and len(calls) == 1
     # the independence test run alone fits afresh and reports the same lines
@@ -322,6 +333,15 @@ def test_cli_table_biv_header(capsys):
     lines = [l for l in out.strip().splitlines() if not l.startswith("#")]
     assert lines[0] == "x,y,pmf,cdf"
     assert len(lines) == 1 + 9  # 3x3 grid
+
+
+def test_cli_table_biv_equals_the_scalar_evaluators_per_cell(capsys):
+    params = "2.648,0.204,6.78,0.16,0.2725"
+    rc, out = run_cli(capsys, ["table", "--biv", "--params", params, "--horizon", "3"])
+    assert rc == 0
+    law = BgdgeParams.from_values(*map(float, params.split(",")))
+    want = [f"{x},{y},{bgdge_pmf(law, x, y):.10g},{bgdge_cdf(law, x, y):.10g}" for x in range(4) for y in range(4)]
+    assert out.splitlines()[2:] == want
 
 
 def test_cli_sample_count_zero(capsys, tmp_path):

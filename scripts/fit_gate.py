@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fit-by-fit record of the maximum-likelihood fitter, and a comparison of two records.
+"""Fit-by-fit record of the maximum-likelihood fitter and of EM, and a comparison of two records.
 
 Without ``--compare``, fits the datasets of the replicated study and of the
 boundary likelihood-ratio test and prints one JSON line per fit:
@@ -7,6 +7,8 @@ boundary likelihood-ratio test and prints one JSON line per fit:
 * ``study``: `fit_biv_mle` at the paper's truth, n = 25 and 100, data from
   ``default_rng([20260822, n, r])`` (as `run_simulation` draws them);
 * ``margin_x``, ``margin_y``: `fit_uni_mle` on each coordinate of those data;
+* ``em``: `em_fit_biv` with the default ``argmax`` E-step, from the truth on
+  those data; its line also holds the estimates;
 * ``boundary``: the full fit behind `test_independence` at the theta = 1 truth,
   n = 100, data from ``default_rng([99, 100, r])`` (as
   ``scripts/boundary_study.py`` draws them); ``ll_null`` is its theta = 1 fit.
@@ -16,8 +18,10 @@ stop reason, and the calls of the likelihood kernel `fitting._ll` the fit made.
 
 ``--compare A B`` matches the fits of two records and prints how many end more
 than 1e-12 lower or higher in B than in A, which ones, how many lose (or gain)
-convergence, and the total kernel calls and iterations of each, per kind.  It
-exits 1 when a fit ends more than 1e-12 lower in B or loses convergence there.
+convergence, how many EM endpoints move (any change of log-likelihood,
+iterations, stop reason or estimates), and the total kernel calls and
+iterations of each, per kind.  It exits 1 when a fit ends more than 1e-12 lower
+in B or loses convergence there.
 
     PYTHONPATH=src python scripts/fit_gate.py > parent.jsonl
     PYTHONPATH=src python scripts/fit_gate.py --compare parent.jsonl change.jsonl
@@ -29,7 +33,7 @@ import sys
 
 import numpy as np
 
-from gdge import BgdgeParams, BivDataset, bgdge_sample, fast_sim_config, fit_biv_mle, fit_uni_mle, fitting
+from gdge import BgdgeParams, BivDataset, bgdge_sample, em_fit_biv, fast_sim_config, fit_biv_mle, fit_uni_mle, fitting
 
 STUDY_TRUTH = (2.0, 0.25, 2.0, 0.25, 0.25)
 BOUNDARY_TRUTH = (2.0, 0.25, 2.0, 0.25, 1.0)
@@ -78,6 +82,12 @@ def record(reps):
                     return rep.loglik, rep.converged, rep.iters, rep.stop_reason, {}
 
                 yield run(kind, n, r, uni)
+
+            def em():
+                rep = em_fit_biv(data, truth, cfg, compute_se=False)
+                return rep.loglik, rep.converged, rep.iters, rep.stop_reason, {"estimates": list(rep.estimates)}
+
+            yield run("em", n, r, em)
     null = BgdgeParams.from_values(*BOUNDARY_TRUTH)
     for r in range(reps):
         data = BivDataset(*bgdge_sample(null, np.random.default_rng([BOUNDARY_SEED, 100, r]), size=100))
@@ -108,6 +118,9 @@ def compare(path_a, path_b):
             print(f"  {k}: {a[k]['loglik']!r} -> {b[k]['loglik']!r}")
     print(f"losing convergence: {len(lost)} {lost}")
     print(f"gaining convergence: {len(gained)} {gained}")
+    em = [k for k in common if k[0] == "em"]
+    moved = [k for k in em if any(a[k][f] != b[k][f] for f in ("loglik", "iters", "stop", "estimates"))]
+    print(f"EM endpoints moved: {len(moved)} of {len(em)} {moved}")
     for field, label in (("calls", "kernel calls"), ("iters", "iterations")):
         for kind in sorted({k[0] for k in common}):
             keys = [k for k in common if k[0] == kind]

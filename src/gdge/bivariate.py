@@ -184,13 +184,13 @@ def biv_cond_n_pmf(params: BgdgeParams, x: int, y: int, n):
     return _maybe_scalar(_count_pmf(params.theta, _coords(params, x, y), n))
 
 
-def biv_cond_n_argmax(params: BgdgeParams, x: int, y: int, n_cap: int = SERIES_CAP) -> int:
+def biv_cond_n_argmax(params: BgdgeParams, x: int, y: int) -> int:
     """Most likely latent count at a cell, smallest on ties.
 
-    Same certified scan as the univariate case, with decreasing envelope
-    ``tau^(n-1) * (u*v)^n`` dominating every remaining term.
+    The same bisection as the univariate case (`univariate._count_modes`), on
+    ``log t(n) = (n-1) log tau + log(u1^n - v1^n) + log(u2^n - v2^n)``.
     """
-    return int(_count_modes(params.theta, _coords(params, x, y), n_cap)[0])
+    return int(_count_modes(params.theta, _coords(params, x, y))[0])
 
 
 def biv_cond_n_mean(params: BgdgeParams, x: int, y: int) -> float:

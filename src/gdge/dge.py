@@ -52,7 +52,7 @@ SERIES_CAP = 1_000_000
 
 
 class SeriesCapError(RuntimeError):
-    """A truncated series or scan exceeded its configured term budget.
+    """A truncated series or a search exceeded its term budget.
 
     Raised instead of silently returning a partial sum, typically in the
     heavy-tailed regime where the compounding parameter approaches 0.

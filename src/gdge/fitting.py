@@ -118,21 +118,20 @@ class BivDataset:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Tolerances and budgets of EM.  ``max_iter`` also caps the iterations of each trust-region
-    search, those of EM's M-step included; maximum-likelihood searches stop by their own rule
-    (`_search`), so ``ll_rel_tol`` and ``param_tol`` bound EM only."""
+    """Tolerances, iteration budget and E-step of EM.  ``max_iter`` also caps the iterations of each
+    trust-region search, those of EM's M-step included; maximum-likelihood searches stop by their own
+    rule (`_search`), so ``ll_rel_tol`` and ``param_tol`` bound EM only."""
 
     ll_rel_tol: float = 1e-8
     param_tol: float = 1e-6
     max_iter: int = 500
-    n_cap: int = 100_000
     e_step: str = "argmax"  # or "expected"
 
     def __post_init__(self):
         if not (self.ll_rel_tol > 0 and self.param_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iter < 1 or self.n_cap < 1:
-            raise ValueError("iteration/search budgets out of range")
+        if self.max_iter < 1:
+            raise ValueError("iteration budget out of range")
         if self.e_step not in ("argmax", "expected"):
             raise ValueError(f"e_step must be 'argmax' or 'expected', got {self.e_step!r}")
 
@@ -282,7 +281,7 @@ def _e_step(theta, coords, cfg: EmConfig | None):
     *cells, _, inv = _distinct(*(x for _, _, x in coords))
     law = [(alpha, p, c) for (alpha, p, _), c in zip(coords, cells)]
     if cfg.e_step == "argmax":
-        return _count_modes(theta, law, cfg.n_cap)[inv]
+        return _count_modes(theta, law)[inv]
     return _count_mean(theta, law)[inv]
 
 
@@ -787,6 +786,9 @@ def std_errors(params, data):
     """
     if not isinstance(params, (UgdgeParams, BgdgeParams)):
         raise TypeError(f"unsupported parameter record {type(params).__name__}")
+    if isinstance(params, BgdgeParams) != isinstance(data, BivDataset):
+        need = "a BivDataset" if isinstance(params, BgdgeParams) else "an array of counts"
+        raise TypeError(f"a {type(params).__name__} record needs {need}, got {type(data).__name__}")
     ll = _model(data if isinstance(params, BgdgeParams) else _as_counts(data), EmConfig())[0]
     q = np.array(params.as_tuple())
     names = _LAWS[q.size // 2][1]

@@ -28,6 +28,7 @@ from .dge import (
     SERIES_CAP,
     DgeParams,
     SeriesCapError,
+    _base_logs,
     _cdf_logs,
     _den,
     _evaluate,
@@ -304,53 +305,9 @@ def ugdge_sample(params: UgdgeParams, rng: np.random.Generator, size=None):
 # prod_j (u_j^n - v_j^n) / pmf, u_j and v_j the base CDFs at x_j and x_j - 1.
 # By Fisher's identity (Dempster, Laird and Rubin 1977) the kernel's theta-partial
 # ``1/theta - S`` of the log-pmf is the conditional mean of the complete-data
-# score ``1/theta - (N - 1)/tau``, so E[N | cell] = 1 + tau S.
-
-
-def _argmax_scan(parts, tau: float, n_cap: int) -> np.ndarray:
-    """Smallest mode over n >= 1 of ``tau^(n-1) * prod_j (hi_j^n - lo_j^n)``, per cell.
-
-    ``parts`` holds one (hi, lo) pair of base-CDF arrays per coordinate.  The
-    decreasing envelope ``tau^(n-1) * prod_j hi_j^n`` bounds every later
-    term, so a cell is settled, with a certificate, at the first n whose
-    envelope falls to the cell's running maximum.  Counts are scanned in
-    blocks of growing length, at most `_CHUNK` terms in all, for all
-    unsettled cells at once; a cell still unsettled at ``n_cap`` raises
-    `SeriesCapError`, and a cell whose hi and lo coincide `ValueError`.
-    """
-    hi_prod = math.prod(hi for hi, _ in parts)
-    best_t = math.prod(hi - lo for hi, lo in parts)
-    if np.any(best_t <= 0.0):
-        i = int(np.argmax(best_t <= 0.0))
-        raise ValueError(f"the base CDFs of cell {i} coincide in double precision: "
-                         "the latent-count scan cannot rank its counts")
-    best_n = np.ones(best_t.shape, dtype=np.int64)
-    todo = np.arange(best_t.size)
-    n0, block = 2, 16
-    while todo.size:
-        if n0 > n_cap:
-            raise SeriesCapError("latent-count scan exceeded n_cap without a certificate")
-        ns = np.arange(n0, min(n0 + block, n_cap + 1), dtype=float)
-        lead = tau ** (ns - 1.0)
-        env = lead * hi_prod[todo, None] ** ns
-        t = math.prod([lead, *(hi[todo, None] ** ns - lo[todo, None] ** ns for hi, lo in parts)])
-        prev = best_t[todo]
-        # running maximum before each column: settle at the first column whose
-        # envelope does not exceed it; only the columns before that count
-        before = np.maximum.accumulate(np.column_stack([prev, t[:, :-1]]), axis=1)
-        stop = env <= before
-        settled = stop.any(axis=1)
-        first_stop = np.where(settled, stop.argmax(axis=1), ns.size)
-        t = np.where(np.arange(ns.size) < first_stop[:, None], t, -np.inf)
-        j = t.argmax(axis=1)
-        top = t[np.arange(todo.size), j]
-        better = top > prev
-        best_t[todo[better]] = top[better]
-        best_n[todo[better]] = n0 + j[better]
-        todo = todo[~settled]
-        n0 += ns.size
-        block = min(2 * block, max(16, _CHUNK // max(todo.size, 1)))
-    return best_n
+# score ``1/theta - (N - 1)/tau``, so E[N | cell] = 1 + tau S.  The weight
+# ``log t(n) = (n-1) log tau + sum_j log(u_j^n - v_j^n)`` of the pmf is concave
+# in n, so its mode is found by bisection on the sign of its step.
 
 
 def _count_terms(theta, coords):
@@ -377,18 +334,41 @@ def _count_pmf(theta, coords, n):
         raise ValueError("latent count must be integer >= 1")
     if theta == 1.0:
         return np.where(n == 1, 1.0, 0.0)
-    n = n.astype(float)
     logs, logpmf, _ = _count_terms(theta, coords)
     if not np.all(logpmf > -math.inf):
         raise ValueError("pmf vanished at the cell; conditional law undefined")
-    gaps = sum(_log_gap(l1, r, n * alpha) for (alpha, _, _), (l1, _, r, *_) in zip(coords, logs))
-    return np.exp(math.log(theta) + (n - 1.0) * math.log1p(-theta) + gaps - logpmf)
+    return np.exp(math.log(theta) + _log_weight(theta, coords, logs, n.astype(float)) - logpmf)
 
 
-def _count_modes(theta, coords, n_cap):
-    """Smallest mode of N per cell, by `_argmax_scan` on the base CDFs."""
-    parts = [np.exp(_cdf_logs(alpha, p, np.atleast_1d(x))[:2]) for alpha, p, x in coords]
-    return _argmax_scan(parts, 1.0 - theta, n_cap)
+def _log_weight(theta, coords, logs, n):
+    """``log t(n) = (n-1) log tau + sum_j log(u_j^n - v_j^n)``, ``logs`` the `_base_logs` of each coordinate."""
+    return (n - 1.0) * math.log1p(-theta) + sum(
+        _log_gap(l1, r, n * alpha) for (alpha, _, _), (l1, _, r, *_) in zip(coords, logs))
+
+
+def _count_modes(theta, coords):
+    """Smallest mode of N per cell: the least k >= 1 with ``log t(k+1) <= log t(k)`` (`_log_weight`).
+
+    log t is concave in n, and its step ``log t(k+1) - log t(k)`` is at most ``d/k - c``, d the number of
+    coordinates and ``c = -(log tau + sum_j log u_j) > 0``, so the mode lies in [1, ceil(d/c)] and
+    a bisection on the sign of the step finds it.  Past 2^53, where consecutive integers are no longer all
+    floats, `SeriesCapError`.
+    """
+    coords = [(alpha, p, np.atleast_1d(x)) for alpha, p, x in coords]
+    logs = [_base_logs(p, x) for _, p, x in coords]
+    with np.errstate(divide="ignore"):  # c = inf at theta = 1, where the mode is 1
+        c = -(np.log1p(-theta) + sum(alpha * l1 for (alpha, _, _), (l1, *_) in zip(coords, logs)))
+    hi = np.maximum(np.ceil(len(coords) / c), 1.0)
+    if np.any(hi > 2.0 ** 53):
+        i = int(np.argmax(hi > 2.0 ** 53))
+        cell = tuple(int(x[i]) for *_, x in coords)
+        raise SeriesCapError(f"the latent-count mode at cell {cell} is bounded only by {hi[i]:g} > 2^53")
+    lo = np.ones_like(hi)
+    while np.any(lo < hi):
+        mid = lo + np.floor((hi - lo) / 2.0)
+        down = _log_weight(theta, coords, logs, mid + 1.0) <= _log_weight(theta, coords, logs, mid)
+        lo, hi = np.where(down, lo, np.minimum(mid + 1.0, hi)), np.where(down, mid, hi)
+    return lo.astype(np.int64)
 
 
 def _coords(params, *cell):
@@ -402,12 +382,13 @@ def cond_n_pmf(params: UgdgeParams, x: int, n):
     return _maybe_scalar(_count_pmf(params.theta, _coords(params, x), n))
 
 
-def cond_n_argmax(params: UgdgeParams, x: int, n_cap: int = SERIES_CAP) -> int:
+def cond_n_argmax(params: UgdgeParams, x: int) -> int:
     """Most likely latent count given the observed maximum, smallest on ties.
 
-    Scans ``t(n) = tau^(n-1) * (u^n - v^n)`` upward with `_argmax_scan`.
+    Bisects on the sign of the step of the log-concave ``log t(n) = (n-1) log tau +
+    log(u^n - v^n)`` (`_count_modes`).
     """
-    return int(_count_modes(params.theta, _coords(params, x), n_cap)[0])
+    return int(_count_modes(params.theta, _coords(params, x))[0])
 
 
 def cond_n_mean(params: UgdgeParams, x: int) -> float:

@@ -12,7 +12,6 @@ from gdge import (
     BgdgeParams,
     BivDataset,
     EmConfig,
-    SeriesCapError,
     UgdgeParams,
     bgdge_pmf,
     bgdge_sample,
@@ -210,25 +209,26 @@ def test_biv_mle_beats_both_em_endpoints(football):
     assert direct.loglik >= em_only.loglik - 1e-9
 
 
-# from theta = 1e-5 on the ridge the latent-count modes lie far past a scan
-# cap of 100: the E-step refuses that start, the gradient search climbs from it
-CAP_CFG = EmConfig(n_cap=100)
+# from theta = 1e-5 on the ridge the latent-count modes reach 211: the E-step
+# imputes them, and the gradient search climbs from that start
 
 
-def test_uni_mle_climbs_from_a_ridge_start_past_the_em_scan_cap(football):
+def test_uni_mle_climbs_from_a_ridge_start(football):
     init = UgdgeParams.from_values(0.05, 0.5, 1e-5)
-    with pytest.raises(SeriesCapError):
-        e_step_uni(init, football.y, CAP_CFG)
-    rep = fit_uni_mle(football.y, CAP_CFG, init=init, compute_se=False)
+    for x, n in zip(football.y, e_step_uni(init, football.y)):
+        ns, w = brute_uni_weights(init, float(x))
+        assert n == int(ns[np.argmax(w)])
+    rep = fit_uni_mle(football.y, init=init, compute_se=False)
     assert rep.converged
     assert rep.loglik >= observed_loglik_uni(init, football.y)
 
 
-def test_biv_mle_climbs_from_a_ridge_start_past_the_em_scan_cap(football):
+def test_biv_mle_climbs_from_a_ridge_start(football):
     init = BgdgeParams.from_values(0.05, 0.5, 0.05, 0.5, 1e-5)
-    with pytest.raises(SeriesCapError):
-        e_step(init, football, CAP_CFG)
-    rep = fit_biv_mle(football, CAP_CFG, init=init, compute_se=False)
+    for x, y, n in zip(football.x, football.y, e_step(init, football)):
+        ns, w = brute_biv_weights(init, float(x), float(y))
+        assert n == int(ns[np.argmax(w)])
+    rep = fit_biv_mle(football, init=init, compute_se=False)
     assert rep.converged
     assert rep.loglik >= observed_loglik_biv(init, football)
 
@@ -487,6 +487,13 @@ def test_std_errors_boundary_theta_is_nan_with_note(football):
     assert math.isnan(se[2])
     assert math.isfinite(se[0]) and math.isfinite(se[1])
     assert any("boundary" in n for n in notes)
+
+
+def test_std_errors_rejects_a_record_of_the_other_dimension(football):
+    for params, data in ((BgdgeParams.from_values(2.6, 0.2, 6.8, 0.16, 0.27), football.x),
+                         (UgdgeParams.from_values(2.6, 0.2, 0.27), football)):
+        with pytest.raises(TypeError, match="record needs"):
+            std_errors(params, data)
 
 
 # ---------------------------------------------------------------------------

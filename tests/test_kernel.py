@@ -1,4 +1,4 @@
-"""The log-space pmf kernel, likelihoods on distinct cells, the blocked mode scan, and the
+"""The log-space pmf kernel, likelihoods on distinct cells, the latent-count modes, and the
 latent-count laws and conditionals built on the kernel."""
 
 import functools
@@ -204,17 +204,15 @@ def test_cdfs_and_hazard_weight_match_reference_at_small_theta(law, grid, theta)
     assert_close(bgdge_cdf(BgdgeParams.from_values(alpha, p, 2.0, 0.3, theta), gx, gy), joint)
 
 
-def test_latent_count_laws_refuse_cells_the_cdfs_cannot_resolve():
-    # the pmf is about 2e-19, but the base CDFs at x and x - 1 agree in double
-    # precision: the mode scan, which compares u^n - v^n on u and v themselves,
-    # refuses the cell, while the means and the conditional CDF, formed from
-    # logs, resolve it
+def test_latent_count_laws_resolve_cells_whose_cdfs_coincide():
+    # the pmf is about 2e-19, and the base CDFs at x and x - 1 agree in double
+    # precision; the modes, the means and the conditional CDF, formed from
+    # logs, resolve the cell
     uni = UgdgeParams.from_values(2.0, 0.9, 0.5)
     biv = BgdgeParams.from_values(2.0, 0.9, 2.0, 0.9, 0.5)
     assert ugdge_pmf(uni, 400) > 0.0 and bgdge_pmf(biv, 400, 3) > 0.0
-    for call in (lambda: cond_n_argmax(uni, 400), lambda: biv_cond_n_argmax(biv, 400, 3)):
-        with pytest.raises(ValueError):
-            call()
+    assert cond_n_argmax(uni, 400) == ref_count_mode(uni.as_tuple(), (400,)) == 1
+    assert biv_cond_n_argmax(biv, 400, 3) == ref_count_mode(biv.as_tuple(), (400, 3)) == 1
     assert cond_n_mean(uni, 400) == pytest.approx(ref_count_mean(uni.as_tuple(), (400,)), rel=REL)
     assert biv_cond_n_mean(biv, 400, 3) == pytest.approx(ref_count_mean(biv.as_tuple(), (400, 3)), rel=REL)
     assert cond_cdf_given_eq(biv, 3, 400) == pytest.approx(ref_cond_cdf_given_eq(biv.as_tuple(), 3, 400), rel=REL)
@@ -260,26 +258,19 @@ def test_latent_loglik_is_exact_where_direct_difference_cancels():
 
 
 # ---------------------------------------------------------------------------
-# blocked latent-count scan
+# latent-count modes
 
 
 def brute_modes(parts, tau, n_max):
-    """Smallest maximizer of tau^(n-1) prod (hi^n - lo^n) over 1..n_max, and the
-    first n whose envelope tau^(n-1) prod hi^n falls to the running maximum."""
+    """Smallest maximizer of tau^(n-1) prod (hi^n - lo^n) over 1..n_max."""
     ns = np.arange(1, n_max + 1, dtype=float)
-    modes, certs = [], []
+    modes = []
     for k in range(parts[0][0].size):
         t = tau ** (ns - 1.0)
-        env = tau ** (ns - 1.0)
         for hi, lo in parts:
             t = t * (hi[k] ** ns - lo[k] ** ns)
-            env = env * hi[k] ** ns
-        run = np.maximum.accumulate(t)
-        stop = int(np.argmax(env[1:] <= run[:-1])) + 2
-        assert env[stop - 1] <= run[stop - 2]
         modes.append(int(np.argmax(t)) + 1)
-        certs.append(stop)
-    return np.array(modes), max(certs)
+    return np.array(modes)
 
 
 def base_cdfs(alpha, p, x):
@@ -287,7 +278,8 @@ def base_cdfs(alpha, p, x):
     return (1.0 - p ** (x + 1.0)) ** alpha, np.where(x > 0, (1.0 - p**x) ** alpha, 0.0)
 
 
-# the ridge iterate where the simulation study's n = 25 replication 2 starts EM
+# the ridge iterate where the simulation study's n = 25 replication 2 starts EM;
+# its modes reach 18,691
 RIDGE = BgdgeParams.from_values(
     0.0010000000000000002, 0.18952461979873433, 0.0010000000000000002, 0.21561047978907735,
     8.06460292589674e-05,
@@ -298,7 +290,7 @@ RIDGE = BgdgeParams.from_values(
     "omega",
     [RIDGE, BgdgeParams.from_values(1.8, 0.3, 2.4, 0.2, 0.15), BgdgeParams.from_values(0.5, 0.6, 3.0, 0.3, 0.01)],
 )
-def test_blocked_scan_matches_brute_force(omega):
+def test_e_step_modes_match_brute_force(omega):
     truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
     bx, by = bgdge_sample(truth, np.random.default_rng([20260822, 25, 2]), size=25)
     data = BivDataset(bx, by)
@@ -306,38 +298,61 @@ def test_blocked_scan_matches_brute_force(omega):
     cells = sorted(set(zip(bx.tolist(), by.tolist())))
     cx = np.array([c[0] for c in cells])
     cy = np.array([c[1] for c in cells])
-    parts = [base_cdfs(a1, p1, cx), base_cdfs(a2, p2, cy)]
-    want, cert = brute_modes(parts, 1.0 - th, 60_000)
+    want = brute_modes([base_cdfs(a1, p1, cx), base_cdfs(a2, p2, cy)], 1.0 - th, 60_000)
 
-    got = e_step(omega, data, EmConfig(n_cap=cert))
+    got = e_step(omega, data)
     index = {c: i for i, c in enumerate(cells)}
     assert got.tolist() == [int(want[index[c]]) for c in zip(bx.tolist(), by.tolist())]
-    with pytest.raises(SeriesCapError):
-        e_step(omega, data, EmConfig(n_cap=cert - 1))
-    if omega is RIDGE:
-        assert cert > 18_000  # the long scan the blocks exist for
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.6, 3.0])
-def test_blocked_scan_finds_modes_across_block_boundaries(alpha):
-    # small theta spreads the modes over the first few hundred counts, across
-    # the boundaries of the scan's growing blocks
+def test_e_step_uni_modes_match_brute_force_across_thetas(alpha):
+    # small theta spreads the modes over the first few hundred counts
     x = np.arange(0, 12)
     for theta in np.geomspace(2e-3, 0.3, 12):
-        want, _ = brute_modes([base_cdfs(alpha, 0.4, x)], 1.0 - theta, 20_000)
+        want = brute_modes([base_cdfs(alpha, 0.4, x)], 1.0 - theta, 20_000)
         got = e_step_uni(UgdgeParams.from_values(alpha, 0.4, theta), x)
         assert got.tolist() == want.tolist()
 
 
-def test_blocked_scan_univariate_matches_brute_force():
+def test_e_step_uni_modes_match_brute_force():
     params = UgdgeParams.from_values(0.05, 0.5, 2e-4)
     x = np.array([0, 1, 1, 2, 5, 9, 9, 14])
     vals = np.unique(x)
-    want, cert = brute_modes([base_cdfs(0.05, 0.5, vals)], 1.0 - 2e-4, 60_000)
-    got = e_step_uni(params, x, EmConfig(n_cap=cert))
+    want = brute_modes([base_cdfs(0.05, 0.5, vals)], 1.0 - 2e-4, 60_000)
+    got = e_step_uni(params, x)
     assert got.tolist() == [int(want[np.searchsorted(vals, v)]) for v in x]
-    with pytest.raises(SeriesCapError):
-        e_step_uni(params, x, EmConfig(n_cap=cert - 1))
+
+
+# cells at which neighbouring counts near the mode differ in weight by 1e-10 to
+# 1e-8 relative, finer than u^n - v^n formed from u and v in double precision ranks
+CLOSE_MODES = [
+    ((0.002302117254139093, 0.44603730677953307, 0.00015174738987252203), (25,), 6589),
+    ((0.001257689104535014, 0.3064655742376565, 0.002113249346158383, 0.57439191065624, 1.6669775689755208e-05),
+     (19, 8), 55638),
+]
+
+
+@pytest.mark.parametrize("q,cell,mode", CLOSE_MODES)
+def test_count_mode_is_certified_at_50_digits(q, cell, mode):
+    got = (cond_n_argmax(UgdgeParams.from_values(*q), *cell) if len(cell) == 1
+           else biv_cond_n_argmax(BgdgeParams.from_values(*q), *cell))
+    with mp.workdps(50):
+        pairs, log_tau = ref_pairs(q, cell), mp.log(1 - mp.mpf(q[-1]))
+
+        def log_t(n):
+            return (n - 1) * log_tau + sum(mp.log(u ** n - v ** n) for u, v in pairs)
+
+        assert log_t(got) > log_t(got - 1) and log_t(got) >= log_t(got + 1)
+    assert got == mode
+
+
+def test_count_mode_refuses_a_bound_past_2_to_the_53():
+    # p^(x+1) underflows, so the mode's bound is d / -log(1 - theta), d coordinates: 1e300 or 2e300
+    for call in (lambda: cond_n_argmax(UgdgeParams.from_values(2.0, 0.5, 1e-300), 2000),
+                 lambda: biv_cond_n_argmax(BgdgeParams.from_values(2.0, 0.5, 2.0, 0.5, 1e-300), 2000, 2000)):
+        with pytest.raises(SeriesCapError, match="2\\^53"):
+            call()
 
 
 # ---------------------------------------------------------------------------

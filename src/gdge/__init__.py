@@ -7,175 +7,21 @@ evaluation (pmf/cdf/hazard/quantiles/moments/generating functions), seeded
 sampling, maximum-likelihood fitting with standard errors (and the paper's
 EM algorithm alongside), likelihood-ratio tests, chi-square goodness of fit,
 a replicated bias/MSE study harness, and a CSV-oriented command line.
+
+Every module lists its public names in its ``__all__``; the package exports
+those lists, module by module.
 """
 
-from .bivariate import (
-    BgdgeParams,
-    BivCell,
-    bgdge_cdf,
-    bgdge_mgf,
-    bgdge_pgf,
-    bgdge_pmf,
-    bgdge_sample,
-    biv_compound_geometric_params,
-    biv_cond_n_argmax,
-    biv_cond_n_mean,
-    biv_cond_n_pmf,
-    cond_cdf_given_eq,
-    cond_given_le,
-    marginal_params,
-    max_params,
-    prob_eq_le,
-)
-from .dge import (
-    SERIES_CAP,
-    DgeParams,
-    GeParams,
-    SeriesCapError,
-    dge_cdf,
-    dge_hazard,
-    dge_pmf,
-    dge_sample,
-    ge_cdf,
-    ge_sample,
-)
-from .fitting import (
-    BivDataset,
-    EmConfig,
-    FitReport,
-    complete_loglik,
-    e_step,
-    e_step_uni,
-    em_fit_biv,
-    em_fit_uni,
-    fit_biv_mle,
-    fit_uni_mle,
-    latent_weighted_loglik,
-    m_step_pair,
-    observed_loglik_biv,
-    observed_loglik_uni,
-    std_errors,
-)
-from .inference import (
-    GofResult,
-    TestResult,
-    chi2_sf,
-    gof_chisq_biv,
-    gof_chisq_uni,
-    test_equal_marginals,
-    test_independence,
-)
-from .io import (
-    DataFormatError,
-    bundled_data_path,
-    format_report,
-    read_dataset,
-    write_dataset,
-    write_report,
-)
-from .simulate import SimSpec, SimTable, fast_sim_config, run_simulation
-from .univariate import (
-    UgdgeParams,
-    compound_geometric_params,
-    cond_n_argmax,
-    cond_n_mean,
-    cond_n_pmf,
-    hazard_weight,
-    mixture_cdf_approx,
-    pmf_weight,
-    ugdge_cdf,
-    ugdge_hazard,
-    ugdge_mgf,
-    ugdge_moment,
-    ugdge_pgf,
-    ugdge_pmf,
-    ugdge_quantile,
-    ugdge_sample,
-)
+from . import bivariate, dge, fitting, inference, io, simulate, univariate
+from .bivariate import *
+from .dge import *
+from .fitting import *
+from .inference import *
+from .io import *
+from .simulate import *
+from .univariate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # base law
-    "SERIES_CAP",
-    "SeriesCapError",
-    "GeParams",
-    "DgeParams",
-    "ge_cdf",
-    "ge_sample",
-    "dge_pmf",
-    "dge_cdf",
-    "dge_hazard",
-    "dge_sample",
-    # univariate compounded law
-    "UgdgeParams",
-    "ugdge_cdf",
-    "ugdge_pmf",
-    "ugdge_hazard",
-    "hazard_weight",
-    "pmf_weight",
-    "ugdge_quantile",
-    "ugdge_moment",
-    "ugdge_pgf",
-    "ugdge_mgf",
-    "mixture_cdf_approx",
-    "compound_geometric_params",
-    "ugdge_sample",
-    "cond_n_pmf",
-    "cond_n_argmax",
-    "cond_n_mean",
-    # bivariate law
-    "BgdgeParams",
-    "BivCell",
-    "bgdge_cdf",
-    "prob_eq_le",
-    "bgdge_pmf",
-    "marginal_params",
-    "cond_given_le",
-    "max_params",
-    "cond_cdf_given_eq",
-    "biv_cond_n_pmf",
-    "biv_cond_n_argmax",
-    "biv_cond_n_mean",
-    "bgdge_sample",
-    "biv_compound_geometric_params",
-    "bgdge_pgf",
-    "bgdge_mgf",
-    # fitting
-    "BivDataset",
-    "EmConfig",
-    "FitReport",
-    "observed_loglik_uni",
-    "observed_loglik_biv",
-    "latent_weighted_loglik",
-    "complete_loglik",
-    "e_step",
-    "e_step_uni",
-    "m_step_pair",
-    "em_fit_uni",
-    "em_fit_biv",
-    "fit_uni_mle",
-    "fit_biv_mle",
-    "std_errors",
-    # tests and goodness of fit
-    "TestResult",
-    "GofResult",
-    "test_equal_marginals",
-    "test_independence",
-    "gof_chisq_uni",
-    "gof_chisq_biv",
-    "chi2_sf",
-    # data and reports
-    "DataFormatError",
-    "read_dataset",
-    "write_dataset",
-    "format_report",
-    "write_report",
-    "bundled_data_path",
-    # simulation harness
-    "SimSpec",
-    "SimTable",
-    "run_simulation",
-    "fast_sim_config",
-]
+__all__ = ["__version__", *dge.__all__, *univariate.__all__, *bivariate.__all__, *fitting.__all__,
+           *inference.__all__, *io.__all__, *simulate.__all__]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,13 +28,21 @@ from .dge import (
     _den,
     _evaluate,
     _floor,
-    _ge_inverse,
     _log_cdf,
     _logpmf,
     _maybe_scalar,
     _nonneg,
 )
-from .univariate import UgdgeParams, _count_mean, _count_modes, _count_pmf, _coords, _power_weighted_sum
+from .univariate import (
+    UgdgeParams,
+    _compound_cdf,
+    _count_mean,
+    _count_modes,
+    _count_pmf,
+    _coords,
+    _latent_max,
+    _power_weighted_sum,
+)
 
 __all__ = [
     "BgdgeParams",
@@ -57,6 +66,9 @@ __all__ = [
 @dataclass(frozen=True)
 class BgdgeParams:
     """Two base-law parameter pairs plus the shared compounding probability."""
+
+    #: The parameters' names, in the order of `from_values` and `as_tuple`.
+    names: ClassVar[tuple] = ("alpha1", "p1", "alpha2", "p2", "theta")
 
     m1: DgeParams
     m2: DgeParams
@@ -88,13 +100,7 @@ class BivCell:
 
 def bgdge_cdf(params: BgdgeParams, x, y):
     """Joint CDF ``theta*A*B / (1 - (1-theta)*A*B)``; 0 off the support."""
-    a1, p1, a2, p2, th = params.as_tuple()
-
-    def cdf(x, y):
-        lw = _log_cdf(a1, p1, x) + _log_cdf(a2, p2, y)
-        return th * np.exp(lw) / _den(th, lw)
-
-    return _evaluate(cdf, _floor(x), _floor(y))
+    return _compound_cdf(params.theta, [(m.alpha, m.p) for m in (params.m1, params.m2)], x, y)
 
 
 def prob_eq_le(params: BgdgeParams, x, y):
@@ -199,22 +205,12 @@ def biv_cond_n_mean(params: BgdgeParams, x: int, y: int) -> float:
 
 
 def bgdge_sample(params: BgdgeParams, rng: np.random.Generator, size=None):
-    """Draws via the latent construction: one shared count, one uniform per axis.
+    """Draws via the latent construction (`univariate._latent_max`): one shared count, one uniform per axis.
 
-    Given the count N, each coordinate is the floor of a continuous draw with
-    shape ``N * alpha_i`` (max-stability).  Returns a `BivCell` when ``size``
-    is None, else a pair of int64 arrays.
+    Returns a `BivCell` when ``size`` is None, else a pair of int64 arrays.
     """
-    a1, p1, a2, p2, th = params.as_tuple()
-    n = rng.geometric(th, size=size)
-    u = rng.random(size)
-    v = rng.random(size)
-    nf = np.asarray(n, dtype=float)
-    gx = _ge_inverse(nf * a1, -math.log(p1), u)
-    gy = _ge_inverse(nf * a2, -math.log(p2), v)
-    if size is None:
-        return BivCell(int(np.floor(gx)), int(np.floor(gy)))
-    return np.floor(gx).astype(np.int64), np.floor(gy).astype(np.int64)
+    x, y = _latent_max(params.theta, [(m.alpha, m.p) for m in (params.m1, params.m2)], rng, size)
+    return BivCell(x, y) if size is None else (x, y)
 
 
 def biv_compound_geometric_params(params: BgdgeParams, q: float) -> BgdgeParams:

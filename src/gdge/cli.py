@@ -12,6 +12,7 @@ converge (the report is still written).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -30,7 +31,6 @@ from .fitting import (
     fit_uni_mle,
 )
 from .inference import (
-    GofResult,
     _test_both,
     gof_chisq_biv,
     gof_chisq_uni,
@@ -43,10 +43,13 @@ from .univariate import UgdgeParams, ugdge_cdf, ugdge_pmf, ugdge_sample
 
 __all__ = ["main"]
 
-_UNI_ORDER = "alpha,p,theta"
 _MAX_ITER_HELP = "iteration cap of each trust-region search, or of EM with fit --no-polish"
 _TOL_HELP = "relative log-likelihood tolerance of EM with --no-polish (ML fits stop on the gradient test)"
-_BIV_ORDER = "alpha1,p1,alpha2,p2,theta"
+
+
+def _order(law) -> str:
+    """The parameter names of the record ``law``, comma-separated in the order of its values."""
+    return ",".join(law.names)
 
 
 class _InputError(Exception):
@@ -67,18 +70,16 @@ def _parse_floats(text: str, n: int, what: str):
         raise _InputError(f"{what} has a non-numeric entry in {text!r}") from None
 
 
-def _uni_params(text: str, what: str = "--params") -> UgdgeParams:
-    vals = _parse_floats(text, 3, f"{what} ({_UNI_ORDER})")
-    try:
-        return UgdgeParams.from_values(*vals)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+def _law(args):
+    """The parameter record of the ``--uni`` or ``--biv`` model."""
+    return BgdgeParams if args.biv else UgdgeParams
 
 
-def _biv_params(text: str, what: str = "--params") -> BgdgeParams:
-    vals = _parse_floats(text, 5, f"{what} ({_BIV_ORDER})")
+def _params(text: str, law, what: str = "--params"):
+    """The parameter record ``law`` from the comma-separated values of ``text``, in the order of its names."""
+    vals = _parse_floats(text, len(law.names), f"{what} ({_order(law)})")
     try:
-        return BgdgeParams.from_values(*vals)
+        return law.from_values(*vals)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
 
@@ -160,25 +161,7 @@ def _fit_pairs(rep: FitReport):
     return pairs
 
 
-def _gof_pairs(gof: GofResult, prefix: str = "gof"):
-    pairs = [
-        (f"{prefix}_statistic", gof.statistic),
-        (f"{prefix}_df", gof.df),
-        (f"{prefix}_p_value", gof.p_value),
-        (f"{prefix}_cells", len(gof.cells)),
-    ]
-    for i, ((obs, exp, pooled), label) in enumerate(zip(gof.cells, gof.labels), start=1):
-        pairs.append((f"{prefix}_cell_{i}_label", label))
-        pairs.append((f"{prefix}_cell_{i}_observed", obs))
-        pairs.append((f"{prefix}_cell_{i}_expected", exp))
-        if pooled:
-            pairs.append((f"{prefix}_cell_{i}_pooled", True))
-    return pairs
-
-
 def _test_pairs(result, prefix: str = ""):
-    names = ("alpha1", "p1", "alpha2", "p2", "theta")
-    null_names = names if len(result.null_params) == 5 else ("alpha", "p", "theta")
     pairs = [
         (f"{prefix}statistic", result.statistic),
         (f"{prefix}reference", result.reference),
@@ -186,10 +169,29 @@ def _test_pairs(result, prefix: str = ""):
         (f"{prefix}ll_full", result.ll_full),
         (f"{prefix}ll_null", result.ll_null),
     ]
-    for name, value in zip(names, result.full_params):
-        pairs.append((f"{prefix}full_{name}", value))
-    for name, value in zip(null_names, result.null_params):
-        pairs.append((f"{prefix}null_{name}", value))
+    for role, values in (("full", result.full_params), ("null", result.null_params)):
+        pairs.extend((f"{prefix}{role}_{name}", value) for name, value in zip(BgdgeParams.names, values))
+    return pairs
+
+
+def _gof(args, data, params):
+    """The report block of `gof_chisq_biv` or `gof_chisq_uni` of ``data`` at ``params``, with the GOF options."""
+    if args.biv:
+        gof = gof_chisq_biv(data, params, pool_min=args.pool_min, df_override=args.df)
+    else:
+        gof = gof_chisq_uni(data, params, pool_min=args.pool_min, tail=args.tail)
+    pairs = [
+        ("gof_statistic", gof.statistic),
+        ("gof_df", gof.df),
+        ("gof_p_value", gof.p_value),
+        ("gof_cells", len(gof.cells)),
+    ]
+    for i, ((obs, exp, pooled), label) in enumerate(zip(gof.cells, gof.labels), start=1):
+        pairs.append((f"gof_cell_{i}_label", label))
+        pairs.append((f"gof_cell_{i}_observed", obs))
+        pairs.append((f"gof_cell_{i}_expected", exp))
+        if pooled:
+            pairs.append((f"gof_cell_{i}_pooled", True))
     return pairs
 
 
@@ -197,38 +199,27 @@ def _test_pairs(result, prefix: str = ""):
 # subcommands
 
 
+def _head(command: str, args, data):
+    """The first lines of a ``fit`` or ``gof`` report."""
+    return [("command", command), ("mode", "biv" if args.biv else "uni"), ("data", args.data), ("m", len(data))]
+
+
 def _cmd_fit(args) -> int:
     cfg = _make_cfg(args, EmConfig())
     _check_gof_flags(args)
-    mode = "biv" if args.biv else "uni"
-    pairs = [("command", "fit"), ("mode", mode), ("data", args.data)]
     if args.no_polish and args.init is None:
         raise _InputError("--no-polish needs --init to supply the starting point")
     if args.tol is not None and not args.no_polish:
         raise _InputError("--tol applies only to EM with --no-polish (ML fits stop on the gradient test)")
-    if args.biv:
-        data = _load(args.data, args)
-        pairs.append(("m", len(data)))
-        init = _biv_params(args.init, "--init") if args.init else None
-        if args.no_polish:
-            rep = em_fit_biv(data, init, cfg)
-        else:
-            rep = fit_biv_mle(data, cfg, init=init)
+    data = _load(args.data, args)
+    init = _params(args.init, _law(args), "--init") if args.init else None
+    if args.no_polish:
+        rep = (em_fit_biv if args.biv else em_fit_uni)(data, init, cfg)
     else:
-        x = _load(args.data, args)
-        pairs.append(("m", int(x.size)))
-        init = _uni_params(args.init, "--init") if args.init else None
-        if args.no_polish:
-            rep = em_fit_uni(x, init, cfg)
-        else:
-            rep = fit_uni_mle(x, cfg, init=init)
-    pairs.extend(_fit_pairs(rep))
+        rep = (fit_biv_mle if args.biv else fit_uni_mle)(data, cfg, init=init)
+    pairs = _head("fit", args, data) + _fit_pairs(rep)
     if args.gof:
-        if args.biv:
-            gof = gof_chisq_biv(data, rep.params, pool_min=args.pool_min, df_override=args.df)
-        else:
-            gof = gof_chisq_uni(x, rep.params, pool_min=args.pool_min, tail=args.tail)
-        pairs.extend(_gof_pairs(gof))
+        pairs.extend(_gof(args, data, rep.params))
     _emit(pairs, args.out)
     return 0 if rep.converged else 4
 
@@ -255,38 +246,24 @@ def _cmd_test(args) -> int:
 
 def _cmd_gof(args) -> int:
     _check_gof_flags(args)
-    mode = "biv" if args.biv else "uni"
-    pairs = [("command", "gof"), ("mode", mode), ("data", args.data)]
-    if args.biv:
-        data = _load(args.data, args)
-        pairs.append(("m", len(data)))
-        fitted = _biv_params(args.params)
-        gof = gof_chisq_biv(data, fitted, pool_min=args.pool_min, df_override=args.df)
-    else:
-        x = _load(args.data, args)
-        pairs.append(("m", int(x.size)))
-        fitted = _uni_params(args.params)
-        gof = gof_chisq_uni(x, fitted, pool_min=args.pool_min, tail=args.tail)
-    pairs.extend(_gof_pairs(gof))
-    _emit(pairs, args.out)
+    data = _load(args.data, args)
+    _emit(_head("gof", args, data) + _gof(args, data, _params(args.params, _law(args))), args.out)
     return 0
 
 
 def _cmd_table(args) -> int:
     if args.horizon < 0:
         raise _InputError("--horizon must be >= 0")
+    law = _law(args)
+    params = _params(args.params, law)
+    axes = "xy" if args.biv else "x"
     grid = range(args.horizon + 1)
-    g = np.array(grid)
-    if args.biv:
-        params = _biv_params(args.params)
-        lines = [f"# params: {_BIV_ORDER} = {args.params}", "x,y,pmf,cdf"]
-        pm, cd = bgdge_pmf(params, g[:, None], g), bgdge_cdf(params, g[:, None], g)
-        lines += [f"{x},{y},{pm[x, y]:.10g},{cd[x, y]:.10g}" for x in grid for y in grid]
-    else:
-        params = _uni_params(args.params)
-        lines = [f"# params: {_UNI_ORDER} = {args.params}", "x,pmf,cdf"]
-        pm, cd = ugdge_pmf(params, g), ugdge_cdf(params, g)
-        lines += [f"{x},{pm[x]:.10g},{cd[x]:.10g}" for x in grid]
+    mesh = np.ix_(*(np.array(grid) for _ in axes))
+    pm = (bgdge_pmf if args.biv else ugdge_pmf)(params, *mesh)
+    cd = (bgdge_cdf if args.biv else ugdge_cdf)(params, *mesh)
+    lines = [f"# params: {_order(law)} = {args.params}", f"{','.join(axes)},pmf,cdf"]
+    lines += [f"{','.join(map(str, cell))},{pm[cell]:.10g},{cd[cell]:.10g}"
+              for cell in itertools.product(grid, repeat=len(axes))]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -299,22 +276,16 @@ def _cmd_table(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 0:
         raise _InputError("--count must be >= 0")
-    rng = np.random.default_rng(args.seed)
-    if args.biv:
-        params = _biv_params(args.params)
-        drawn = bgdge_sample(params, rng, size=args.count)
-        comment_params = f"params: {_BIV_ORDER} = {args.params}"
-    else:
-        params = _uni_params(args.params)
-        drawn = ugdge_sample(params, rng, size=args.count)
-        comment_params = f"params: {_UNI_ORDER} = {args.params}"
-    comments = (comment_params, f"seed: {args.seed}", f"count: {args.count}")
+    law = _law(args)
+    params = _params(args.params, law)
+    drawn = (bgdge_sample if args.biv else ugdge_sample)(params, np.random.default_rng(args.seed), size=args.count)
+    comments = (f"params: {_order(law)} = {args.params}", f"seed: {args.seed}", f"count: {args.count}")
     write_dataset(args.out, drawn, comments=comments)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    truth = _biv_params(args.truth, "--truth")
+    truth = _params(args.truth, BgdgeParams, "--truth")
     sizes = []
     for part in args.sizes.split(","):
         part = part.strip()
@@ -365,6 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fitting, testing, tables, sampling, simulation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    orders = f"{_order(UgdgeParams)} or {_order(BgdgeParams)}"
 
     sp = sub.add_parser("fit", help="maximum-likelihood fit of a dataset")
     _add_mode_flags(sp)
@@ -372,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--column", choices=("x", "y"), default=None,
                     help="which column of a paired file to fit (--uni only)")
     sp.add_argument("--init", metavar="VALS", default=None,
-                    help=f"starting point, comma-separated ({_UNI_ORDER} or {_BIV_ORDER})")
+                    help=f"starting point, comma-separated ({orders})")
     sp.add_argument("--no-polish", action="store_true",
                     help="plain EM from --init, without the multi-start gradient search")
     sp.add_argument("--max-iter", type=int, default=None, help=_MAX_ITER_HELP)
@@ -396,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--column", choices=("x", "y"), default=None,
                     help="which column of a paired file to use (--uni only)")
     sp.add_argument("--params", required=True, metavar="VALS",
-                    help=f"model parameters, comma-separated ({_UNI_ORDER} or {_BIV_ORDER})")
+                    help=f"model parameters, comma-separated ({orders})")
     _add_gof_flags(sp)
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     sp.set_defaults(func=_cmd_gof)
@@ -404,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="pmf/cdf table for plotting")
     _add_mode_flags(sp)
     sp.add_argument("--params", required=True, metavar="VALS",
-                    help=f"model parameters, comma-separated ({_UNI_ORDER} or {_BIV_ORDER})")
+                    help=f"model parameters, comma-separated ({orders})")
     sp.add_argument("--horizon", type=int, default=20,
                     help="largest value tabulated (default 20)")
     sp.add_argument("--out", default=None, help="write the table here instead of stdout")
@@ -413,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="draw a seeded dataset")
     _add_mode_flags(sp)
     sp.add_argument("--params", required=True, metavar="VALS",
-                    help=f"model parameters, comma-separated ({_UNI_ORDER} or {_BIV_ORDER})")
+                    help=f"model parameters, comma-separated ({orders})")
     sp.add_argument("--count", type=int, required=True, help="number of rows to draw")
     sp.add_argument("--seed", type=int, required=True, help="generator seed (recorded in the file)")
     sp.add_argument("--out", required=True, help="output CSV path")
@@ -421,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="replicated bias/MSE study of the bivariate fitter")
     sp.add_argument("--truth", default="2.0,0.25,2.0,0.25,0.25", metavar="VALS",
-                    help=f"true parameters ({_BIV_ORDER})")
+                    help=f"true parameters ({_order(BgdgeParams)})")
     sp.add_argument("--sizes", default="25,100", help="comma-separated sample sizes")
     sp.add_argument("--reps", type=int, default=200, help="replications per size (default 200)")
     sp.add_argument("--seed", type=int, default=20260822, help="master seed")

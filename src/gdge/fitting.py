@@ -351,11 +351,8 @@ def m_step_pair(values, counts, cfg: EmConfig | None = None):
 # EM drivers
 
 
-#: By number of coordinates: the parameter record, its parameters' names and the theta = 1 submodel.
-_LAWS = {
-    1: (UgdgeParams, ("alpha", "p", "theta"), "base-law"),
-    2: (BgdgeParams, ("alpha1", "p1", "alpha2", "p2", "theta"), "independence"),
-}
+#: By number of coordinates: the parameter record and the name of its theta = 1 submodel.
+_LAWS = {1: (UgdgeParams, "base-law"), 2: (BgdgeParams, "independence")}
 
 
 def _cols(data):
@@ -365,8 +362,7 @@ def _cols(data):
 
 def _finish_report(params, data, iters, trace, stop_reason, converged, method, notes, compute_se):
     """The `FitReport` of an estimate whose log-likelihood is ``trace[-1]``."""
-    est = params.as_tuple()
-    names = _LAWS[len(est) // 2][1]
+    est, names = params.as_tuple(), params.names
     notes = [*notes, *(f"{name} = {v:g} on the edge of the search box"
                        for name, v, edge in zip(names, est, _on_bound(np.array(est))) if edge)]
     if compute_se:
@@ -712,7 +708,7 @@ def _fit(data, cfg: EmConfig, init=None, extra_starts=()) -> _Fit:
     coordinate's geometric fit."""
     cols = _cols(data)
     base = (*(v for c in cols for v in (1.0, _geometric_p(c))), 1.0)
-    return _fit_mle(_model(data, cfg)[0], init, base, cfg, _LAWS[len(cols)][2], extra_starts)
+    return _fit_mle(_model(data, cfg)[0], init, base, cfg, _LAWS[len(cols)][1], extra_starts)
 
 
 _TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five bivariate parameters
@@ -791,10 +787,9 @@ def std_errors(params, data):
         raise TypeError(f"a {type(params).__name__} record needs {need}, got {type(data).__name__}")
     ll = _model(data if isinstance(params, BgdgeParams) else _as_counts(data), EmConfig())[0]
     q = np.array(params.as_tuple())
-    names = _LAWS[q.size // 2][1]
     free = ~_on_bound(q)
     notes = [f"{name} on the edge of the search box: its standard error is undefined (reported NaN)"
-             for name, f in zip(names, free) if not f]
+             for name, f in zip(params.names, free) if not f]
     if q[-1] == 1.0:
         free[-1] = False
         notes.append("theta at boundary 1: its standard error is undefined (reported NaN)")

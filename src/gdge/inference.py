@@ -220,6 +220,25 @@ def _chisq_from_cells(cells):
     return stat
 
 
+def _gof(obs, exp, labels, pool_min, n_params, df=None) -> GofResult:
+    """The chi-square comparison of observed and expected counts per labelled cell, pooled by `_pool_tail`.
+
+    df is ``df`` if given, else cells - 1 - n_params floored at 1.
+    """
+    cells, labels = _pool_tail(obs, exp, labels, pool_min)
+    stat = _chisq_from_cells(cells)
+    df = int(df) if df is not None else max(len(cells) - 1 - n_params, 1)
+    if df < 1:
+        raise ValueError("degrees of freedom must be >= 1")
+    return GofResult(
+        cells=tuple((o, e, pooled) for o, e, pooled in cells),
+        labels=tuple(labels),
+        statistic=float(stat),
+        df=df,
+        p_value=chi2_sf(stat, df),
+    )
+
+
 def gof_chisq_uni(
     x,
     fitted: UgdgeParams,
@@ -249,16 +268,7 @@ def gof_chisq_uni(
         obs = np.append(obs, 0.0)
         exp = np.append(exp, max(m - exp.sum(), 0.0))
         labels.append(f">{x_max}")
-    cells, labels = _pool_tail(obs, exp, labels, pool_min)
-    stat = _chisq_from_cells(cells)
-    df = max(len(cells) - 1 - n_params, 1)
-    return GofResult(
-        cells=tuple((o, e, pooled) for o, e, pooled in cells),
-        labels=tuple(labels),
-        statistic=float(stat),
-        df=int(df),
-        p_value=chi2_sf(stat, df),
-    )
+    return _gof(obs, exp, labels, pool_min, n_params)
 
 
 def _expected_rectangle(params: BgdgeParams, m: int, x_max: int, y_max: int, fold: bool):
@@ -310,15 +320,4 @@ def gof_chisq_biv(
     obs = data.contingency_table().astype(float)
     exp = _expected_rectangle(fitted, m, x_max, y_max, fold_tail)
     labels = [f"{i},{j}" for i in range(x_max + 1) for j in range(y_max + 1)]
-    cells, labels = _pool_tail(obs.ravel(), exp.ravel(), labels, pool_min)
-    stat = _chisq_from_cells(cells)
-    df = int(df_override) if df_override is not None else max(len(cells) - 1 - n_params, 1)
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    return GofResult(
-        cells=tuple((o, e, pooled) for o, e, pooled in cells),
-        labels=tuple(labels),
-        statistic=float(stat),
-        df=df,
-        p_value=chi2_sf(stat, df),
-    )
+    return _gof(obs.ravel(), exp.ravel(), labels, pool_min, n_params, df_override)

@@ -21,8 +21,6 @@ from .fitting import BivDataset, EmConfig, fit_biv_mle
 
 __all__ = ["SimSpec", "SimTable", "run_simulation", "fast_sim_config"]
 
-_PARAM_NAMES = ("alpha1", "p1", "alpha2", "p2", "theta")
-
 
 def fast_sim_config() -> EmConfig:
     """The configuration of replicated fitting, which is the single-fit default.
@@ -122,7 +120,7 @@ def run_simulation(spec: SimSpec, progress: bool = False) -> SimTable:
         "init_rule": "theta-one-fit+theta-grid",
     }
     return SimTable(
-        param_names=_PARAM_NAMES,
+        param_names=spec.true_params.names,
         sample_sizes=spec.sample_sizes,
         truth=tuple(float(v) for v in truth),
         ae=ae,

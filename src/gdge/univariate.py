@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,6 +69,9 @@ __all__ = [
 class UgdgeParams:
     """Base-law parameters plus the geometric compounding probability."""
 
+    #: The parameters' names, in the order of `from_values` and `as_tuple`.
+    names: ClassVar[tuple] = ("alpha", "p", "theta")
+
     base: DgeParams
     theta: float
 
@@ -91,15 +95,22 @@ class UgdgeParams:
         return (self.base.alpha, self.base.p, self.theta)
 
 
+def _compound_cdf(theta, laws, *xs):
+    """``theta*W / (1 - (1-theta)*W)``, W the product over the base laws ``(alpha, p)`` of their CDFs at ``xs``.
+
+    The CDF of the coordinatewise maxima of one geometric(theta) count of draws, one coordinate per law.
+    """
+
+    def cdf(*points):
+        lw = sum(_log_cdf(alpha, p, x) for (alpha, p), x in zip(laws, points))
+        return theta * np.exp(lw) / _den(theta, lw)
+
+    return _evaluate(cdf, *(_floor(x) for x in xs))
+
+
 def ugdge_cdf(params: UgdgeParams, x):
     """CDF ``theta*A / (1 - (1-theta)*A)`` with A the base CDF at x."""
-    al, p, th = params.as_tuple()
-
-    def cdf(x):
-        la = _log_cdf(al, p, x)
-        return th * np.exp(la) / _den(th, la)
-
-    return _evaluate(cdf, _floor(x))
+    return _compound_cdf(params.theta, [(params.alpha, params.p)], x)
 
 
 def ugdge_pmf(params: UgdgeParams, x):
@@ -281,22 +292,29 @@ def compound_geometric_params(params: UgdgeParams, q: float) -> UgdgeParams:
     return UgdgeParams(params.base, q * params.theta)
 
 
-def ugdge_sample(params: UgdgeParams, rng: np.random.Generator, size=None):
-    """Draws via the latent construction, one uniform per variate.
+def _latent_max(theta, laws, rng: np.random.Generator, size):
+    """Coordinatewise maxima of one geometric(theta) count N of draws, one coordinate per base law ``(alpha, p)``.
 
-    The maximum of N iid base variates (N geometric) is the floor of a single
-    continuous draw with shape ``N * alpha`` — max-stability of the continuous
-    family — so each variate costs one geometric and one uniform.  Returns a
-    Python int when ``size`` is None, else an int64 array.
+    The maximum of N iid base variates is the floor of a single continuous
+    draw with shape ``N * alpha`` — max-stability of the continuous family —
+    so a draw costs the geometric count and then one uniform per law, in the
+    order of ``laws``.  Returns one Python int per law when ``size`` is None,
+    else one int64 array per law.
     """
-    al, p, th = params.as_tuple()
-    lam = -math.log(p)
-    n = rng.geometric(th, size=size)
-    u = rng.random(size)
-    y = _ge_inverse(np.asarray(n, dtype=float) * al, lam, u)
-    if size is None:
-        return int(np.floor(y))
-    return np.floor(y).astype(np.int64)
+    n = np.asarray(rng.geometric(theta, size=size), dtype=float)
+    out = []
+    for alpha, p in laws:
+        y = np.floor(_ge_inverse(n * alpha, -math.log(p), rng.random(size)))
+        out.append(int(y) if size is None else y.astype(np.int64))
+    return out
+
+
+def ugdge_sample(params: UgdgeParams, rng: np.random.Generator, size=None):
+    """Draws via the latent construction (`_latent_max`), one geometric and one uniform per variate.
+
+    Returns a Python int when ``size`` is None, else an int64 array.
+    """
+    return _latent_max(params.theta, [(params.alpha, params.p)], rng, size)[0]
 
 
 # ---------------------------------------------------------------------------

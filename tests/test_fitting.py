@@ -1,5 +1,6 @@
 """EM machinery and maximum-likelihood drivers."""
 
+import inspect
 import math
 import warnings
 from collections import Counter
@@ -173,6 +174,16 @@ def test_em_max_iter_reports_nonconvergence():
 
 # ---------------------------------------------------------------------------
 # full pipelines on the bundled match data
+
+
+@pytest.mark.parametrize("law, fit, column", [(UgdgeParams, fit_uni_mle, "x"), (BgdgeParams, fit_biv_mle, None)],
+                         ids=["uni", "biv"])
+def test_record_names_are_its_values_and_its_reports_names(football, law, fit, column):
+    # one list of names serves the records, the fit reports, the simulation table and the command line
+    assert law.names == tuple(inspect.signature(law.from_values).parameters)
+    rep = fit(getattr(football, column) if column else football, compute_se=False)
+    assert rep.param_names == law.names
+    assert rep.params.as_tuple() == rep.estimates
 
 
 def test_uni_mle_first_margin_regression(football):

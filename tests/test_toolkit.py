@@ -1,6 +1,8 @@
 """Dataset I/O, report formatting, the command-line interface, and the package's exports."""
 
 import importlib
+import inspect
+import itertools
 import math
 from dataclasses import replace
 
@@ -14,6 +16,7 @@ from gdge import (
     BivDataset,
     DataFormatError,
     SimSpec,
+    UgdgeParams,
     bgdge_cdf,
     bgdge_pmf,
     bundled_data_path,
@@ -21,6 +24,8 @@ from gdge import (
     format_report,
     read_dataset,
     run_simulation,
+    ugdge_cdf,
+    ugdge_pmf,
     write_dataset,
     write_report,
 )
@@ -39,6 +44,11 @@ def test_every_exported_name_resolves(module):
     # a stale name in an __all__ breaks ``from gdge import *`` and every tool that looks the names up
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    # the package exports the modules' __all__ lists, so a public function or class left out of its
+    # module's list would drop out of ``gdge`` and out of every tool that wraps the exported functions
+    defined = [name for name, obj in vars(mod).items() if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == mod.__name__]
+    assert [name for name in defined if name not in mod.__all__] == []
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +345,16 @@ def test_cli_table_biv_header(capsys):
     assert len(lines) == 1 + 9  # 3x3 grid
 
 
-def test_cli_table_biv_equals_the_scalar_evaluators_per_cell(capsys):
-    params = "2.648,0.204,6.78,0.16,0.2725"
-    rc, out = run_cli(capsys, ["table", "--biv", "--params", params, "--horizon", "3"])
+@pytest.mark.parametrize("mode, record, pmf, cdf, params", [
+    ("--uni", UgdgeParams, ugdge_pmf, ugdge_cdf, "2.648,0.204,0.2725"),
+    ("--biv", BgdgeParams, bgdge_pmf, bgdge_cdf, "2.648,0.204,6.78,0.16,0.2725"),
+], ids=["uni", "biv"])
+def test_cli_table_equals_the_scalar_evaluators_per_cell(capsys, mode, record, pmf, cdf, params):
+    rc, out = run_cli(capsys, ["table", mode, "--params", params, "--horizon", "3"])
     assert rc == 0
-    law = BgdgeParams.from_values(*map(float, params.split(",")))
-    want = [f"{x},{y},{bgdge_pmf(law, x, y):.10g},{bgdge_cdf(law, x, y):.10g}" for x in range(4) for y in range(4)]
+    law = record.from_values(*map(float, params.split(",")))
+    cells = itertools.product(range(4), repeat=len(law.names) // 2)  # x, or (x, y) row-major
+    want = [",".join([*map(str, cell), f"{pmf(law, *cell):.10g}", f"{cdf(law, *cell):.10g}"]) for cell in cells]
     assert out.splitlines()[2:] == want
 
 

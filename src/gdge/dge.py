@@ -116,15 +116,21 @@ def _ge_inverse(alpha, lam, u):
     """Inverse CDF of the continuous law, sans domain checks (sampler core).
 
     ``1 - u**(1/alpha)`` is formed as ``-expm1(log(u)/alpha)`` to keep
-    precision for ``u`` near 1; ``u = 0`` maps gracefully to 0.
+    precision for ``u`` near 1; ``u = 0`` maps gracefully to 0.  Works in place
+    on the float array ``u``, which the caller owns, and returns it.
     """
     with np.errstate(divide="ignore"):
-        return -np.log(-np.expm1(np.log(u) / alpha)) / lam
+        np.log(u, out=u)
+        np.divide(u, alpha, out=u)
+        np.expm1(u, out=u)
+        np.negative(u, out=u)
+        np.log(u, out=u)
+        return np.divide(u, -lam, out=u)
 
 
 def ge_sample(params: GeParams, u):
     """Map uniform(0,1) variates to GE variates by inverse transform."""
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)  # a copy: `_ge_inverse` works in place
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
     return _maybe_scalar(_ge_inverse(params.alpha, params.lam, u))
@@ -158,11 +164,9 @@ def dge_sample(params: DgeParams, rng: np.random.Generator, size=None):
 
     Returns a Python int when ``size`` is None, else an int64 array.
     """
-    u = rng.random(size)
-    y = _ge_inverse(params.alpha, params.lam, u)
-    if size is None:
-        return int(np.floor(y))
-    return np.floor(y).astype(np.int64)
+    y = _ge_inverse(params.alpha, params.lam, np.asarray(rng.random(size)))
+    np.floor(y, out=y)
+    return int(y) if size is None else y.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +179,9 @@ def dge_sample(params: DgeParams, rng: np.random.Generator, size=None):
 # arrays of integer values x >= 0.
 
 #: Public evaluators run the kernel on slices of this many lattice points (or
-#: elements, where the input is no lattice box), so the temporaries of a call
-#: on millions of points stay a few hundred kilobytes.
+#: elements, where the input is no lattice box), so the kernel's temporaries
+#: stay a few hundred kilobytes.  A call on millions of points still makes a
+#: few arrays of the input's size: the offsets, the flat index and the output.
 _CHUNK = 1 << 14
 
 
@@ -203,23 +208,35 @@ def _floor(x):
 
 
 def _lattice_box(args, size):
-    """Lower corner, spans and per-argument offset indices of the integer box spanned by ``args``.
+    """Lower corner, spans and per-argument intp offsets of the integer box spanned by ``args``.
 
     None unless every argument is finite and integer-valued and the box holds at most
-    ``size`` points.
+    ``size`` points.  For an integer dtype the corner and the spans are Python ints and
+    the offsets are taken in intp from the argument's own minimum, so they neither wrap
+    in a narrow dtype nor depend on numpy's casting rules for Python ints; an argument
+    whose minimum is 0 is its own offsets.  Float input is checked for integer values.
     """
     if size == 0:
         return None
-    lows = [float(a.min()) for a in args]
-    spans = [float(a.max()) - lo + 1.0 for a, lo in zip(args, lows)]  # nan or inf unless finite
-    if not (all(lo.is_integer() for lo in lows) and math.prod(spans) <= size):
+    lows, spans = [], []
+    for a in args:
+        cast = int if a.dtype.kind in "iu" else float
+        lo, hi = cast(a.min()), cast(a.max())
+        if not float(lo).is_integer():
+            return None
+        lows.append(lo)
+        spans.append(hi - lo + 1)  # nan or inf unless finite
+    if not math.prod(spans) <= size:
         return None
     index = []
     for a, lo in zip(args, lows):
-        off = a - lo
-        k = off.astype(np.intp, copy=False)
-        if not (k is off or np.array_equal(k, off)):  # integer offsets are their own indices
-            return None
+        if a.dtype.kind in "iu":
+            k = a if lo == 0 else np.subtract(a, a.dtype.type(lo), dtype=np.intp)
+        else:
+            off = a - lo
+            k = off.astype(np.intp)
+            if not np.array_equal(k, off):
+                return None
         index.append(k)
     return lows, [int(s) for s in spans], index
 
@@ -228,10 +245,10 @@ def _evaluate(fn, *args):
     """``fn`` over the broadcast of the integer or float arrays ``args``, once per distinct lattice point.
 
     Where `_lattice_box` finds the box spanned by the arguments, ``fn`` runs on the
-    box's points in `_CHUNK` slices and each element gathers its value by
-    `np.ravel_multi_index`; otherwise ``fn`` runs on the broadcast, chunk by chunk.
-    ``fn`` always receives float arrays.  Returns a float for 0-d input, else an
-    array of the broadcast shape.
+    box's points in `_CHUNK` slices and each element gathers its value at a flat intp
+    index, built Horner-style from the offsets (one argument's offsets are the index);
+    otherwise ``fn`` runs on the broadcast, chunk by chunk.  ``fn`` always receives
+    float arrays.  Returns a float for 0-d input, else an array of the broadcast shape.
     """
     shape = np.broadcast_shapes(*(a.shape for a in args))
     size = math.prod(shape)
@@ -246,8 +263,13 @@ def _evaluate(fn, *args):
     vals = np.empty(math.prod(spans))
     for i in range(0, vals.size, _CHUNK):
         points = np.unravel_index(np.arange(i, min(i + _CHUNK, vals.size)), spans)
-        vals[i:i + _CHUNK] = fn(*(k + lo for lo, k in zip(lows, points)))
-    return _maybe_scalar(vals[np.ravel_multi_index(index, spans)].reshape(shape))
+        vals[i:i + _CHUNK] = fn(*(k + float(lo) for lo, k in zip(lows, points)))
+    flat = index[0]
+    if len(index) > 1:  # Horner, flat = flat * span + k, in one intp buffer of the broadcast shape
+        buf = np.empty(shape, np.intp)
+        for k, span in zip(index[1:], spans[1:]):
+            flat = np.add(np.multiply(flat, span, out=buf, dtype=np.intp), k, out=buf, dtype=np.intp)
+    return _maybe_scalar(vals.take(flat))
 
 
 def _base_logs(p, x):

@@ -298,13 +298,16 @@ def _latent_max(theta, laws, rng: np.random.Generator, size):
     The maximum of N iid base variates is the floor of a single continuous
     draw with shape ``N * alpha`` — max-stability of the continuous family —
     so a draw costs the geometric count and then one uniform per law, in the
-    order of ``laws``.  Returns one Python int per law when ``size`` is None,
-    else one int64 array per law.
+    order of ``laws``.  The uniforms of every law share one buffer, which
+    `_ge_inverse` turns into the draws in place.  Returns one Python int per law
+    when ``size`` is None, else one int64 array per law.
     """
     n = np.asarray(rng.geometric(theta, size=size), dtype=float)
+    u = np.empty(n.shape)
     out = []
     for alpha, p in laws:
-        y = np.floor(_ge_inverse(n * alpha, -math.log(p), rng.random(size)))
+        y = _ge_inverse(n * alpha, -math.log(p), rng.random(size, out=u))
+        np.floor(y, out=y)
         out.append(int(y) if size is None else y.astype(np.int64))
     return out
 

@@ -321,17 +321,24 @@ def test_mgf_domain():
 # sampling
 
 
-def test_sampler_draw_order_is_frozen():
-    params = CASES[0]
-    bx, by = bgdge_sample(params, np.random.default_rng(55), size=5)
-    rng = np.random.default_rng(55)
-    n = rng.geometric(0.25, size=5)
-    u = rng.random(5)
-    v = rng.random(5)
-    lam = -math.log(0.25)
-    mx = np.floor(-np.log(-np.expm1(np.log(u) / (n * 2.0))) / lam).astype(np.int64)
-    my = np.floor(-np.log(-np.expm1(np.log(v) / (n * 2.0))) / lam).astype(np.int64)
-    assert (bx == mx).all() and (by == my).all()
+@pytest.mark.parametrize("size", [100_000, None, 0, (3, 4)], ids=str)
+@pytest.mark.parametrize("values,seed", [((2.0, 0.25, 2.0, 0.25, 0.25), 55), ((0.35, 0.97, 1.7, 0.3, 0.05), 8)])
+def test_sampler_draw_order_is_frozen(values, seed, size):
+    """One shared geometric count, then one uniform per axis, x before y, bit for bit."""
+    a1, p1, a2, p2, theta = values
+    draws = bgdge_sample(BgdgeParams.from_values(*values), np.random.default_rng(seed), size=size)
+    rng = np.random.default_rng(seed)
+    n = rng.geometric(theta, size=size)
+    u = rng.random(size)
+    v = rng.random(size)
+    mx = np.floor(-np.log(-np.expm1(np.log(u) / (n * a1))) / -math.log(p1)).astype(np.int64)
+    my = np.floor(-np.log(-np.expm1(np.log(v) / (n * a2))) / -math.log(p2)).astype(np.int64)
+    if size is None:
+        assert draws == BivCell(int(mx), int(my)) and isinstance(draws.x, int) and isinstance(draws.y, int)
+    else:
+        bx, by = draws
+        assert bx.dtype == by.dtype == np.int64 and bx.shape == by.shape == mx.shape
+        assert np.array_equal(bx, mx) and np.array_equal(by, my)
 
 
 def test_sampler_joint_frequencies_match_pmf(rng):

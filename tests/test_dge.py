@@ -180,8 +180,27 @@ def test_sample_frequencies_match_pmf(rng):
     assert chi2_sf(stat, kmax) > 0.01
 
 
-def test_sample_is_reproducible():
-    d = DgeParams(1.3, 0.6)
-    a = dge_sample(d, np.random.default_rng(42), size=25)
-    b = dge_sample(d, np.random.default_rng(42), size=25)
-    assert (a == b).all()
+SIZES = [100_000, None, 0, (3, 4)]
+
+
+@pytest.mark.parametrize("size", SIZES, ids=str)
+@pytest.mark.parametrize("alpha,p,seed", [(1.3, 0.6, 42), (0.35, 0.97, 7)])
+def test_sample_is_reproducible(alpha, p, seed, size):
+    """Draws equal the inverse-transform expression on the generator's uniforms, bit for bit."""
+    draws = dge_sample(DgeParams(alpha, p), np.random.default_rng(seed), size=size)
+    u = np.random.default_rng(seed).random(size)
+    manual = np.floor(-np.log(-np.expm1(np.log(u) / alpha)) / -math.log(p)).astype(np.int64)
+    if size is None:
+        assert isinstance(draws, int) and draws == manual
+    else:
+        assert draws.dtype == np.int64 and draws.shape == manual.shape
+        assert np.array_equal(draws, manual)
+
+
+def test_ge_sample_leaves_its_uniforms_unchanged():
+    g = GeParams(1.7, 0.9)
+    u = np.random.default_rng(3).random(1000)
+    kept = u.copy()
+    y = ge_sample(g, u)
+    assert np.array_equal(u, kept)
+    assert np.array_equal(y, -np.log(-np.expm1(np.log(kept) / 1.7)) / 0.9)

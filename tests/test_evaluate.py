@@ -23,7 +23,7 @@ from gdge import (
     ugdge_hazard,
     ugdge_pmf,
 )
-from gdge.dge import _lattice_box
+from gdge.dge import _evaluate, _lattice_box
 
 BASE = DgeParams(2.0, 0.25)
 UNI = UgdgeParams(BASE, 0.25)
@@ -129,6 +129,71 @@ def test_two_argument_evaluators_equal_per_element_values(f, low, real):
         assert_per_element(f, gx, gy)
         assert_per_element(f, gx[:, None], gy[None, :40])
         assert_per_element(f, np.floor(gx[:300]), np.floor(gy[:300]))
+
+
+INT8 = np.arange(-128, 128).astype(np.int8)  # the whole int8 range
+HIGH = np.arange(300, dtype=np.uint64) + np.uint64(2**63)  # past the int64 range
+
+
+def test_lattice_box_offsets_are_intp_from_the_argument_minimum():
+    lows, spans, index = _lattice_box([INT8[::-1], np.arange(2, dtype=np.uint8)[:, None]], 512)
+    assert lows == [-128, 0] and spans == [256, 2]
+    assert all(isinstance(v, int) for v in lows + spans)
+    assert index[0].dtype == np.intp and index[0].tolist() == list(range(255, -1, -1))
+    lows, spans, index = _lattice_box([HIGH], HIGH.size)
+    assert lows == [2**63] and spans == [300] and index[0].dtype == np.intp
+    assert index[0].tolist() == list(range(300))
+
+
+@pytest.mark.parametrize("f,real", ONE, ids=ONE_IDS)
+def test_one_argument_evaluators_at_integer_dtype_limits(f, real):
+    for x in (np.arange(256).astype(np.uint8), np.arange(256).astype(np.uint8)[::-1].repeat(2),
+              POINTS[:1000].astype(np.uint64), (POINTS[:1000] + 5).astype(np.uint64)):
+        assert _lattice_box([x], x.size) is not None
+        assert_per_element(f, x)
+    if real:  # the cdf-type evaluators take negative integers, and are defined far out in the tail
+        for x in (INT8, np.tile(INT8, 3).reshape(3, 256), HIGH):
+            assert _lattice_box([x], x.size) is not None
+            assert_per_element(f, x)
+
+
+@pytest.mark.parametrize("f,low,real", TWO, ids=TWO_IDS)
+def test_two_argument_evaluators_at_integer_dtype_limits(f, low, real):
+    grids = [(np.array([[0], [1]], dtype=np.int8), np.arange(low, 128).astype(np.int8)),
+             (np.array([[0], [1]], dtype=np.uint8), np.arange(256).astype(np.uint8)),
+             (np.arange(256).astype(np.uint8), np.array([[0], [1]], dtype=np.uint8)),
+             (np.array([[0], [1]], dtype=np.uint64), np.arange(200).astype(np.uint64) + 7)]
+    if real:
+        grids += [(np.repeat(np.array([-128, 127], dtype=np.int8), 128)[:, None], INT8),  # a 256 x 256 box
+                  (np.array([[-128], [-127]], dtype=np.int8), INT8)]
+    for x, y in grids:
+        size = np.broadcast(x, y).size
+        assert _lattice_box([x, y], size) is not None
+        assert_per_element(f, x, y)
+
+
+def record_dtypes(seen):
+    def fn(*points):
+        seen.extend(a.dtype for a in points)
+        return sum(points)
+
+    return fn
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64, bool, np.float32, float])
+def test_evaluate_hands_fn_float_arrays_on_every_path(dtype):
+    x = np.array([1, 0, 1, 1]).astype(dtype)
+    wide = np.array([0, 100, 0, 100])
+    lattice = [(x,), (x[:, None], x), (x, x[::-1])]
+    fallback = [(x, wide), (wide[:, None], x)]
+    if dtype is not bool:
+        fallback.append((wide.astype(dtype),))
+    for args, path in [*((a, True) for a in lattice), *((a, False) for a in fallback)]:
+        assert (_lattice_box(list(args), np.broadcast(*args).size) is not None) is path
+        seen = []
+        out = _evaluate(record_dtypes(seen), *args)
+        assert seen and all(d == np.float64 for d in seen)
+        assert np.array_equal(out, sum(a.astype(float) for a in np.broadcast_arrays(*args)))
 
 
 @pytest.mark.parametrize("f", [f for f, real in ONE if not real], ids=[i for i, (_, r) in zip(ONE_IDS, ONE) if not r])

@@ -362,15 +362,21 @@ def test_larger_p_gives_larger_values(al, p_small, p_big, th, x):
 # sampling
 
 
-def test_sampler_draw_order_is_frozen():
-    params = UgdgeParams.from_values(2.0, 0.3, 0.4)
-    draws = ugdge_sample(params, np.random.default_rng(123), size=6)
-    rng = np.random.default_rng(123)
-    n = rng.geometric(0.4, size=6)
-    u = rng.random(6)
-    lam = -math.log(0.3)
-    manual = np.floor(-np.log(-np.expm1(np.log(u) / (n * 2.0))) / lam).astype(np.int64)
-    assert (draws == manual).all()
+@pytest.mark.parametrize("size", [100_000, None, 0, (3, 4)], ids=str)
+@pytest.mark.parametrize("alpha,p,theta,seed", [(2.0, 0.3, 0.4, 123), (0.35, 0.97, 0.05, 7)])
+def test_sampler_draw_order_is_frozen(alpha, p, theta, seed, size):
+    """One geometric count, then one uniform per draw, through the inverse transform, bit for bit."""
+    draws = ugdge_sample(UgdgeParams.from_values(alpha, p, theta), np.random.default_rng(seed), size=size)
+    rng = np.random.default_rng(seed)
+    n = rng.geometric(theta, size=size)
+    u = rng.random(size)
+    lam = -math.log(p)
+    manual = np.floor(-np.log(-np.expm1(np.log(u) / (n * alpha))) / lam).astype(np.int64)
+    if size is None:
+        assert isinstance(draws, int) and draws == manual
+    else:
+        assert draws.dtype == np.int64 and draws.shape == manual.shape
+        assert np.array_equal(draws, manual)
 
 
 def test_sampler_frequencies_match_pmf(rng):

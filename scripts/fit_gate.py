@@ -14,14 +14,16 @@ boundary likelihood-ratio test and prints one JSON line per fit:
   ``scripts/boundary_study.py`` draws them); ``ll_null`` is its theta = 1 fit.
 
 Each line holds kind, n, r, loglik, converged, the search's iterations and
-stop reason, and the calls of the likelihood kernel `fitting._ll` the fit made.
+stop reason, the calls of the likelihood kernel `fitting._ll` the fit made, and
+the parameter rows (points) those calls evaluated.
 
 ``--compare A B`` matches the fits of two records and prints how many end more
 than 1e-12 lower or higher in B than in A, which ones, how many lose (or gain)
 convergence, how many EM endpoints move (any change of log-likelihood,
-iterations, stop reason or estimates), and the total kernel calls and
-iterations of each, per kind.  It exits 1 when a fit ends more than 1e-12 lower
-in B or loses convergence there.
+iterations, stop reason or estimates), and the total kernel calls, parameter
+rows and iterations of each, per kind (rows only where both records hold
+them).  It exits 1 when a fit ends more than 1e-12 lower in B or loses
+convergence there.
 
     PYTHONPATH=src python scripts/fit_gate.py > parent.jsonl
     PYTHONPATH=src python scripts/fit_gate.py --compare parent.jsonl change.jsonl
@@ -43,12 +45,14 @@ LL_TOL = 1e-12
 
 
 def counted():
-    """Replace the kernel `fitting._ll` by a wrapper that counts its calls; returns the count box."""
-    kernel, box = fitting._ll, [0]
+    """Replace the kernel `fitting._ll` by a wrapper that counts its calls and their parameter rows; returns
+    the box of the two counts."""
+    kernel, box = fitting._ll, [0, 0]
 
-    def wrapper(*args):
+    def wrapper(cells, q):
         box[0] += 1
-        return kernel(*args)
+        box[1] += 1 if np.ndim(q) == 1 else len(q)
+        return kernel(cells, q)
 
     fitting._ll = wrapper
     return box
@@ -60,10 +64,10 @@ def record(reps):
     cfg = fast_sim_config()
 
     def run(kind, n, r, fit):
-        calls[0] = 0
+        calls[:] = 0, 0
         loglik, converged, iters, stop, extra = fit()
         return {"kind": kind, "n": n, "r": r, "loglik": loglik, "converged": converged, "iters": iters,
-                "stop": stop, "calls": calls[0], **extra}
+                "stop": stop, "calls": calls[0], "rows": calls[1], **extra}
 
     truth = BgdgeParams.from_values(*STUDY_TRUTH)
     for n in (25, 100):
@@ -121,7 +125,10 @@ def compare(path_a, path_b):
     em = [k for k in common if k[0] == "em"]
     moved = [k for k in em if any(a[k][f] != b[k][f] for f in ("loglik", "iters", "stop", "estimates"))]
     print(f"EM endpoints moved: {len(moved)} of {len(em)} {moved}")
-    for field, label in (("calls", "kernel calls"), ("iters", "iterations")):
+    for field, label in (("calls", "kernel calls"), ("rows", "parameter rows"), ("iters", "iterations")):
+        if not all(field in rec[k] for rec in (a, b) for k in common):
+            print(f"{label}: not in both records")
+            continue
         for kind in sorted({k[0] for k in common}):
             keys = [k for k in common if k[0] == kind]
             print(f"{label}, {kind}: A {sum(a[k][field] for k in keys)}, B {sum(b[k][field] for k in keys)}")

@@ -284,10 +284,10 @@ def _base_logs(p, x):
     ``1 - p^(x+1) = -expm1((x+1) log p)``.
     """
     with np.errstate(divide="ignore"):
-        lp = np.log(p)
-        px, pw = np.power(p, x), np.power(p, x + 1.0)
+        lp, x1 = np.log(p), x + 1.0
+        px, pw = np.power(p, x), np.power(p, x1)
         q0 = 0.0 - np.expm1(x * lp)  # 1 - p^x, and +0.0 (not -0.0) at x = 0
-        q1 = -np.expm1((x + 1.0) * lp)
+        q1 = -np.expm1(x1 * lp)
         l1 = np.where(pw > 0.5, np.log(q1), np.log1p(-pw))
         return l1, np.log1p(-px), np.log1p(px * (1.0 - p) / q0), px, q0, q1
 
@@ -369,20 +369,26 @@ def _terms(theta, coords):
     """
     stacked = alpha, p, x = _stacked(coords)
     logs, (lw, lw_, g) = _coord_logs(alpha, p, x)
-    at = np.array([lw, lw_])  # log of the base CDFs at the cell (0) and below it (1), per coordinate
+    corners = _corners(lw, lw_)
     if len(coords) == 1:
-        corners, lprod, den_p = at[:, 0], -math.inf, 1.0
+        lprod, den_p = -math.inf, 1.0
         logpmf = g[0] + np.log(theta)
     else:
         tau, lprod = 1.0 - theta, lw[0] + lw_[0] + lw[1] + lw_[1]
         den_p = theta * (2.0 - theta) - tau * tau * np.expm1(lprod)
         logpmf = g[0] + g[1]
         logpmf += np.log(theta) + np.log(den_p)
-        corners = (at[:, None, 0] + at[None, :, 1]).reshape(4, *at.shape[2:])
     dens = _den(theta, corners)
     for ld in np.log(dens):
         logpmf -= ld
     return stacked, logs, logpmf, corners, dens, lprod, den_p
+
+
+def _corners(lw, lw_):
+    """The corners' ``log w`` of `_terms`, from the log base CDFs at the cell (``lw``) and below it (``lw_``),
+    stacked per coordinate."""
+    at = np.array([lw, lw_])
+    return at[:, 0] if len(lw) == 1 else (at[:, None, 0] + at[None, :, 1]).reshape(4, *at.shape[2:])
 
 
 def _logpmf(theta, coords):
@@ -423,17 +429,27 @@ def _logpmf_and_grad(theta, coords):
     With ``e = w / (1 - tau w)`` at each corner w of `_terms`, a coordinate's ``c1`` and ``c0`` (see
     `_coord_partials`) sum e over the corners at its u and at its v, and the theta-partial is ``1/theta - S``,
     S the sum of e over all corners, less ``2 tau P / (1 - tau^2 P)`` for two coordinates.
+
+    Where every row has theta = 1 (the fitter's theta = 1 search), the compounding factor is 1: ``dens`` = 1,
+    ``1 - tau^2 P`` = 1, ``c1`` = 1 and ``c0`` = 0, and e is w.  That branch skips them and returns, bit for
+    bit, the log-pmf of `_logpmf` and the partials of the general formulas at theta = 1.
     """
-    (alpha, p, x), logs, logpmf, corners, dens, lprod, den_p = _terms(theta, coords)
-    tau, e = 1.0 - theta, np.exp(corners) / dens
-    if len(coords) == 1:
-        c1, c0 = 1.0 + tau * e[:1], tau * e[1:]
-        d_theta = 1.0 / theta - e[0] - e[1]
+    if np.logical_and.reduce(theta == 1.0, axis=None):
+        alpha, p, x = _stacked(coords)
+        logs, (lw, lw_, g) = _coord_logs(alpha, p, x)
+        logpmf, e, c1, c0 = g.sum(axis=0), np.exp(_corners(lw, lw_)), 1.0, 0.0
+        d_theta = 1.0 - e[0] - e[1] if len(coords) == 1 else 1.0 - (e[0] + e[1] + (e[2] + e[3]))
     else:
-        ratio = np.exp(lprod) / den_p
-        k = tau * tau * ratio
-        sums = np.array([e[0::2] + e[1::2], e[:2] + e[2:]])  # [j, i]: coordinate j at its u (0) or v (1)
-        c1, c0 = 1.0 - k + tau * sums[:, 0], tau * sums[:, 1] - k
-        d_theta = 1.0 / theta + 2.0 * tau * ratio - (sums[0, 0] + sums[0, 1])
+        (alpha, p, x), logs, logpmf, corners, dens, lprod, den_p = _terms(theta, coords)
+        tau, e = 1.0 - theta, np.exp(corners) / dens
+        if len(coords) == 1:
+            c1, c0 = 1.0 + tau * e[:1], tau * e[1:]
+            d_theta = 1.0 / theta - e[0] - e[1]
+        else:
+            ratio = np.exp(lprod) / den_p
+            k = tau * tau * ratio
+            sums = np.array([e[0::2] + e[1::2], e[:2] + e[2:]])  # [j, i]: coordinate j at its u (0) or v (1)
+            c1, c0 = 1.0 - k + tau * sums[:, 0], tau * sums[:, 1] - k
+            d_theta = 1.0 / theta + 2.0 * tau * ratio - (sums[0, 0] + sums[0, 1])
     d_alpha, d_p = _coord_partials(alpha, p, x, logs, c1, c0)
     return logpmf, np.array([v for pair in zip(d_alpha, d_p) for v in pair] + [d_theta])

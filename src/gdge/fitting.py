@@ -164,8 +164,12 @@ def _distinct(*cols):
     Returns ``(*columns, weights, inverse)``: the distinct rows column by
     column as floats, in sorted order, their multiplicities, and the index
     taking each original row to its distinct row.  A likelihood of the rows
-    is then ``weights @ logpmf(columns)``.
+    is then ``weights @ logpmf(columns)``.  One column's distinct rows are its
+    distinct values, from one `np.unique` call.
     """
+    if len(cols) == 1:
+        cells, inv, w = np.unique(cols[0], return_inverse=True, return_counts=True)
+        return cells.astype(float), w.astype(float), inv.reshape(-1)
     levels, idx = zip(*(np.unique(c, return_inverse=True) for c in cols))
     dims = [lev.size for lev in levels]
     key = np.ravel_multi_index([i.reshape(-1) for i in idx], dims)
@@ -531,10 +535,10 @@ def _box(q, free=slice(None)):
     return w, *_EDGES[role].T, role
 
 
-def _from_search(w, role):
-    """The values at search coordinates ``w`` (the last axis as in `_box`): exp, or a probability's expit."""
+def _from_search(w, prob):
+    """The values at search coordinates ``w`` (the last axis as in `_box`): exp, or expit where ``prob``."""
     v = np.exp(w)
-    v[..., role == _P] = _EXPIT(w[..., role == _P])
+    v[..., prob] = _EXPIT(w[..., prob])
     return v
 
 
@@ -551,15 +555,25 @@ def _with_hessian(fun, x, h):
     value (k,), the gradient (k, d) and the symmetrized Hessian (k, d, d) from central
     differences of the gradient, for the k rows of ``x``.
     """
-    k, d = x.shape
-    shift = np.diag(h)
-    value, grad = fun(np.concatenate([x, (x[:, None] + shift).reshape(-1, d), (x[:, None] - shift).reshape(-1, d)]))
-    plus, minus = grad[k:].reshape(2, k, d, d)
-    cols = (plus - minus) / (2.0 * h[:, None])
-    return value[:k], grad[:k], 0.5 * (cols + np.swapaxes(cols, 1, 2))
+    return _hessian_rule(fun, h)(x)
 
 
-def _shifted_newton(hess, grad, radius, move):
+def _hessian_rule(fun, h):
+    """``x -> _with_hessian(fun, x, h)``, with the shifts and divisors of ``h`` built once."""
+    d = h.size
+    shifts, twice = np.array([np.diag(h), -np.diag(h)])[:, None], 2.0 * h[:, None]  # x - h_j e_j is x + (-h_j e_j)
+
+    def at(x):
+        k = len(x)
+        value, grad = fun(np.concatenate([x, (x[:, None] + shifts).reshape(-1, d)]))
+        plus, minus = grad[k:].reshape(2, k, d, d)
+        cols = (plus - minus) / twice
+        return value[:k], grad[:k], 0.5 * (cols + np.swapaxes(cols, 1, 2))
+
+    return at
+
+
+def _shifted_newton(hess, grad, radius, move, eye=None):
     """The step ``s = -(H + mu I)^-1 g`` on the coordinates ``move``, cut back to ``|s| <= radius``, for stacks
     of problems.
 
@@ -567,13 +581,14 @@ def _shifted_newton(hess, grad, radius, move):
     ``mu = max(0, _MIN_CURVATURE - 1.01 lam_min)``, ``lam_min`` the least eigenvalue of ``H``: no shift
     where ``H`` is safely positive definite, else just enough of one to make it so.  Every trust-region
     step has this form for some ``mu >= 0`` (Nocedal and Wright 2006, Thm 4.1); the radius, which the
-    ratio test adapts, bounds its length.
+    ratio test adapts, bounds its length.  ``eye``, the identity of the problems' size, is built here unless
+    given.
     """
-    eye = np.eye(move.shape[-1])
+    eye = np.eye(move.shape[-1]) if eye is None else eye
     hess = np.where(move[:, :, None] & move[:, None, :], hess, eye)
     mu = np.maximum(0.0, _MIN_CURVATURE - 1.01 * np.linalg.eigvalsh(hess)[:, 0])
     step = -np.linalg.solve(hess + mu[:, None, None] * eye, np.where(move, grad, 0.0)[..., None])[..., 0]
-    return step * (radius / np.maximum(np.linalg.norm(step, axis=1), radius))[:, None]
+    return step * (radius / np.maximum(np.sqrt(np.add.reduce(step * step, axis=1)), radius))[:, None]
 
 
 def _held(w, g, lo, hi):
@@ -581,9 +596,9 @@ def _held(w, g, lo, hi):
     return ((w <= lo) & (g > 0.0)) | ((w >= hi) & (g < 0.0))
 
 
-def _passes(w, g, lo, hi):
-    """The projected-gradient test, per row."""
-    return np.all(np.abs(np.where(_held(w, g, lo, hi), 0.0, g)) <= _GTOL, axis=-1)
+def _passes(held, g):
+    """The projected-gradient test, per row, of the gradient ``g`` whose coordinates ``held`` are held."""
+    return np.logical_and.reduce(np.abs(np.where(held, 0.0, g)) <= _GTOL, axis=-1)
 
 
 def _shortened(w, step, lo, hi):
@@ -592,7 +607,7 @@ def _shortened(w, step, lo, hi):
     bound = np.where(step < 0.0, lo, hi)
     with np.errstate(divide="ignore", invalid="ignore"):  # how far along step each bound lies
         room = np.where(step == 0.0, np.inf, (bound - w) / step)
-    t = room.min(axis=-1, keepdims=True)
+    t = np.minimum.reduce(room, axis=-1, keepdims=True)
     t = np.where(t > 0.0, np.minimum(t, 1.0), 1.0)
     return np.clip(np.where(room <= t, bound, w + t * step), lo, hi)
 
@@ -618,51 +633,77 @@ def _search(ll, starts, free, cfg: EmConfig):
     ``(params, ll, stop, iterations, trace)`` at the start that ends highest:
     ``stop`` is "converged" when its end passes `_GTOL`; ``trace`` is the
     log-likelihood at its start and at its end.
+
+    A fit's few dozen cells make each iteration's cost mostly fixed numpy
+    overhead, so the loop keeps only the running starts, in compact arrays in
+    start order, and updates a kept trial's rows in place; a start that stops
+    is written once into the per-start results.  Each iteration tests the
+    bounds once at the point and once at the trial, whose held coordinates
+    are the next iteration's.
     """
     q0 = np.array(starts[0], dtype=float)
     lo, hi, role = _box(q0, free)[1:]
-    h = np.full(lo.size, _HESS_STEP)
+    prob, eye = role == _P, np.eye(lo.size)
 
     def f(w):  # -ll and its gradient in the search coordinates, at the rows of w
         q = np.repeat(q0[None], len(w), axis=0)
-        v = q[:, free] = _from_search(w, role)
+        v = q[:, free] = _from_search(w, prob)
         value, grad = ll(q)
-        return -value, -grad[:, free] * np.where(role == _P, v * (1.0 - v), v)
+        return -value, -grad[:, free] * np.where(prob, v * (1.0 - v), v)
 
+    at = _hessian_rule(f, np.full(lo.size, _HESS_STEP))
     w = np.clip([_box(q, free)[0] for q in starts], lo, hi)
-    fw, g, hess = _with_hessian(f, w, h)
-    f_start, radius = fw.copy(), np.full(len(w), _RADIUS[0])
-    passed, live, nit = _passes(w, g, lo, hi), np.ones(len(w), dtype=bool), 0
-    while live.any() and nit < cfg.max_iter:
-        i = np.flatnonzero(live)
-        move = ~_held(w[i], g[i], lo, hi)
-        step = _shifted_newton(hess[i], g[i], radius[i], move)
-        out = _held(w[i], -step, lo, hi)  # on a bound that the step would push beyond: held too
+    f_start, g, hess = at(w)
+    held = _held(w, g, lo, hi)
+    # per start, written when it stops: its point, value, projected-gradient test, and whether it still ran
+    end = [np.empty_like(w), np.empty_like(f_start), np.empty(len(w), dtype=bool), np.empty(len(w), dtype=bool)]
+
+    def retire(run, gone, live=False):  # the running starts at `gone` into `end`; returns the others
+        i = run[0][gone]
+        end[0][i], end[1][i], end[2][i], end[3][i] = run[1][gone], run[2][gone], run[6][gone], live
+        return [a[~gone] for a in run]
+
+    # the running starts, in start order: index, point, value, gradient, Hessian, radius, whether the point
+    # passes the projected-gradient test, and the coordinates that no bound holds
+    run = [np.arange(len(w)), w, f_start.copy(), g, hess, np.full(len(w), _RADIUS[0]), _passes(held, g), ~held]
+    nit = 0
+    while len(run[0]) and nit < cfg.max_iter:
+        w, fw, g, hess, radius, passed, move = run[1:]
+        step = _shifted_newton(hess, g, radius, move, eye)
+        out = ((w <= lo) & (step < 0.0)) | ((w >= hi) & (step > 0.0))  # on a bound that the step pushes beyond
         if out.any():
-            step = _shifted_newton(hess[i], g[i], radius[i], move & ~out)
-        trial = _shortened(w[i], step, lo, hi)
-        step = trial - w[i]
-        short = passed[i] & np.all(np.abs(step) <= 1e-13, axis=1)  # too short to move an estimate
+            step = _shifted_newton(hess, g, radius, move & ~out, eye)
+        trial = _shortened(w, step, lo, hi)
+        step = trial - w
+        short = passed & np.logical_and.reduce(np.abs(step) <= 1e-13, axis=1)  # too short to move an estimate
         if short.any():
-            live[i[short]] = False
-            i, trial, step = i[~short], trial[~short], step[~short]
-            if not i.size:
+            run, trial, step = retire(run, short), trial[~short], step[~short]
+            if not len(run[0]):
                 break
+            w, fw, g, hess, radius, passed, move = run[1:]
         nit += 1
-        pred = -np.einsum("kj,kj->k", step, g[i] + 0.5 * np.einsum("kjl,kl->kj", hess[i], step))
-        ft, gt, ht = _with_hessian(f, trial, h)
-        rho = np.where(pred > 0.0, (fw[i] - ft) / np.where(pred > 0.0, pred, 1.0), -np.inf)
-        size = np.linalg.norm(step, axis=1)
-        grown = np.where((rho > 0.75) & (size > 0.8 * radius[i]), np.minimum(2.0 * radius[i], _RADIUS[1]), radius[i])
-        radius[i] = np.where(rho >= 0.25, grown, 0.25 * size)  # a nan trial shrinks it too
-        trial_passes = _passes(trial, gt, lo, hi)
-        keep = (rho > 1e-4) | (trial_passes & (ft <= fw[i] + 1e-14 * np.abs(fw[i])))
-        live[i] = (keep | ~passed[i]) & (radius[i] >= _RADIUS[2])
-        passed[i[keep]] = trial_passes[keep]
-        w[i[keep]], fw[i[keep]], g[i[keep]], hess[i[keep]] = trial[keep], ft[keep], gt[keep], ht[keep]
+        pred = -np.einsum("kj,kj->k", step, g + 0.5 * np.einsum("kjl,kl->kj", hess, step))
+        ft, gt, ht = at(trial)
+        up = pred > 0.0
+        rho = np.where(up, (fw - ft) / np.where(up, pred, 1.0), -np.inf)
+        size = np.sqrt(np.add.reduce(step * step, axis=1))
+        grown = np.where((rho > 0.75) & (size > 0.8 * radius), np.minimum(2.0 * radius, _RADIUS[1]), radius)
+        run[5] = radius = np.where(rho >= 0.25, grown, 0.25 * size)  # a nan trial shrinks it too
+        held = _held(trial, gt, lo, hi)
+        trial_passes = _passes(held, gt)
+        keep = (rho > 1e-4) | (trial_passes & (ft <= fw + 1e-14 * np.abs(fw)))
+        stays = (keep | ~passed) & (radius >= _RADIUS[2])
+        rows = keep[:, None]
+        for a, b, where in ((w, trial, rows), (fw, ft, keep), (g, gt, rows), (hess, ht, rows[..., None]),
+                            (passed, trial_passes, keep), (move, ~held, rows)):
+            np.copyto(a, b, where=where)
+        if not stays.all():
+            run = retire(run, ~stays)
+    retire(run, np.ones(len(run[0]), dtype=bool), live=True)
+    w, fw, passed, live = end
     best = int(np.argmin(fw))
     stop = "converged" if passed[best] else "max_iter" if live[best] else "gradient_above_tol"
-    q0[free] = _from_search(w[best], role)
+    q0[free] = _from_search(w[best], prob)
     return tuple(float(v) for v in q0), float(-fw[best]), stop, nit, [-f_start[best], -fw[best]]
 
 

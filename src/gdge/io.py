@@ -55,14 +55,16 @@ def read_dataset(path, mode: str = "auto"):
 
     ``mode`` is ``"uni"``, ``"biv"``, or ``"auto"`` (accept either header).
     Comment lines start with ``#``; blank lines are skipped; the first
-    remaining line must be the header ``x`` or ``x,y``.
+    remaining line must be the header ``x`` or ``x,y``.  A UTF-8 byte-order
+    mark at the start of the file, as spreadsheet programs write one, is
+    skipped.
     """
     if mode not in ("uni", "biv", "auto"):
         raise ValueError(f"mode must be 'uni', 'biv', or 'auto', got {mode!r}")
     header = None
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -1,6 +1,7 @@
 """EM machinery and maximum-likelihood drivers."""
 
 import inspect
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -624,3 +625,78 @@ def test_lockstep_search_reaches_the_better_of_its_starts(football):
         a, b = (*base[:-1], 0.25), (*base[:-1], 0.75)
         alone = max(fitting._search(ll, [s], slice(None), cfg)[1] for s in (a, b))
         assert fitting._search(ll, [a, b], slice(None), cfg)[1] == pytest.approx(alone, rel=0, abs=1e-12)
+
+
+# In search coordinates w = (log shape, logit p): a quadratic bowl for w0 >= 0 whose reported gradient points
+# the wrong way, so every trial from there is rejected until the radius falls below _RADIUS[2] (17
+# iterations), and a quartic bowl with a small quadratic part for w0 < 0, where Newton steps cut the distance
+# by a third and a start runs for 27 iterations.
+BAD, GOOD = np.array([3.0, -2.0]), np.array([-1.0, 0.5])
+
+
+def two_region_ll(q):
+    w = np.column_stack([np.log(q[:, 0]), np.log(q[:, 1] / (1.0 - q[:, 1]))])
+    d_bad, d_good = w - BAD, w - GOOD
+    bad = w[:, :1] >= 0.0
+    value = np.where(bad[:, 0], 0.5 * (d_bad**2).sum(axis=1) + 1.0, (0.25 * d_good**4 + 0.5e-6 * d_good**2).sum(axis=1))
+    grad = np.where(bad, -d_bad, d_good**3 + 1e-6 * d_good)
+    return -value, -grad / np.column_stack([q[:, 0], q[:, 1] * (1.0 - q[:, 1])])
+
+
+def margin_search(r):
+    """The lockstep search of `fit_uni_mle` on a study margin (n = 25, replication r), from its three starts."""
+    truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
+    x = bgdge_sample(truth, np.random.default_rng([20260822, 25, r]), size=25)[0]
+    base = _fit(x, fast_sim_config()).base
+    return fitting._model(x, fast_sim_config())[0], [(*base[:-1], th) for th in (0.5, 0.25, 0.75)]
+
+
+TWO_REGION_STARTS = [(math.exp(2.0), fitting._expit(-1.0)), (math.exp(-4.0), fitting._expit(3.0))]
+
+
+# (estimate, loglik, stop, iterations) as the search returned them before it kept only its running starts,
+# and the rows of each kernel call as (rows, calls) runs: a start that stops leaves the calls
+@pytest.mark.parametrize("search, max_iter, want, rows", [
+    # the first start stops by its radius at iteration 17, the second runs on and converges
+    ((two_region_ll, TWO_REGION_STARTS), 500,
+     ((0.3678794411714396, 0.6224593312018549), -2.805386594192223e-35, "converged", 27), [(10, 18), (5, 10)]),
+    # the cap stops both while they run
+    ((two_region_ll, TWO_REGION_STARTS), 10,
+     ((0.34713236408534237, 0.6337579372520973), -4.210366516290645e-06, "max_iter", 10), [(10, 11)]),
+    # the cap stops the second, which passes the gradient test, after the first stopped
+    ((two_region_ll, TWO_REGION_STARTS), 20,
+     ((0.36760298283975595, 0.6225861674100786), -5.293222134313176e-13, "converged", 20), [(10, 18), (5, 3)]),
+    # the second start stops on a short step after iteration 11, the others after iteration 13
+    (lambda: margin_search(2), 500, ((0.0010000000000000002, 0.18952468983230983, 7.321046494464347e-05),
+                                     -32.67299421321355, "converged", 13), [(21, 12), (14, 2)]),
+    # the cap stops the two that still run
+    (lambda: margin_search(2), 12, ((0.0010000000000000002, 0.18952469006647324, 7.32104651677698e-05),
+                                    -32.672994213213514, "converged", 12), [(21, 12), (14, 1)]),
+    # the starts stop after iterations 5, 6 and 10; a kept trial on a bound changes which coordinates the
+    # next step holds
+    (lambda: margin_search(8), 500, ((1.6052907421299136, 0.4912666852620484, 0.9306664062426363),
+                                     -40.557869256966114, "converged", 10), [(21, 6), (14, 1), (7, 4)]),
+], ids=["radius", "cap-both-running", "cap-after-radius", "short", "cap-after-short", "held"])
+def test_lockstep_starts_that_stop_at_different_iterations(search, max_iter, want, rows):
+    ll, starts = search() if callable(search) else search
+    calls = []
+
+    def counted(q):
+        calls.append(len(q))
+        return ll(q)
+
+    est, loglik, stop, iters, _ = fitting._search(counted, starts, slice(None), EmConfig(max_iter=max_iter))
+    assert (stop, iters) == want[2:]
+    assert est == pytest.approx(want[0], rel=1e-12) and loglik == pytest.approx(want[1], rel=1e-12)
+    assert [(r, len(list(run))) for r, run in itertools.groupby(calls)] == rows
+
+
+def test_distinct_of_one_column_is_the_general_result():
+    x = ugdge_sample(UgdgeParams.from_values(1.0, 0.8, 0.02), np.random.default_rng([1, 10_000, 1]), size=10_000)
+    for col in (x, x[:1], np.array([3, 0, 3, 3]), x.astype(float)):
+        one = fitting._distinct(col)
+        # the general path on two columns, the second constant
+        cells, _, w, inv = fitting._distinct(col, np.zeros_like(col))
+        assert one[0].dtype == one[1].dtype == float and one[2].shape == col.shape
+        assert np.array_equal(one[0], cells) and np.array_equal(one[1], w) and np.array_equal(one[2], inv)
+        assert np.array_equal(one[0][one[2]], col)

@@ -416,6 +416,37 @@ def test_univariate_gradient_matches_reference(params, grid):
     assert_partials_close(got.T, [ref_partials(ref_uni_logpmf, params, (int(x),)) for x in grid])
 
 
+# points (shape, p) per coordinate: the search box's corners, Serie A's margins and p near 1, where
+# p^(x+1) crowds 1 at small x
+THETA_ONE_POINTS = [(1e-3, 1e-6), (1e3, 1.0 - 1e-6), (2.648138531581, 0.204063392347), (0.7, 0.9999),
+                    (6.782315129779, 0.99999)]
+THETA_ONE_CELLS = np.array([0, 1, 2, 3, 7, 20, 40])
+
+
+@pytest.mark.parametrize("ncoords", [1, 2])
+def test_theta_one_branch_equals_the_general_formulas(ncoords, monkeypatch):
+    # rows at theta = 1 take the kernel's theta = 1 branch; a row at theta = 0.5 appended sends the same
+    # rows through the general formulas, which must give them the same log-pmf and partials, bit for bit
+    points = np.array([(*a, *b) for a, b in itertools.product(THETA_ONE_POINTS, repeat=2)])[:, :2 * ncoords]
+    cells = [g.ravel().astype(float) for g in np.meshgrid(*[THETA_ONE_CELLS] * ncoords, indexing="ij")]
+
+    def kernel(rows, theta):
+        cols = np.asarray(rows).T[..., None]
+        coords = [(cols[2 * j], cols[2 * j + 1], c) for j, c in enumerate(cells)]
+        with np.errstate(all="ignore"):
+            return _logpmf_and_grad(np.array(theta, dtype=float)[:, None], coords)
+
+    general = kernel(np.vstack([points, points[:1]]), [1.0] * len(points) + [0.5])
+    with monkeypatch.context() as patch:
+        patch.setattr(dge, "_terms", lambda theta, coords: pytest.fail("the general formulas ran"))
+        branch = kernel(points, [1.0] * len(points))
+    assert np.all(np.isfinite(branch[0])) and np.all(np.isfinite(branch[1]))
+    assert np.array_equal(branch[0], general[0][:-1]) and np.array_equal(branch[1], general[1][:, :-1])
+    assert branch[1].shape == (2 * ncoords + 1, len(points), cells[0].size)
+    for row, q in zip(branch[0], points):  # the log-pmf of the evaluators' theta = 1 path
+        assert np.array_equal(row, _logpmf(1.0, [(q[2 * j], q[2 * j + 1], c) for j, c in enumerate(cells)]))
+
+
 SHAPES = st.floats(1e-3, 1e3)
 UNITS = st.floats(1e-6, 1.0 - 1e-6)
 THETAS = st.one_of(st.just(1.0), UNITS)

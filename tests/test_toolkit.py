@@ -114,6 +114,18 @@ def test_read_mode_mismatch_and_empty(tmp_path):
         read_dataset(f, mode="paired")
 
 
+@pytest.mark.parametrize("text, want", [("x,y\n1,2\n3,4\n", [(1, 2), (3, 4)]), ("# note\nx\n5\n", [5])])
+def test_read_skips_a_byte_order_mark(tmp_path, capsys, text, want):
+    # spreadsheets' "CSV UTF-8" starts the file with EF BB BF; the header was read as '\ufeffx,y'
+    f = tmp_path / "bom.csv"
+    f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    back = read_dataset(f)
+    assert (list(zip(back.x.tolist(), back.y.tolist())) if isinstance(back, BivDataset) else back.tolist()) == want
+    if isinstance(back, BivDataset):
+        rc, out = run_cli(capsys, ["gof", str(f), "--biv", "--params", "2,0.25,2,0.25,0.25"])
+        assert rc == 0 and "m = 2" in out
+
+
 def test_read_skips_comments_and_blanks(tmp_path):
     f = tmp_path / "c.csv"
     f.write_text("# a\n\nx\n# mid\n3\n\n1\n")

@@ -25,6 +25,7 @@ from .dge import (
     DgeParams,
     SeriesCapError,
     _cdf_logs,
+    _coords,
     _den,
     _evaluate,
     _floor,
@@ -39,7 +40,6 @@ from .univariate import (
     _count_mean,
     _count_modes,
     _count_pmf,
-    _coords,
     _latent_max,
     _power_weighted_sum,
 )
@@ -187,7 +187,7 @@ def cond_cdf_given_eq(params: BgdgeParams, x, y: int):
 
 def biv_cond_n_pmf(params: BgdgeParams, x: int, y: int, n):
     """P(latent count = n | X = x, Y = y), n >= 1, by `univariate._count_pmf`."""
-    return _maybe_scalar(_count_pmf(params.theta, _coords(params, x, y), n))
+    return _maybe_scalar(_count_pmf(params.theta, _coords(params.as_tuple(), _nonneg((x, y), "a cell")), n))
 
 
 def biv_cond_n_argmax(params: BgdgeParams, x: int, y: int) -> int:
@@ -196,12 +196,12 @@ def biv_cond_n_argmax(params: BgdgeParams, x: int, y: int) -> int:
     The same bisection as the univariate case (`univariate._count_modes`), on
     ``log t(n) = (n-1) log tau + log(u1^n - v1^n) + log(u2^n - v2^n)``.
     """
-    return int(_count_modes(params.theta, _coords(params, x, y))[0])
+    return int(_count_modes(params.theta, _coords(params.as_tuple(), _nonneg((x, y), "a cell")))[0])
 
 
 def biv_cond_n_mean(params: BgdgeParams, x: int, y: int) -> float:
     """Mean latent count at a cell, ``1 + tau S`` (`univariate._count_mean`)."""
-    return float(_count_mean(params.theta, _coords(params, x, y)))
+    return float(_count_mean(params.theta, _coords(params.as_tuple(), _nonneg((x, y), "a cell"))))
 
 
 def bgdge_sample(params: BgdgeParams, rng: np.random.Generator, size=None):

@@ -276,6 +276,8 @@ def _cmd_table(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 0:
         raise _InputError("--count must be >= 0")
+    if args.seed < 0:
+        raise _InputError("--seed must be >= 0")
     law = _law(args)
     params = _params(args.params, law)
     drawn = (bgdge_sample if args.biv else ugdge_sample)(params, np.random.default_rng(args.seed), size=args.count)

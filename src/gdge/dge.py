@@ -13,8 +13,8 @@ built on the two parameter records and the evaluation helpers defined here.
 Numerical conventions used throughout the package:
 
 * powers of the form ``(1 - p**t)**alpha`` are evaluated in log space,
-  ``exp(alpha * log1p(-p**t))``, which keeps precision for ``p`` close to 1
-  and large ``t``;
+  ``exp(alpha * log(1 - p**t))``, the log by one rule (`_log1mexp`) that
+  keeps precision for ``p`` close to 1, small ``t`` and large ``t``;
 * ``0**alpha`` is taken to be 0 for every ``alpha > 0``, so the pmf needs no
   special case at the origin;
 * no pmf is formed by subtracting CDFs, which crowd 1 in the tail: the
@@ -107,8 +107,8 @@ def ge_cdf(params: GeParams, y):
     ``log(1 - exp(-lam y))`` is `_log1mexp`, exact also where ``lam y`` is small.
     """
     y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.exp(params.alpha * _log1mexp(-params.lam * np.maximum(y, 0.0)))
+    lt = -params.lam * np.maximum(y, 0.0)
+    out = np.exp(params.alpha * _log1mexp(lt, np.exp(lt))[0])
     return _maybe_scalar(np.where(y < 0.0, 0.0, out))
 
 
@@ -189,12 +189,15 @@ def _nonneg(x, what, low=0):
     """``x`` as an array of integers ``>= low``: as given for an integer dtype, else as floats.
 
     Raises `ValueError` naming the first value that is not finite, not an integer or below ``low``.
+    Integer input is checked by one reduction, and a mask is built only to name the value.
     """
     x = np.asarray(x)
     faults = []
     if x.dtype.kind not in "iu":
         x = x.astype(float)
         faults = [("is not finite", ~np.isfinite(x)), ("is not an integer", x != np.floor(x))]
+    elif not (x.size and x.min() < low):
+        return x
     for fault, bad in [*faults, (f"is below {low}", x < low)]:
         if bad.any():
             raise ValueError(f"{what} takes integers >= {low}; {x[bad][0].item()!r} {fault}")
@@ -279,22 +282,26 @@ def _base_logs(p, x):
     ``r = l1 - l0``, formed as ``log1p(p^x (1-p) / (1-p^x))`` (inf at 0) so
     that it keeps full relative precision where ``l1`` and ``l0`` nearly agree;
     then ``p^x``, ``1 - p^x`` and ``1 - p^(x+1)``, which `_coord_partials` reuses.
-    ``l1`` is ``log1p(-p^(x+1))`` except where ``p^(x+1) > 1/2``: there the
-    rounding of the power would cost digits, and ``l1`` is the log of
-    ``1 - p^(x+1) = -expm1((x+1) log p)``.
+    ``l1`` and ``1 - p^(x+1)`` are `_log1mexp` at ``t = x + 1``.
     """
     with np.errstate(divide="ignore"):
         lp, x1 = np.log(p), x + 1.0
-        px, pw = np.power(p, x), np.power(p, x1)
+        px = np.power(p, x)
         q0 = 0.0 - np.expm1(x * lp)  # 1 - p^x, and +0.0 (not -0.0) at x = 0
-        q1 = -np.expm1(x1 * lp)
-        l1 = np.where(pw > 0.5, np.log(q1), np.log1p(-pw))
+        l1, q1 = _log1mexp(x1 * lp, np.power(p, x1))
         return l1, np.log1p(-px), np.log1p(px * (1.0 - p) / q0), px, q0, q1
 
 
-def _log1mexp(lt):
-    """``log(1 - e^lt)`` for ``lt < 0``, to full precision also where ``e^lt`` crowds 1 (Maechler 2012)."""
-    return np.where(lt > -math.log(2.0), np.log(-np.expm1(lt)), np.log1p(-np.exp(lt)))
+def _log1mexp(lt, e):
+    """``log(1 - e)`` and ``1 - e = -expm1(lt)`` for ``e = exp(lt) <= 1``, such as a power ``p^t``.
+
+    The log is ``log1p(-e)`` except where ``e > 1/2``: there the rounding of
+    ``e`` would cost digits, and it is the log of ``-expm1(lt)``, exact also
+    where ``e`` crowds 1 (Maechler 2012).  -inf at ``e = 1``.
+    """
+    q = -np.expm1(lt)
+    with np.errstate(divide="ignore"):
+        return np.where(e > 0.5, np.log(q), np.log1p(-e)), q
 
 
 def _log_gap(l1, r, shape):
@@ -318,9 +325,9 @@ def _cdf_logs(alpha, p, x):
 
 
 def _log_cdf(alpha, p, x):
-    """``log A(x)`` of the base law at real ``x``: -inf below the support."""
-    with np.errstate(divide="ignore"):
-        return alpha * np.log1p(-np.power(p, np.maximum(np.floor(x) + 1.0, 0.0)))
+    """``log A(x)`` of the base law at real ``x``, by `_log1mexp` at ``t = floor(x) + 1``: -inf below the support."""
+    t = np.maximum(np.floor(x) + 1.0, 0.0)
+    return alpha * _log1mexp(t * math.log(p), np.power(p, t))[0]
 
 
 def _den(theta, lw):
@@ -338,6 +345,11 @@ def _survival(lv):
     if np.any(surv <= 0.0):
         raise ValueError("survival underflowed to zero; hazard undefined here")
     return surv
+
+
+def _coords(q, cells):
+    """``(shape, p, x)`` per coordinate, from parameters ``q`` that hold a (shape, p) pair per coordinate."""
+    return [(q[2 * j], q[2 * j + 1], x) for j, x in enumerate(cells)]
 
 
 def _stacked(coords):

@@ -1,9 +1,10 @@
 """Maximum-likelihood fitting of the compounded laws.
 
 The univariate and the bivariate law are one law of one or two coordinates
-that share the geometric count, and one path fits both: `_model` gives the
-law on counts or on a `BivDataset` (its log-likelihood `_ll` on the
-kernel `dge._logpmf_and_grad`, and its EM steps), and `_fit` fits it.
+that share the geometric count, and one path fits both: `_loglik` gives the
+log-likelihood of the law on counts or on a `BivDataset` (`_ll`, on the
+kernel `dge._logpmf_and_grad`), `_fit` fits it by maximum likelihood and
+`_em_fit` by EM.
 Every maximum-likelihood fit -- univariate (`fit_uni_mle`), bivariate
 (`fit_biv_mle`) and the equal-margins null of the likelihood-ratio test --
 runs through one search, `_fit_mle`: a trust-region Newton method whose step
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bivariate import BgdgeParams
-from .dge import _base_logs, _coord_partials, _log_gap, _logpmf, _logpmf_and_grad, _nonneg
+from .dge import _base_logs, _coord_partials, _coords, _log_gap, _logpmf, _logpmf_and_grad, _nonneg
 from .univariate import UgdgeParams, _count_mean, _count_modes
 
 __all__ = [
@@ -66,6 +67,10 @@ __all__ = [
 #: A proposed EM step may lower the observed log-likelihood by at most this
 #: much before it is rejected (mode imputation is not exactly monotone).
 ASCENT_SLACK = 1e-8
+
+#: EM has converged when its log-likelihood moves by less than ``ll_rel_tol`` (relative) and no parameter
+#: by more than this.
+PARAM_TOL = 1e-6
 
 #: The boundary submodel wins ties against interior candidates within this.
 _SNAP_SLACK = 1e-7
@@ -118,18 +123,17 @@ class BivDataset:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Tolerances, iteration budget and E-step of EM.  ``max_iter`` also caps the iterations of each
+    """Tolerance, iteration budget and E-step of EM.  ``max_iter`` also caps the iterations of each
     trust-region search, those of EM's M-step included; maximum-likelihood searches stop by their own
-    rule (`_search`), so ``ll_rel_tol`` and ``param_tol`` bound EM only."""
+    rule (`_search`), so ``ll_rel_tol`` bounds EM only, as the fixed `PARAM_TOL` does."""
 
     ll_rel_tol: float = 1e-8
-    param_tol: float = 1e-6
     max_iter: int = 500
     e_step: str = "argmax"  # or "expected"
 
     def __post_init__(self):
-        if not (self.ll_rel_tol > 0 and self.param_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.ll_rel_tol > 0:
+            raise ValueError("ll_rel_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("iteration budget out of range")
         if self.e_step not in ("argmax", "expected"):
@@ -189,11 +193,6 @@ def _ll_and_grad(logpmf, grad, w):
     ``grad``), floored at `_LOG_FLOOR`: one value and one gradient row per parameter point."""
     low = logpmf < _LOG_FLOOR
     return np.where(low, _LOG_FLOOR, logpmf) @ w, (np.where(low, 0.0, grad) @ w).T
-
-
-def _coords(q, cells):
-    """``(shape, p, x)`` per coordinate, from parameters ``q`` that hold a (shape, p) pair per coordinate."""
-    return [(q[2 * j], q[2 * j + 1], x) for j, x in enumerate(cells)]
 
 
 def _ll(cells, q):
@@ -394,51 +393,38 @@ def _finish_report(params, data, iters, trace, stop_reason, converged, method, n
     )
 
 
-def _model(data, cfg: EmConfig):
-    """The law on ``data``, counts or a `BivDataset`: its log-likelihood with gradient, and its `_em` steps."""
-    cols = _cols(data)
-    cells = _distinct(*cols)[:-1]
-    record, impute = _LAWS[len(cols)][0], e_step_uni if len(cols) == 1 else e_step
-    return lambda q: _ll(cells, q), (
-        lambda q: impute(record.from_values(*q), data, cfg),
-        lambda ns: sum((m_step_pair(c, ns, cfg) for c in cols), ()),
-        cols[0].size,
-    )
+def _loglik(data):
+    """The log-likelihood with gradient (`_ll`) of the law on ``data``, counts or a `BivDataset`."""
+    cells = _distinct(*_cols(data))[:-1]
+    return lambda q: _ll(cells, q)
 
 
-def _em(ll, em, start, cfg: EmConfig):
-    """EM iterations with the ascent guard, one loop for every model; returns ``(params, trace, stop)``.
+def _em_fit(data, init, cfg: EmConfig | None, compute_se: bool) -> FitReport:
+    """EM for the law on ``data`` from the parameter record ``init``, with ascent guard.
 
-    ``ll(params)[0]`` is the log-likelihood; ``em`` is ``(impute, m_step, m)``: ``impute(params)``
-    gives the latent counts, ``m_step(counts)`` the (shape, p) pairs and theta is ``m / sum(counts)``.
+    Each iteration imputes the latent counts (`_e_step`), fits each coordinate's (shape, p) to them
+    (`m_step_pair`) and sets theta to ``m / sum(counts)``.
     """
-    impute, m_step, m = em
-    params = tuple(start)
-    trace = [ll(params)[0]]
-    stop = "max_iter"
+    cfg = cfg or EmConfig()
+    ll, cols = _loglik(data), _cols(data)
+    q = init.as_tuple()
+    trace, stop = [ll(q)[0]], "max_iter"
     for _ in range(cfg.max_iter):
-        ns = impute(params)
+        ns = _e_step(q[-1], _coords(q, cols), cfg)
         k = float(np.asarray(ns, dtype=float).sum())
-        new = (*m_step(ns), min(m / k, 1.0))
+        new = (*(v for c in cols for v in m_step_pair(c, ns, cfg)), min(cols[0].size / k, 1.0))
         ll_new = ll(new)[0]
         if ll_new < trace[-1] - ASCENT_SLACK:
             stop = "ll_decrease"
             break
-        change = max(abs(a - b) for a, b in zip(new, params))
+        change = max(abs(a - b) for a, b in zip(new, q))
         rel = abs(ll_new - trace[-1]) / max(1.0, abs(trace[-1]))
-        params = new
+        q = new
         trace.append(ll_new)
-        if rel < cfg.ll_rel_tol and change < cfg.param_tol:
+        if rel < cfg.ll_rel_tol and change < PARAM_TOL:
             stop = "converged"
             break
-    return params, trace, stop
-
-
-def _em_fit(data, init, cfg: EmConfig | None, compute_se: bool) -> FitReport:
-    """EM for the law on ``data`` from the parameter record ``init``, with ascent guard."""
-    cfg = cfg or EmConfig()
-    est, trace, stop = _em(*_model(data, cfg), init.as_tuple(), cfg)
-    params = type(init).from_values(*est)
+    params = type(init).from_values(*q)
     return _finish_report(params, data, len(trace) - 1, trace, stop, stop != "max_iter", "em", (), compute_se)
 
 
@@ -548,18 +534,13 @@ def _on_bound(q) -> np.ndarray:
     return (np.abs(w - lo) <= 1e-8) | ((np.abs(w - hi) <= 1e-8) & (role != _THETA))
 
 
-def _with_hessian(fun, x, h):
-    """``fun`` at the rows of ``x`` and at their neighbours ``x +- h_j e_j``, in one call.
+def _with_hessian(fun, h):
+    """The map taking rows ``x`` to ``fun`` at them and at their neighbours ``x +- h_j e_j``, in one call.
 
-    ``fun`` maps rows of points to a value and a gradient row per point.  Returns the
+    ``fun`` maps rows of points to a value and a gradient row per point.  The map returns the
     value (k,), the gradient (k, d) and the symmetrized Hessian (k, d, d) from central
     differences of the gradient, for the k rows of ``x``.
     """
-    return _hessian_rule(fun, h)(x)
-
-
-def _hessian_rule(fun, h):
-    """``x -> _with_hessian(fun, x, h)``, with the shifts and divisors of ``h`` built once."""
     d = h.size
     shifts, twice = np.array([np.diag(h), -np.diag(h)])[:, None], 2.0 * h[:, None]  # x - h_j e_j is x + (-h_j e_j)
 
@@ -651,7 +632,7 @@ def _search(ll, starts, free, cfg: EmConfig):
         value, grad = ll(q)
         return -value, -grad[:, free] * np.where(prob, v * (1.0 - v), v)
 
-    at = _hessian_rule(f, np.full(lo.size, _HESS_STEP))
+    at = _with_hessian(f, np.full(lo.size, _HESS_STEP))
     w = np.clip([_box(q, free)[0] for q in starts], lo, hi)
     f_start, g, hess = at(w)
     held = _held(w, g, lo, hi)
@@ -749,7 +730,7 @@ def _fit(data, cfg: EmConfig, init=None, extra_starts=()) -> _Fit:
     coordinate's geometric fit."""
     cols = _cols(data)
     base = (*(v for c in cols for v in (1.0, _geometric_p(c))), 1.0)
-    return _fit_mle(_model(data, cfg)[0], init, base, cfg, _LAWS[len(cols)][1], extra_starts)
+    return _fit_mle(_loglik(data), init, base, cfg, _LAWS[len(cols)][1], extra_starts)
 
 
 _TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five bivariate parameters
@@ -760,7 +741,7 @@ def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
 
     The fit's ``est`` and ``base`` are five-parameter tuples.
     """
-    ll = _model(data, cfg)[0]
+    ll = _loglik(data)
 
     def tied(q):
         value, grad = ll(np.asarray(q)[..., _TIE])
@@ -826,7 +807,7 @@ def std_errors(params, data):
     if isinstance(params, BgdgeParams) != isinstance(data, BivDataset):
         need = "a BivDataset" if isinstance(params, BgdgeParams) else "an array of counts"
         raise TypeError(f"a {type(params).__name__} record needs {need}, got {type(data).__name__}")
-    ll = _model(data if isinstance(params, BgdgeParams) else _as_counts(data), EmConfig())[0]
+    ll = _loglik(data if isinstance(params, BgdgeParams) else _as_counts(data))
     q = np.array(params.as_tuple())
     free = ~_on_bound(q)
     notes = [f"{name} on the edge of the search box: its standard error is undefined (reported NaN)"
@@ -844,7 +825,7 @@ def std_errors(params, data):
             return -value, -grad[:, free]
 
         v = q[free]
-        info = _with_hessian(neg, v[None], _HESS_STEP * np.where(_box(q, free)[3] == _SHAPE, v, v * (1.0 - v)))[2][0]
+        info = _with_hessian(neg, _HESS_STEP * np.where(_box(q, free)[3] == _SHAPE, v, v * (1.0 - v)))(v[None])[2][0]
         try:
             cov = np.linalg.inv(info)
         except np.linalg.LinAlgError:

@@ -45,6 +45,8 @@ class SimSpec:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         sizes = tuple(int(n) for n in self.sample_sizes)
         if not sizes or any(n < 2 for n in sizes):
             raise ValueError("sample sizes must all be >= 2")

@@ -31,6 +31,7 @@ from .dge import (
     SeriesCapError,
     _base_logs,
     _cdf_logs,
+    _coords,
     _den,
     _evaluate,
     _floor,
@@ -392,15 +393,9 @@ def _count_modes(theta, coords):
     return lo.astype(np.int64)
 
 
-def _coords(params, *cell):
-    """``(alpha, p, x)`` of each coordinate of ``params`` at a cell, rejecting all but nonnegative integers."""
-    q = params.as_tuple()
-    return [(q[2 * j], q[2 * j + 1], float(v)) for j, v in enumerate(_nonneg(cell, "a cell"))]
-
-
 def cond_n_pmf(params: UgdgeParams, x: int, n):
     """P(latent count = n | observed maximum = x), n >= 1, by `_count_pmf`."""
-    return _maybe_scalar(_count_pmf(params.theta, _coords(params, x), n))
+    return _maybe_scalar(_count_pmf(params.theta, _coords(params.as_tuple(), _nonneg((x,), "a cell")), n))
 
 
 def cond_n_argmax(params: UgdgeParams, x: int) -> int:
@@ -409,9 +404,9 @@ def cond_n_argmax(params: UgdgeParams, x: int) -> int:
     Bisects on the sign of the step of the log-concave ``log t(n) = (n-1) log tau +
     log(u^n - v^n)`` (`_count_modes`).
     """
-    return int(_count_modes(params.theta, _coords(params, x))[0])
+    return int(_count_modes(params.theta, _coords(params.as_tuple(), _nonneg((x,), "a cell")))[0])
 
 
 def cond_n_mean(params: UgdgeParams, x: int) -> float:
     """Mean latent count given the observed maximum, ``1 + tau S`` (`_count_mean`)."""
-    return float(_count_mean(params.theta, _coords(params, x)))
+    return float(_count_mean(params.theta, _coords(params.as_tuple(), _nonneg((x,), "a cell"))))

@@ -620,7 +620,7 @@ def test_lockstep_search_reaches_the_better_of_its_starts(football):
     ridge = BivDataset(*bgdge_sample(truth, np.random.default_rng([20260822, 25, 1]), size=25))
     cfg = fast_sim_config()
     for data in (football, ridge):
-        ll = fitting._model(data, cfg)[0]
+        ll = fitting._loglik(data)
         base = _fit(data, cfg).base
         a, b = (*base[:-1], 0.25), (*base[:-1], 0.75)
         alone = max(fitting._search(ll, [s], slice(None), cfg)[1] for s in (a, b))
@@ -648,7 +648,7 @@ def margin_search(r):
     truth = BgdgeParams.from_values(2.0, 0.25, 2.0, 0.25, 0.25)
     x = bgdge_sample(truth, np.random.default_rng([20260822, 25, r]), size=25)[0]
     base = _fit(x, fast_sim_config()).base
-    return fitting._model(x, fast_sim_config())[0], [(*base[:-1], th) for th in (0.5, 0.25, 0.75)]
+    return fitting._loglik(x), [(*base[:-1], th) for th in (0.5, 0.25, 0.75)]
 
 
 TWO_REGION_STARTS = [(math.exp(2.0), fitting._expit(-1.0)), (math.exp(-4.0), fitting._expit(3.0))]

@@ -151,6 +151,38 @@ def test_kernel_keeps_its_digits_where_the_base_power_crowds_1(p):
         assert np.abs(got / np.array(want) - 1.0).max() <= 5e-14
 
 
+@pytest.mark.parametrize("p", [0.9999, 0.99999, 0.999999])
+def test_cdfs_keep_their_digits_where_the_base_power_crowds_1(p):
+    # log A(x) = alpha log(1 - p^(x+1)) taken as log1p of the rounded power p^(x+1) was off by up to 3e-11 here
+    q = (2.0, p, 0.7, p, 0.3)
+    uni, biv = UgdgeParams.from_values(*q[:2], q[4]), BgdgeParams.from_values(*q)
+    xs = np.arange(11)
+    gx, gy = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+    with mp.workdps(REF_DPS):
+        th = mp.mpf(q[4])
+
+        def joint(s, t):
+            w = ref_base(*q[:2], s) * ref_base(*q[2:4], t)
+            return th * w / (1 - (1 - th) * w)
+
+        base = [ref_base(*q[:2], int(x)) for x in xs]
+        want = [
+            [float(b) for b in base],
+            [float(ref_cdf(*q[:2], q[4], int(x))) for x in xs],
+            [float(th / (1 - (1 - th) * b)) for b in base],
+            [float(joint(int(x), int(y))) for x, y in zip(gx, gy)],
+            [float(joint(int(x), int(y)) - joint(int(x) - 1, int(y))) for x, y in zip(gx, gy)],
+        ]
+    got = [dge_cdf(uni.base, xs), ugdge_cdf(uni, xs), hazard_weight(uni, xs), bgdge_cdf(biv, gx, gy),
+           prob_eq_le(biv, gx, gy)]
+    got.append([ugdge_cdf(cond_given_le(biv, int(y)), xs) for y in xs])
+    want.append([[ref_cdf_given_le(q, int(x), int(y)) for x in xs] for y in xs])
+    got.append([cond_cdf_given_eq(biv, xs, int(y)) for y in xs])
+    want.append([[ref_cond_cdf_given_eq(q, int(x), int(y)) for x in xs] for y in xs])
+    for g, w in zip(got, want):
+        assert np.abs(np.ravel(g) / np.ravel(w) - 1.0).max() <= 5e-14
+
+
 @given(
     st.floats(0.2, 8.0),
     st.floats(0.05, 0.95),

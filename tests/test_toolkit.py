@@ -276,6 +276,13 @@ def test_cli_input_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["gof", "--biv", "--params", params, bundled_data_path(), "--tail", "none"]) == 2
     capsys.readouterr()
+    # a negative seed is an input error, not a numerical failure of the generator
+    assert main(["sample", "--uni", "--params", "2,0.25,0.5", "--count", "3", "--seed", "-1",
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+    assert main(["simulate", "--reps", "1", "--sizes", "25", "--seed", "-5"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_code(capsys, tmp_path):

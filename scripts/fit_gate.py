@@ -23,15 +23,21 @@ convergence, how many EM endpoints move (any change of log-likelihood,
 iterations, stop reason or estimates), and the total kernel calls, parameter
 rows and iterations of each, per kind (rows only where both records hold
 them).  It exits 1 when a fit ends more than 1e-12 lower in B or loses
-convergence there.
+convergence there.  ``--compare B`` takes the committed record
+``scripts/fit_gate.jsonl`` as A, and ``--compare`` alone also takes the fits
+of the source tree on the path, at ``--reps``, as B, so a change is checked
+without a copy of its parent.  The committed record holds the default 200
+replications; a change that moves it lists the moves and commits the new one.
 
-    PYTHONPATH=src python scripts/fit_gate.py > parent.jsonl
+    PYTHONPATH=src python scripts/fit_gate.py --compare
+    PYTHONPATH=src python scripts/fit_gate.py > scripts/fit_gate.jsonl
     PYTHONPATH=src python scripts/fit_gate.py --compare parent.jsonl change.jsonl
 """
 
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +48,8 @@ BOUNDARY_TRUTH = (2.0, 0.25, 2.0, 0.25, 1.0)
 STUDY_SEED, BOUNDARY_SEED = 20260822, 99
 #: A fit "ends lower" or "higher" when its log-likelihoods differ by more than this.
 LL_TOL = 1e-12
+#: The committed record, at the default replications.
+RECORD = Path(__file__).with_name("fit_gate.jsonl")
 
 
 def counted():
@@ -103,13 +111,18 @@ def record(reps):
         yield run("boundary", 100, r, boundary)
 
 
+def keyed(lines):
+    """Fit records by (kind, n, r), as they read back from JSON."""
+    return {(d["kind"], d["n"], d["r"]): d for d in map(json.loads, lines)}
+
+
 def load(path):
     with open(path) as fh:
-        return {(d["kind"], d["n"], d["r"]): d for d in map(json.loads, fh)}
+        return keyed(fh)
 
 
-def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
+def compare(a, b):
+    """Compare two keyed records; returns the exit code."""
     common = sorted(a.keys() & b.keys())
     lower = [k for k in common if b[k]["loglik"] < a[k]["loglik"] - LL_TOL]
     higher = [k for k in common if b[k]["loglik"] > a[k]["loglik"] + LL_TOL]
@@ -139,10 +152,17 @@ def compare(path_a, path_b):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--reps", type=int, default=200, help="replications per sample size and boundary LRTs")
-    ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records instead of fitting")
+    ap.add_argument("--compare", nargs="*", metavar="RECORD",
+                    help="compare records instead of printing one: A B, the committed record and B, or with no "
+                         "record named the committed record and this tree's fits")
     args = ap.parse_args()
-    if args.compare:
-        return compare(*args.compare)
+    if args.compare is not None:
+        if len(args.compare) > 2:
+            ap.error("--compare takes at most two records")
+        records = [load(path) for path in [RECORD, *args.compare][-2:]]
+        if len(records) == 1:
+            records.append(keyed(json.dumps(line) for line in record(args.reps)))
+        return compare(*records)
     for line in record(args.reps):
         print(json.dumps(line), flush=True)
 

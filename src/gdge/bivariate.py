@@ -35,6 +35,7 @@ from .dge import (
     _nonneg,
 )
 from .univariate import (
+    _SERIES_TOL,
     UgdgeParams,
     _compound_cdf,
     _count_mean,
@@ -276,19 +277,19 @@ def _joint_power_sum(params: BgdgeParams, z1: float, z2: float, eps: float) -> f
     raise SeriesCapError("joint generating-function series exceeded the term cap")
 
 
-def bgdge_pgf(params: BgdgeParams, z1: float, z2: float, eps: float = 1e-12) -> float:
+def bgdge_pgf(params: BgdgeParams, z1: float, z2: float) -> float:
     """Joint probability generating function ``E z1^X z2^Y``, |z_i| < 1."""
     if not (abs(z1) < 1.0 and abs(z2) < 1.0):
         raise ValueError("pgf arguments must satisfy |z| < 1")
     if z1 == 0.0 and z2 == 0.0:
         return float(bgdge_pmf(params, 0, 0))
-    return _joint_power_sum(params, float(z1), float(z2), eps)
+    return _joint_power_sum(params, float(z1), float(z2), _SERIES_TOL)
 
 
-def bgdge_mgf(params: BgdgeParams, t1: float, t2: float, eps: float = 1e-12) -> float:
+def bgdge_mgf(params: BgdgeParams, t1: float, t2: float) -> float:
     """Joint moment generating function ``E exp(t1 X + t2 Y)``.
 
     Finite iff ``p_i * exp(t_i) < 1`` for both coordinates; the power sum
     (`_joint_power_sum`) at ``z_i = exp(t_i)``.
     """
-    return _joint_power_sum(params, math.exp(float(t1)), math.exp(float(t2)), eps)
+    return _joint_power_sum(params, math.exp(float(t1)), math.exp(float(t2)), _SERIES_TOL)

@@ -13,8 +13,8 @@ built on the two parameter records and the evaluation helpers defined here.
 Numerical conventions used throughout the package:
 
 * powers of the form ``(1 - p**t)**alpha`` are evaluated in log space,
-  ``exp(alpha * log(1 - p**t))``, the log by one rule (`_log1mexp`) that
-  keeps precision for ``p`` close to 1, small ``t`` and large ``t``;
+  ``exp(alpha * log(1 - p**t))``, the log by one rule with no exception
+  (`_log1mexp`) that keeps precision for ``p`` close to 1, small and large ``t``;
 * ``0**alpha`` is taken to be 0 for every ``alpha > 0``, so the pmf needs no
   special case at the origin;
 * no pmf is formed by subtracting CDFs, which crowd 1 in the tail: the
@@ -282,14 +282,15 @@ def _base_logs(p, x):
     ``r = l1 - l0``, formed as ``log1p(p^x (1-p) / (1-p^x))`` (inf at 0) so
     that it keeps full relative precision where ``l1`` and ``l0`` nearly agree;
     then ``p^x``, ``1 - p^x`` and ``1 - p^(x+1)``, which `_coord_partials` reuses.
-    ``l1`` and ``1 - p^(x+1)`` are `_log1mexp` at ``t = x + 1``.
+    ``l0`` with ``1 - p^x`` and ``l1`` with ``1 - p^(x+1)`` are `_log1mexp` at
+    ``t = x`` and ``t = x + 1``, so ``l0`` at x is bit for bit ``l1`` at x - 1.
     """
     with np.errstate(divide="ignore"):
         lp, x1 = np.log(p), x + 1.0
         px = np.power(p, x)
-        q0 = 0.0 - np.expm1(x * lp)  # 1 - p^x, and +0.0 (not -0.0) at x = 0
+        l0, q0 = _log1mexp(x * lp, px)  # q0 is +0.0 at x = 0, where x * lp = -0.0
         l1, q1 = _log1mexp(x1 * lp, np.power(p, x1))
-        return l1, np.log1p(-px), np.log1p(px * (1.0 - p) / q0), px, q0, q1
+        return l1, l0, np.log1p(px * (1.0 - p) / q0), px, q0, q1
 
 
 def _log1mexp(lt, e):
@@ -297,7 +298,8 @@ def _log1mexp(lt, e):
 
     The log is ``log1p(-e)`` except where ``e > 1/2``: there the rounding of
     ``e`` would cost digits, and it is the log of ``-expm1(lt)``, exact also
-    where ``e`` crowds 1 (Maechler 2012).  -inf at ``e = 1``.
+    where ``e`` crowds 1 (Maechler 2012).  -inf at ``e = 1``.  The package's one rule for
+    ``log(1 - p^t)``: `ge_cdf`, the cdfs (`_log_cdf`) and the pmf kernel (`_base_logs`) take it.
     """
     q = -np.expm1(lt)
     with np.errstate(divide="ignore"):

@@ -203,23 +203,17 @@ def _ll(cells, q):
     return _ll_and_grad(*_logpmf_and_grad(q[-1], _coords(q, cols)), w)
 
 
-def _checked_ll(logpmf, w, where) -> float:
-    bad = ~np.isfinite(logpmf)
-    if np.any(bad):
-        raise FloatingPointError(f"model probability underflowed at {where(int(np.argmax(bad)))}")
-    return float(w @ logpmf)
-
-
 def _observed_loglik(params, data) -> float:
     """Observed-data log-likelihood of the law of one or two coordinates on its `_cols`."""
     *cells, w, _ = _distinct(*_cols(data))
     q = params.as_tuple()
-
-    def where(k):
-        at = [int(c[k]) for c in cells]
-        return f"x={at[0]}" if len(at) == 1 else f"cell=({at[0]}, {at[1]})"
-
-    return _checked_ll(_logpmf(q[-1], _coords(q, cells)), w, where)
+    logpmf = _logpmf(q[-1], _coords(q, cells))
+    bad = ~np.isfinite(logpmf)
+    if np.any(bad):
+        at = [int(c[np.argmax(bad)]) for c in cells]
+        where = f"x={at[0]}" if len(at) == 1 else f"cell=({at[0]}, {at[1]})"
+        raise FloatingPointError(f"model probability underflowed at {where}")
+    return float(w @ logpmf)
 
 
 def observed_loglik_uni(params: UgdgeParams, x) -> float:
@@ -277,10 +271,10 @@ def complete_loglik(omega: BgdgeParams, data: BivDataset, counts) -> float:
 
 def _e_step(theta, coords, cfg: EmConfig | None):
     """Latent counts of the observations, given ``(shape, p, counts)`` per coordinate, per distinct cell:
-    the conditional mode (`univariate._count_modes`) or mean (`univariate._count_mean`)."""
+    the conditional mode (`univariate._count_modes`, int64) or mean (`univariate._count_mean`, float)."""
     cfg = cfg or EmConfig()
     if theta >= 1.0:
-        return np.ones(coords[0][2].size, dtype=np.int64)
+        return np.ones(coords[0][2].size, dtype=np.int64 if cfg.e_step == "argmax" else float)
     *cells, _, inv = _distinct(*(x for _, _, x in coords))
     law = [(alpha, p, c) for (alpha, p, _), c in zip(coords, cells)]
     if cfg.e_step == "argmax":

@@ -65,6 +65,9 @@ __all__ = [
     "cond_n_mean",
 ]
 
+#: The moment and generating-function series stop once their tail is certified below this times their total.
+_SERIES_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class UgdgeParams:
@@ -188,12 +191,12 @@ def ugdge_quantile(params: UgdgeParams, gamma: float) -> int:
     return q
 
 
-def ugdge_moment(params: UgdgeParams, r: int, eps: float = 1e-12) -> float:
+def ugdge_moment(params: UgdgeParams, r: int) -> float:
     """r-th raw moment by survival summation.
 
     ``E X^r = sum_{x>=1} (x^r - (x-1)^r) * P(X >= x)``, the survival formed
     from the log of the base CDF B at x - 1 as ``(1-B)/(1-(1-theta)B)``.  The
-    blocks stop once the tail past the last term L is certified below ``eps``
+    blocks stop once the tail past the last term L is certified below `_SERIES_TOL`
     times the total: for ``p^(L+1) <= 1e-3``, ``P(X >= x) <= 1.01 * alpha *
     p^x / theta`` (as in `_power_weighted_sum`) and the weights grow by at most
     ``((L+2)/L)^(r-1)`` a step.  Past the global term cap, `SeriesCapError`.
@@ -210,7 +213,7 @@ def ugdge_moment(params: UgdgeParams, r: int, eps: float = 1e-12) -> float:
         q = p * ((last + 2.0) / last) ** (r - 1)
         if p ** (last + 1.0) <= 1e-3 and q < 1.0:
             tail = 1.01 * al / th * ((last + 1.0) ** r - last ** r) * p ** (last + 1.0) / (1.0 - q)
-            if tail <= eps * total:
+            if tail <= _SERIES_TOL * total:
                 return total
         start += block
     raise SeriesCapError("moment series exceeded the term cap")
@@ -253,16 +256,16 @@ def _power_weighted_sum(shapes, p: float, theta: float, z: float, eps: float) ->
     raise SeriesCapError("generating-function series exceeded the term cap")
 
 
-def ugdge_pgf(params: UgdgeParams, z: float, eps: float = 1e-12) -> float:
+def ugdge_pgf(params: UgdgeParams, z: float) -> float:
     """Probability generating function ``E z^X`` for |z| < 1."""
     if not abs(z) < 1.0:
         raise ValueError(f"pgf argument must satisfy |z| < 1, got {z!r}")
-    return float(_power_weighted_sum([params.alpha], params.p, params.theta, float(z), eps)[0])
+    return float(_power_weighted_sum([params.alpha], params.p, params.theta, float(z), _SERIES_TOL)[0])
 
 
-def ugdge_mgf(params: UgdgeParams, t: float, eps: float = 1e-12) -> float:
+def ugdge_mgf(params: UgdgeParams, t: float) -> float:
     """Moment generating function ``E exp(t X)``; finite iff ``p*e^t < 1``."""
-    return float(_power_weighted_sum([params.alpha], params.p, params.theta, math.exp(float(t)), eps)[0])
+    return float(_power_weighted_sum([params.alpha], params.p, params.theta, math.exp(float(t)), _SERIES_TOL)[0])
 
 
 def mixture_cdf_approx(params: UgdgeParams, x, n_terms: int):

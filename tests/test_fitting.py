@@ -76,9 +76,11 @@ def test_e_step_argmax_matches_bruteforce():
 def test_e_step_theta_one_imputes_all_ones():
     omega = BgdgeParams.from_values(1.8, 0.3, 2.4, 0.2, 1.0)
     data = BivDataset(np.array([0, 4, 2]), np.array([1, 0, 3]))
-    got = e_step(omega, data)
-    assert got.dtype == np.int64
-    assert (got == 1).all()
+    # the modes are int64 and the means float, at theta = 1 as elsewhere
+    for cfg, dtype in ((None, np.int64), (EmConfig(e_step="expected"), np.float64)):
+        for got in (e_step(omega, data, cfg), e_step_uni(UgdgeParams.from_values(1.8, 0.3, 1.0), data.x, cfg)):
+            assert got.dtype == dtype
+            assert (got == 1).all()
 
 
 def test_e_step_expected_matches_bruteforce_mean():

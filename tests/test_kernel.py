@@ -117,6 +117,14 @@ DEEP_BIV = [
     ((1.5, 0.6, 0.8, 0.5, 0.5), np.arange(25, 41)),
 ]
 
+# the corners of the search box: shapes 1e-3 and 1e-2, p from 0.5 to 1 - 1e-6 and theta from 1e-6 to 1, at
+# values up to 200; log(1 - p^x) taken as log1p of the rounded power p^x put the pmfs up to 1.7e-12 off here
+CORNER_XS = [*range(11), 50, 200]
+CORNER_PS, CORNER_THETAS = (0.5, 0.999, 1.0 - 1e-6), (1e-6, 1e-2, 1.0)
+CORNER_BASES = [(alpha, p) for alpha in (1e-3, 1e-2) for p in CORNER_PS]
+CORNERS = [(*law, theta) for law in CORNER_BASES for theta in CORNER_THETAS]
+CORNER_PAIRS = [(1e-3, p, 1e-2, p, theta) for p in CORNER_PS for theta in CORNER_THETAS]
+
 
 @pytest.mark.parametrize("theta", [1.0, 0.5, 1e-4, 1e-6])
 @pytest.mark.parametrize("law,grid", DEEP_UNI)
@@ -181,6 +189,15 @@ def test_cdfs_keep_their_digits_where_the_base_power_crowds_1(p):
     want.append([[ref_cond_cdf_given_eq(q, int(x), int(y)) for x in xs] for y in xs])
     for g, w in zip(got, want):
         assert np.abs(np.ravel(g) / np.ravel(w) - 1.0).max() <= 5e-14
+
+
+@pytest.mark.parametrize("column", [False, True])
+def test_base_logs_take_log_1_minus_p_to_the_x_by_one_rule(column):
+    # l0 = log(1 - p^x) at x is l1 = log(1 - p^(x+1)) at x - 1, bit for bit, for p scalar and as the fitter's
+    # parameter column
+    ps, x = np.array([0.5, 0.9, 0.999, 1.0 - 1e-6]), np.arange(1.0, 51.0)
+    for p in (ps[:, None],) if column else ps:
+        assert np.array_equal(dge._base_logs(p, x)[1], dge._base_logs(p, x - 1.0)[0])
 
 
 @given(
@@ -390,7 +407,9 @@ def test_count_mode_refuses_a_bound_past_2_to_the_53():
 # ---------------------------------------------------------------------------
 # gradient of the kernel
 
-GRAD_DPS = 40
+#: Working precision of the gradient references: the smallest pmf they difference, 1e-63 at x = 200 and
+#: p = 0.5, keeps 37 digits.
+GRAD_DPS = 100
 
 
 def ref_uni_logpmf(alpha, p, theta, x):
@@ -440,12 +459,22 @@ def test_bivariate_gradient_matches_reference(params, football):
         ((2.0, 0.25, 1e-6), np.arange(0, 40, 3)),
         ((0.7, 0.9999, 0.5), DEEP_UNI[2][1]),
         ((0.7, 0.9999, 1e-6), DEEP_UNI[2][1]),
+        *((q, np.array(CORNER_XS)) for q in CORNERS),
     ],
 )
 def test_univariate_gradient_matches_reference(params, grid):
     alpha, p, theta = params
     got = _logpmf_and_grad(theta, [(alpha, p, grid.astype(float))])[1]
     assert_partials_close(got.T, [ref_partials(ref_uni_logpmf, params, (int(x),)) for x in grid])
+
+
+@pytest.mark.parametrize("params", [q for q in CORNER_PAIRS if q[1] == CORNER_PS[-1]])
+def test_bivariate_gradient_matches_reference_at_the_corners(params):
+    cells = list(itertools.product(CORNER_XS[::3], CORNER_XS[::3]))
+    cx, cy = (np.array(c, dtype=float) for c in zip(*cells))
+    a1, p1, a2, p2, theta = params
+    got = _logpmf_and_grad(theta, [(a1, p1, cx), (a2, p2, cy)])[1]
+    assert_partials_close(got.T, [ref_partials(ref_biv_logpmf, params, c) for c in cells])
 
 
 # points (shape, p) per coordinate: the search box's corners, Serie A's margins and p near 1, where
@@ -575,8 +604,8 @@ def test_latent_count_mean_matches_reference_in_deep_tail(x, theta):
 # CDFs of coordinate j at x_j and x_j - 1.
 
 #: Working precision of these references: the smallest difference they form,
-#: a joint pmf near 1e-56 at theta = 1e-3, keeps 60 digits.
-COND_DPS = 120
+#: a joint pmf near 1e-126 at the corner cell (200, 200) with p = 0.5, keeps 74 digits.
+COND_DPS = 200
 
 
 def ref_pairs(params, cell):
@@ -741,6 +770,19 @@ def check_ugdge_moment(q):
     return [ugdge_moment(law, r) for r in (1, 2)], [ref_moment(*q, r) for r in (1, 2)]
 
 
+def check_ugdge_pmf(q, xs):
+    return ugdge_pmf(UgdgeParams.from_values(*q), xs), [ref_uni_pmf(*q, x) for x in xs]
+
+
+def check_dge_pmf(law, xs):
+    return dge_pmf(DgeParams(*law), xs), [ref_uni_pmf(*law, 1.0, x) for x in xs]
+
+
+def check_bgdge_pmf(q, xs, ys):
+    cells = list(itertools.product(xs, ys))
+    return bgdge_pmf(BgdgeParams.from_values(*q), *np.array(cells).T), [ref_biv_pmf(*q, *c) for c in cells]
+
+
 def check_ugdge_hazard(q, xs):
     """The pmf over ``P(X >= x) = 1 - F(x - 1)``."""
     with mp.workdps(REF_DPS):
@@ -863,6 +905,10 @@ EXACT = [
     *((check, q, (xs, ys)) for check in (check_biv_cond_n_pmf, check_biv_cond_n_mean, check_e_step,
                                          check_cond_cdf_given_eq, check_cond_given_le, check_prob_eq_le)
       for q, xs, ys in PAIRS),
+    *((check, q, (CORNER_XS,)) for check in (check_ugdge_pmf, check_ugdge_hazard, check_pmf_weight, check_cond_n_pmf)
+      for q in CORNERS),
+    *((check, law, (CORNER_XS,)) for check in (check_dge_pmf, check_dge_hazard) for law in CORNER_BASES),
+    *((check, q, (CORNER_XS, CORNER_XS)) for check in (check_bgdge_pmf, check_biv_cond_n_pmf) for q in CORNER_PAIRS),
     *((check_ugdge_moment, q, ()) for q in MOMENT_LAWS),
     *((check, q, (args,)) for q in GF_UNI for check, args in ((check_ugdge_pgf, GF_ZS), (check_ugdge_mgf, GF_TS))),
     *((check, q, (args,)) for q in GF_BIV

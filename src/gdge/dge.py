@@ -406,9 +406,11 @@ def _corners(lw, lw_):
 
 
 def _logpmf(theta, coords):
-    """The log-pmf of `_terms`, without the pieces of its gradient; at theta = 1 the sum of the base laws'."""
-    if theta == 1.0:
-        return _coord_logs(*_stacked(coords))[1][2].sum(axis=0)
+    """The log-pmf of `_terms`, without the pieces of its gradient.
+
+    At theta = 1, ``tau = 0`` makes every `_den` and ``1 - tau^2 P`` exactly 1, so the general formulas give
+    the sum of the base laws' log-gaps bit for bit.
+    """
     return _terms(theta, coords)[2]
 
 
@@ -442,28 +444,20 @@ def _logpmf_and_grad(theta, coords):
 
     With ``e = w / (1 - tau w)`` at each corner w of `_terms`, a coordinate's ``c1`` and ``c0`` (see
     `_coord_partials`) sum e over the corners at its u and at its v, and the theta-partial is ``1/theta - S``,
-    S the sum of e over all corners, less ``2 tau P / (1 - tau^2 P)`` for two coordinates.
-
-    Where every row has theta = 1 (the fitter's theta = 1 search), the compounding factor is 1: ``dens`` = 1,
-    ``1 - tau^2 P`` = 1, ``c1`` = 1 and ``c0`` = 0, and e is w.  That branch skips them and returns, bit for
-    bit, the log-pmf of `_logpmf` and the partials of the general formulas at theta = 1.
+    S the sum of e over all corners, less ``2 tau P / (1 - tau^2 P)`` for two coordinates.  The same
+    formulas serve every theta: at theta = 1 they give, bit for bit, ``c1`` = 1, ``c0`` = 0, e = w and the
+    base laws' log-pmf.
     """
-    if np.logical_and.reduce(theta == 1.0, axis=None):
-        alpha, p, x = _stacked(coords)
-        logs, (lw, lw_, g) = _coord_logs(alpha, p, x)
-        logpmf, e, c1, c0 = g.sum(axis=0), np.exp(_corners(lw, lw_)), 1.0, 0.0
-        d_theta = 1.0 - e[0] - e[1] if len(coords) == 1 else 1.0 - (e[0] + e[1] + (e[2] + e[3]))
+    (alpha, p, x), logs, logpmf, corners, dens, lprod, den_p = _terms(theta, coords)
+    tau, e = 1.0 - theta, np.exp(corners) / dens
+    if len(coords) == 1:
+        c1, c0 = 1.0 + tau * e[:1], tau * e[1:]
+        d_theta = 1.0 / theta - e[0] - e[1]
     else:
-        (alpha, p, x), logs, logpmf, corners, dens, lprod, den_p = _terms(theta, coords)
-        tau, e = 1.0 - theta, np.exp(corners) / dens
-        if len(coords) == 1:
-            c1, c0 = 1.0 + tau * e[:1], tau * e[1:]
-            d_theta = 1.0 / theta - e[0] - e[1]
-        else:
-            ratio = np.exp(lprod) / den_p
-            k = tau * tau * ratio
-            sums = np.array([e[0::2] + e[1::2], e[:2] + e[2:]])  # [j, i]: coordinate j at its u (0) or v (1)
-            c1, c0 = 1.0 - k + tau * sums[:, 0], tau * sums[:, 1] - k
-            d_theta = 1.0 / theta + 2.0 * tau * ratio - (sums[0, 0] + sums[0, 1])
+        ratio = np.exp(lprod) / den_p
+        k = tau * tau * ratio
+        sums = np.array([e[0::2] + e[1::2], e[:2] + e[2:]])  # [j, i]: coordinate j at its u (0) or v (1)
+        c1, c0 = 1.0 - k + tau * sums[:, 0], tau * sums[:, 1] - k
+        d_theta = 1.0 / theta + 2.0 * tau * ratio - (sums[0, 0] + sums[0, 1])
     d_alpha, d_p = _coord_partials(alpha, p, x, logs, c1, c0)
     return logpmf, np.array([v for pair in zip(d_alpha, d_p) for v in pair] + [d_theta])

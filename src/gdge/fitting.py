@@ -53,7 +53,6 @@ __all__ = [
     "observed_loglik_uni",
     "observed_loglik_biv",
     "latent_weighted_loglik",
-    "complete_loglik",
     "e_step",
     "e_step_uni",
     "m_step_pair",
@@ -239,32 +238,6 @@ def latent_weighted_loglik(values, counts, alpha: float, p: float) -> float:
     return total if total > -math.inf else -math.inf
 
 
-def complete_loglik(omega: BgdgeParams, data: BivDataset, counts) -> float:
-    """Complete-data log-likelihood given imputed latent counts.
-
-    ``m ln theta + (k - m) ln(1 - theta)`` plus one weighted base
-    log-likelihood per coordinate.  At theta = 1 the second term is 0 when
-    k = m and the value is undefined (domain error) when k > m.
-    """
-    n = np.asarray(counts, dtype=float)
-    if n.size != len(data) or np.any(n < 1):
-        raise ValueError("counts must align with the data and all be >= 1")
-    m = float(len(data))
-    k = float(n.sum())
-    a1, p1, a2, p2, th = omega.as_tuple()
-    if th == 1.0:
-        if k > m:
-            raise ValueError("theta = 1 is incompatible with any latent count > 1")
-        geom = 0.0
-    else:
-        geom = m * math.log(th) + (k - m) * math.log(1.0 - th)
-    return (
-        geom
-        + latent_weighted_loglik(data.x, n, a1, p1)
-        + latent_weighted_loglik(data.y, n, a2, p2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # E-step
 
@@ -273,8 +246,6 @@ def _e_step(theta, coords, cfg: EmConfig | None):
     """Latent counts of the observations, given ``(shape, p, counts)`` per coordinate, per distinct cell:
     the conditional mode (`univariate._count_modes`, int64) or mean (`univariate._count_mean`, float)."""
     cfg = cfg or EmConfig()
-    if theta >= 1.0:
-        return np.ones(coords[0][2].size, dtype=np.int64 if cfg.e_step == "argmax" else float)
     *cells, _, inv = _distinct(*(x for _, _, x in coords))
     law = [(alpha, p, c) for (alpha, p, _), c in zip(coords, cells)]
     if cfg.e_step == "argmax":
@@ -321,7 +292,7 @@ def _latent_ll(cells, q):
 def _geometric_p(values, w=None) -> float:
     """The geometric (shape 1) maximum-likelihood p, ``mean / (1 + mean)``, inside the search box."""
     mean = float(np.average(values, weights=w))
-    return float(np.clip(mean / (1.0 + mean), *map(_expit, _W_UNIT)))
+    return float(np.clip(mean / (1.0 + mean), *_UNIT))
 
 
 def m_step_pair(values, counts, cfg: EmConfig | None = None):
@@ -339,7 +310,7 @@ def m_step_pair(values, counts, cfg: EmConfig | None = None):
             RuntimeWarning,
             stacklevel=2,
         )
-        return 1.0, _expit(_W_UNIT[0])
+        return 1.0, _UNIT[0]
     start = (1.0 / np.average(cells[1], weights=cells[2]), _geometric_p(cells[0], cells[2]))
     return _search(lambda q: _latent_ll(cells, q), [start], slice(None), cfg or EmConfig())[0]
 
@@ -443,35 +414,15 @@ def em_fit_biv(
 # it indefinitely: shapes stay in [1e-3, 1e3], probabilities in [1e-6, 1 - 1e-6],
 # theta in [1e-6, 1].
 _W_SHAPE = (math.log(1e-3), math.log(1e3))
-_W_UNIT = (-13.815510557964274, 13.815510557964274)  # logit(1e-6), logit(1 - 1e-6)
-
-
-# A probability is searched as its logit.  The maps are scipy.special's formulas for
-# expit and logit, evaluated element by element with libm through `math`: numpy's own
-# vectorized exp can differ from libm's in the last bit, and that moves reported digits.
-def _expit(w: float) -> float:
-    try:
-        return 1.0 / (1.0 + math.exp(-w))
-    except OverflowError:
-        return 0.0
-
-
-def _logit(v: float) -> float:
-    if 0.3 <= v <= 0.65:  # log(v / (1 - v)) loses digits near v = 1/2
-        s = 2.0 * (v - 0.5)
-        return math.log1p(s) - math.log1p(-s)
-    if v == 0.0 or v == 1.0:
-        return math.copysign(math.inf, v - 0.5)
-    return math.log(v / (1.0 - v))
-
-
-_EXPIT, _LOGIT = np.frompyfunc(_expit, 1, 1), np.frompyfunc(_logit, 1, 1)
+_W_UNIT = (-13.815510557964274, 13.815510557964274)  # log(1e-6) and -log(1e-6)
+#: The probabilities at the edges of the search box, the expit of `_W_UNIT` as `_from_search` takes it.
+_UNIT = tuple((1.0 / (1.0 + np.exp(-np.array(_W_UNIT)))).tolist())
 
 # Theta is searched as its log, up to exactly theta = 1.  Where the likelihood rises
 # toward the theta = 1 submodel, a logit search coordinate would move about one unit
 # per Newton step toward an edge that never reaches theta = 1; a step in log theta that
 # meets the edge lands on theta = 1.
-_W_THETA = (math.log(_expit(_W_UNIT[0])), 0.0)
+_W_THETA = (math.log(_UNIT[0]), 0.0)
 
 #: The roles of a parameter, in the order of `_EDGES`, the search box of each role's
 #: coordinate: the (shape, p) pairs alternate 0, 1, and a last, odd one is theta.
@@ -511,14 +462,15 @@ def _box(q, free=slice(None)):
     role = role[free]
     v = np.asarray(q, dtype=float)[free]
     w = np.log(v)
-    w[role == _P] = _LOGIT(v[role == _P])
+    prob = role == _P
+    w[prob] -= np.log1p(-v[prob])
     return w, *_EDGES[role].T, role
 
 
 def _from_search(w, prob):
     """The values at search coordinates ``w`` (the last axis as in `_box`): exp, or expit where ``prob``."""
     v = np.exp(w)
-    v[..., prob] = _EXPIT(w[..., prob])
+    v[..., prob] = 1.0 / (1.0 + np.exp(-w[..., prob]))
     return v
 
 

@@ -9,6 +9,7 @@ formatting, so identical runs produce identical bytes.
 from __future__ import annotations
 
 import math
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -34,16 +35,20 @@ def bundled_data_path(name: str = "seriea.csv") -> str:
     return str(files("gdge").joinpath("data", name))
 
 
+#: A decimal integer entry: an optional sign and ASCII digits.  `int` alone would also take
+#: ``1_0`` and the digits of other scripts.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_row(parts, lineno, width):
     if len(parts) != width:
         raise DataFormatError(f"line {lineno}: expected {width} column(s), found {len(parts)}")
     out = []
     for cell in parts:
         cell = cell.strip()
-        try:
-            value = int(cell)
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: non-integer entry {cell!r}") from None
+        if not _INTEGER.fullmatch(cell):
+            raise DataFormatError(f"line {lineno}: non-integer entry {cell!r}")
+        value = int(cell)
         if value < 0:
             raise DataFormatError(f"line {lineno}: negative entry {value}")
         out.append(value)

@@ -17,7 +17,6 @@ from gdge import (
     UgdgeParams,
     bgdge_pmf,
     bgdge_sample,
-    complete_loglik,
     e_step,
     e_step_uni,
     em_fit_biv,
@@ -302,6 +301,27 @@ def test_search_drives_the_gradient_to_rounding_on_a_large_sample():
     assert np.abs(grad * np.where([True, False, True, False, False], q, q * (1 - q))).max() <= 1e-9
 
 
+def test_search_maps_of_a_probability_match_mpmath():
+    # the logit of `_box` within 2 ulp * max(1, |w|), the expit of `_from_search` within 2 ulp relative, over
+    # the box's probabilities (p within 1e-15 of 1/2 included) and its logits
+    eps = np.finfo(float).eps
+    tails = np.geomspace(1e-6, 0.5, 301)
+    ps = np.concatenate([tails, 1.0 - tails, 0.5 + np.linspace(-1e-15, 1e-15, 41), np.linspace(0.25, 0.75, 101)])
+    w = fitting._box(np.column_stack([np.ones_like(ps), ps]).ravel())[0][1::2]
+    ws = np.concatenate([np.linspace(*fitting._W_UNIT, 401), np.linspace(-1e-6, 1e-6, 41)])
+    v = fitting._from_search(ws[:, None], np.array([True]))[:, 0]
+    with mp.workdps(50):
+        want_w = np.array([float(mp.log(mp.mpf(p) / (1 - mp.mpf(p)))) for p in ps])
+        want_v = np.array([float(1 / (1 + mp.exp(-mp.mpf(x)))) for x in ws])
+    assert np.all(np.abs(w - want_w) <= 2.0 * eps * np.maximum(1.0, np.abs(want_w)))
+    assert np.all(np.abs(v - want_v) <= 2.0 * eps * want_v)
+
+
+def expit(w):
+    """The probability whose logit is ``w``."""
+    return 1.0 / (1.0 + math.exp(-w))
+
+
 def test_search_keeps_a_passing_trial_whose_gain_is_below_rounding():
     # -ll = 2^23 + |w - w*|^2 / 2 in (log shape, logit p): 3.6e-6 from w* the gain left is below the
     # rounding of -ll, so a ratio test alone rejects the Newton step to w* until the radius stalls
@@ -314,7 +334,7 @@ def test_search_keeps_a_passing_trial_whose_gain_is_below_rounding():
         return -(2.0**23) - 0.5 * (d**2).sum(axis=1), -d / np.column_stack([q[:, 0], q[:, 1] * (1.0 - q[:, 1])])
 
     w0 = opt + [3e-6, -2e-6]
-    start = (math.exp(w0[0]), fitting._expit(w0[1]))
+    start = (math.exp(w0[0]), expit(w0[1]))
     _, _, stop, iters, _ = fitting._search(ll, [start], slice(None), fast_sim_config())
     assert (stop, iters, len(calls)) == ("converged", 1, 2)
 
@@ -511,28 +531,7 @@ def test_std_errors_rejects_a_record_of_the_other_dimension(football):
 
 
 # ---------------------------------------------------------------------------
-# complete-data likelihood and input validation
-
-
-def test_complete_loglik_theta_one_identity(football):
-    omega = BgdgeParams.from_values(2.5, 0.3, 3.0, 0.2, 1.0)
-    ones = np.ones(len(football))
-    got = complete_loglik(omega, football, ones)
-    direct = float(
-        np.log(bgdge_pmf(omega, football.x.astype(float), football.y.astype(float))).sum()
-    )
-    assert got == pytest.approx(direct, rel=1e-10)
-    assert got == pytest.approx(observed_loglik_biv(omega, football), rel=1e-10)
-    with pytest.raises(ValueError):
-        complete_loglik(omega, football, ones + 1.0)
-
-
-def test_complete_loglik_counts_validation(football):
-    omega = BgdgeParams.from_values(2.5, 0.3, 3.0, 0.2, 0.5)
-    with pytest.raises(ValueError):
-        complete_loglik(omega, football, np.ones(3))
-    with pytest.raises(ValueError):
-        complete_loglik(omega, football, np.zeros(len(football)))
+# input validation
 
 
 def test_observed_loglik_uni_matches_pmf_sum():
@@ -653,7 +652,7 @@ def margin_search(r):
     return fitting._loglik(x), [(*base[:-1], th) for th in (0.5, 0.25, 0.75)]
 
 
-TWO_REGION_STARTS = [(math.exp(2.0), fitting._expit(-1.0)), (math.exp(-4.0), fitting._expit(3.0))]
+TWO_REGION_STARTS = [(math.exp(2.0), expit(-1.0)), (math.exp(-4.0), expit(3.0))]
 
 
 # (estimate, loglik, stop, iterations) as the search returned them before it kept only its running starts,
@@ -672,7 +671,7 @@ TWO_REGION_STARTS = [(math.exp(2.0), fitting._expit(-1.0)), (math.exp(-4.0), fit
     (lambda: margin_search(2), 500, ((0.0010000000000000002, 0.18952468983230983, 7.321046494464347e-05),
                                      -32.67299421321355, "converged", 13), [(21, 12), (14, 2)]),
     # the cap stops the two that still run
-    (lambda: margin_search(2), 12, ((0.0010000000000000002, 0.18952469006647324, 7.32104651677698e-05),
+    (lambda: margin_search(2), 12, ((0.0010000000000000002, 0.18952468983230983, 7.32104651677698e-05),
                                     -32.672994213213514, "converged", 12), [(21, 12), (14, 1)]),
     # the starts stop after iterations 5, 6 and 10; a kept trial on a bound changes which coordinates the
     # next step holds

@@ -479,33 +479,38 @@ def test_bivariate_gradient_matches_reference_at_the_corners(params):
 
 # points (shape, p) per coordinate: the search box's corners, Serie A's margins and p near 1, where
 # p^(x+1) crowds 1 at small x
-THETA_ONE_POINTS = [(1e-3, 1e-6), (1e3, 1.0 - 1e-6), (2.648138531581, 0.204063392347), (0.7, 0.9999),
-                    (6.782315129779, 0.99999)]
-THETA_ONE_CELLS = np.array([0, 1, 2, 3, 7, 20, 40])
+THETA_ONE_POINTS = [(1e-3, 1e-6), (1e-3, 1.0 - 1e-6), (1e3, 1e-6), (1e3, 1.0 - 1e-6),
+                    (2.648138531581, 0.204063392347), (0.7, 0.9999), (6.782315129779, 0.99999)]
+THETA_ONE_CELLS = np.array([0, 1, 2, 3, 7, 20, 40, 200, 1000])
 
 
 @pytest.mark.parametrize("ncoords", [1, 2])
-def test_theta_one_branch_equals_the_general_formulas(ncoords, monkeypatch):
-    # rows at theta = 1 take the kernel's theta = 1 branch; a row at theta = 0.5 appended sends the same
-    # rows through the general formulas, which must give them the same log-pmf and partials, bit for bit
+def test_theta_one_gives_the_base_law_bit_for_bit(ncoords):
+    # at theta = 1 the compounding formulas run with tau = 0: every correction is exactly 0 and every
+    # denominator exactly 1, so the law is the base law, its partials those of the base log-gaps and
+    # its theta-partial 1 - sum w over the corners, bit for bit
     points = np.array([(*a, *b) for a, b in itertools.product(THETA_ONE_POINTS, repeat=2)])[:, :2 * ncoords]
     cells = [g.ravel().astype(float) for g in np.meshgrid(*[THETA_ONE_CELLS] * ncoords, indexing="ij")]
-
-    def kernel(rows, theta):
-        cols = np.asarray(rows).T[..., None]
-        coords = [(cols[2 * j], cols[2 * j + 1], c) for j, c in enumerate(cells)]
-        with np.errstate(all="ignore"):
-            return _logpmf_and_grad(np.array(theta, dtype=float)[:, None], coords)
-
-    general = kernel(np.vstack([points, points[:1]]), [1.0] * len(points) + [0.5])
-    with monkeypatch.context() as patch:
-        patch.setattr(dge, "_terms", lambda theta, coords: pytest.fail("the general formulas ran"))
-        branch = kernel(points, [1.0] * len(points))
-    assert np.all(np.isfinite(branch[0])) and np.all(np.isfinite(branch[1]))
-    assert np.array_equal(branch[0], general[0][:-1]) and np.array_equal(branch[1], general[1][:, :-1])
-    assert branch[1].shape == (2 * ncoords + 1, len(points), cells[0].size)
-    for row, q in zip(branch[0], points):  # the log-pmf of the evaluators' theta = 1 path
+    cols = points.T[..., None]
+    coords = [(cols[2 * j], cols[2 * j + 1], c) for j, c in enumerate(cells)]
+    with np.errstate(all="ignore"):
+        logpmf, grad = _logpmf_and_grad(np.ones((len(points), 1)), coords)
+        logs = [dge._base_logs(p, x) for _, p, x in coords]
+        gaps = [dge._log_gap(l1, r, alpha) for (alpha, _, _), (l1, _, r, *_) in zip(coords, logs)]
+        want = [v for (alpha, p, x), lg in zip(coords, logs) for v in dge._coord_partials(alpha, p, x, lg, 1.0, 0.0)]
+        lw = [(alpha * l1, alpha * l0) for (alpha, _, _), (l1, l0, *_) in zip(coords, logs)]
+        if ncoords == 1:
+            d_theta = 1.0 - np.exp(lw[0][0]) - np.exp(lw[0][1])
+        else:
+            (lu1, lv1), (lu2, lv2) = lw
+            d_theta = 1.0 - ((np.exp(lu1 + lu2) + np.exp(lu1 + lv2)) + (np.exp(lv1 + lu2) + np.exp(lv1 + lv2)))
+    assert np.all(np.isfinite(grad[:, logpmf > -np.inf]))  # nan only where the pmf underflows to 0
+    assert np.array_equal(logpmf, sum(gaps)) and np.array_equal(grad, np.array([*want, d_theta]), equal_nan=True)
+    for row, q in zip(logpmf, points):  # the evaluators' log-pmf at theta = 1 is the same
         assert np.array_equal(row, _logpmf(1.0, [(q[2 * j], q[2 * j + 1], c) for j, c in enumerate(cells)]))
+        if ncoords == 1:
+            law = UgdgeParams.from_values(*q, 1.0)
+            assert np.array_equal(ugdge_pmf(law, THETA_ONE_CELLS), dge_pmf(law.base, THETA_ONE_CELLS))
 
 
 SHAPES = st.floats(1e-3, 1e3)

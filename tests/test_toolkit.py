@@ -99,6 +99,29 @@ def test_read_reports_line_numbers(tmp_path):
         read_dataset(bad)
 
 
+@pytest.mark.parametrize("entry", ["1_0", "\u0663"])
+def test_read_takes_only_decimal_integers(tmp_path, capsys, entry):
+    # `int` alone reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x,y\n1,2\n3,{entry}\n", encoding="utf-8")
+    message = f"line 3: non-integer entry {entry!r}"
+    with pytest.raises(DataFormatError) as info:
+        read_dataset(bad)
+    assert str(info.value) == message
+    assert main(["fit", "--biv", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_read_keeps_signed_entries(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("x\n+4\n 0 \n-0\n")
+    assert read_dataset(f).tolist() == [4, 0, 0]
+    f.write_text("x\n+4\n-3\n")
+    with pytest.raises(DataFormatError) as info:
+        read_dataset(f)
+    assert str(info.value) == "line 3: negative entry -3"
+
+
 def test_read_mode_mismatch_and_empty(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("x,y\n1,2\n")

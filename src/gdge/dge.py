@@ -15,6 +15,11 @@ Numerical conventions used throughout the package:
 * powers of the form ``(1 - p**t)**alpha`` are evaluated in log space,
   ``exp(alpha * log(1 - p**t))``, the log by one rule with no exception
   (`_log1mexp`) that keeps precision for ``p`` close to 1, small and large ``t``;
+  the pmf kernel takes it in one pass over ``t = x`` and ``t = x + 1`` stacked
+  (`_base_logs`);
+* the log of 0 is -inf without a warning: the entry points that run these
+  formulas set that floating-point policy once each (`_quiet_logs`, and
+  `_quiet_grad` for the kernel's gradient), not the formulas themselves;
 * ``0**alpha`` is taken to be 0 for every ``alpha > 0``, so the pmf needs no
   special case at the origin;
 * no pmf is formed by subtracting CDFs, which crowd 1 in the tail: the
@@ -49,6 +54,11 @@ __all__ = [
 #: Hard cap on the number of terms any truncated series in this package may
 #: consume before giving up with :class:`SeriesCapError`.
 SERIES_CAP = 1_000_000
+
+#: The floating-point policy of the log-space formulas, which take the log of 0 as -inf and, in the kernel's
+#: gradient, mask its 0 * inf and overflows: each entry point that runs them sets it once, as a decorator.
+_quiet_logs = np.errstate(divide="ignore")
+_quiet_grad = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 class SeriesCapError(RuntimeError):
@@ -101,6 +111,7 @@ class DgeParams:
         return GeParams(self.alpha, self.lam)
 
 
+@_quiet_logs
 def ge_cdf(params: GeParams, y):
     """CDF ``(1 - exp(-lam * y)) ** alpha`` of the continuous law; 0 below 0.
 
@@ -275,6 +286,9 @@ def _evaluate(fn, *args):
     return _maybe_scalar(vals.take(flat))
 
 
+_STEPS = np.array([0.0, 1.0])  # t = x + 0 and x + 1 of `_base_logs`
+
+
 def _base_logs(p, x):
     """Shape-free pieces of the base CDF at ``x``, and the powers they come from.
 
@@ -285,12 +299,10 @@ def _base_logs(p, x):
     ``l0`` with ``1 - p^x`` and ``l1`` with ``1 - p^(x+1)`` are `_log1mexp` at
     ``t = x`` and ``t = x + 1``, so ``l0`` at x is bit for bit ``l1`` at x - 1.
     """
-    with np.errstate(divide="ignore"):
-        lp, x1 = np.log(p), x + 1.0
-        px = np.power(p, x)
-        l0, q0 = _log1mexp(x * lp, px)  # q0 is +0.0 at x = 0, where x * lp = -0.0
-        l1, q1 = _log1mexp(x1 * lp, np.power(p, x1))
-        return l1, l0, np.log1p(px * (1.0 - p) / q0), px, q0, q1
+    t = _STEPS.reshape(2, *(1,) * max(np.ndim(p), np.ndim(x))) + x  # x and x + 1, first, before p's axes
+    pt = np.power(p, t)
+    (l0, l1), (q0, q1) = _log1mexp(t * np.log(p), pt)  # q0 is +0.0 at x = 0, where x log p = -0.0
+    return l1, l0, np.log1p(pt[0] * (1.0 - p) / q0), pt[0], q0, q1
 
 
 def _log1mexp(lt, e):
@@ -302,8 +314,7 @@ def _log1mexp(lt, e):
     ``log(1 - p^t)``: `ge_cdf`, the cdfs (`_log_cdf`) and the pmf kernel (`_base_logs`) take it.
     """
     q = -np.expm1(lt)
-    with np.errstate(divide="ignore"):
-        return np.where(e > 0.5, np.log(q), np.log1p(-e)), q
+    return np.where(e > 0.5, np.log(q), np.log1p(-e)), q
 
 
 def _log_gap(l1, r, shape):
@@ -311,8 +322,7 @@ def _log_gap(l1, r, shape):
 
     The difference is ``-A(x) * expm1(-shape * r)``; ``shape`` may be an array.
     """
-    with np.errstate(divide="ignore"):
-        return shape * l1 + np.log(-np.expm1(-shape * r))
+    return shape * l1 + np.log(-np.expm1(-shape * r))
 
 
 def _coord_logs(alpha, p, x):
@@ -321,11 +331,13 @@ def _coord_logs(alpha, p, x):
     return logs, (alpha * l1, alpha * l0, _log_gap(l1, r, alpha))
 
 
+@_quiet_logs
 def _cdf_logs(alpha, p, x):
     """``log A(x)``, ``log A(x-1)`` and ``log(A(x) - A(x-1))`` of the base law."""
     return _coord_logs(alpha, p, x)[1]
 
 
+@_quiet_logs
 def _log_cdf(alpha, p, x):
     """``log A(x)`` of the base law at real ``x``, by `_log1mexp` at ``t = floor(x) + 1``: -inf below the support."""
     t = np.maximum(np.floor(x) + 1.0, 0.0)
@@ -364,9 +376,9 @@ def _stacked(coords):
     return [a if a.ndim == nd else a.reshape(len(a), *(1,) * (nd - a.ndim), *a.shape[1:]) for a in out]
 
 
-def _terms(theta, coords):
-    """The compounded law of one or two coordinates at their cells, ``coords`` holding ``(shape, p, x)`` per
-    coordinate, stacked first (`_stacked`) so that one pass of the coordinate formulas serves them all.
+def _terms(theta, alpha, p, x):
+    """The compounded law of one or two coordinates at their cells, from the coordinates' shapes, probabilities
+    and cells stacked first (`_stacked`), so that one pass of the coordinate formulas serves them all.
 
     With u_j, v_j the base CDFs of coordinate j at x_j and x_j - 1, the pmf is the difference of
     ``theta w / (1 - tau w)`` over the corners w of the cell, the products of one of u_j, v_j per coordinate;
@@ -376,15 +388,13 @@ def _terms(theta, coords):
         theta (u1 - v1)(u2 - v2) (1 - tau^2 P) / prod_corners (1 - tau w)         (two),
 
     with P = u1 v1 u2 v2: a product of positive factors, ``1 - tau^2 P`` taken as
-    ``theta (2 - theta) - tau^2 expm1(log P)``.  Returns the stacked (shape, p, x), their `_base_logs`, the
-    log-pmf, the corners' ``log w`` and `_den` with the corners first, (u, v) for one coordinate and
-    (u1 u2, u1 v2, v1 u2, v1 v2) for two, and ``log P`` with ``1 - tau^2 P`` (-inf and 1 for one
-    coordinate, which has no such factor).
+    ``theta (2 - theta) - tau^2 expm1(log P)``.  Returns the stacked `_base_logs`, the log-pmf, the corners'
+    ``log w`` and `_den` with the corners first, (u, v) for one coordinate and (u1 u2, u1 v2, v1 u2, v1 v2)
+    for two, and ``log P`` with ``1 - tau^2 P`` (-inf and 1 for one coordinate, which has no such factor).
     """
-    stacked = alpha, p, x = _stacked(coords)
     logs, (lw, lw_, g) = _coord_logs(alpha, p, x)
     corners = _corners(lw, lw_)
-    if len(coords) == 1:
+    if len(x) == 1:
         lprod, den_p = -math.inf, 1.0
         logpmf = g[0] + np.log(theta)
     else:
@@ -395,7 +405,7 @@ def _terms(theta, coords):
     dens = _den(theta, corners)
     for ld in np.log(dens):
         logpmf -= ld
-    return stacked, logs, logpmf, corners, dens, lprod, den_p
+    return logs, logpmf, corners, dens, lprod, den_p
 
 
 def _corners(lw, lw_):
@@ -405,13 +415,14 @@ def _corners(lw, lw_):
     return at[:, 0] if len(lw) == 1 else (at[:, None, 0] + at[None, :, 1]).reshape(4, *at.shape[2:])
 
 
+@_quiet_logs
 def _logpmf(theta, coords):
     """The log-pmf of `_terms`, without the pieces of its gradient.
 
     At theta = 1, ``tau = 0`` makes every `_den` and ``1 - tau^2 P`` exactly 1, so the general formulas give
     the sum of the base laws' log-gaps bit for bit.
     """
-    return _terms(theta, coords)[2]
+    return _terms(theta, *_stacked(coords))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +438,24 @@ def _coord_partials(alpha, p, x, logs, c1, c0):
 
     ``logs`` is `_base_logs` at (p, x); ``c1 - 1`` and ``c0`` are the partials of h in ``log u`` and
     ``log v``; ``log(u - v) = log u + log(1 - exp(-alpha r))`` (`_log_gap`),
-    ``dr/dp = p^x / (1-p^(x+1)) (x (1-p) / (p (1-p^x)) - 1)``.
+    ``dr/dp = p^x / (1-p^(x+1)) (x (1-p) / (p (1-p^x)) - 1)``.  Where ``alpha r`` is 0 the log-gap is -inf,
+    the pmf having underflowed to 0, and both partials are 0, as the fitter counts such a cell.
     """
     l1, l0, r, px, q0, q1 = logs
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dlr = 1.0 / np.expm1(alpha * r)  # d log(1 - exp(-z)) / dz at z = alpha r
-        a, b, lower = px / q1, x / (p * q0), x > 0  # b is inf at x = 0, where v's terms vanish
-        d_alpha = c1 * l1 + np.where(lower, c0 * l0 + r * dlr, 0.0)
-        d_p = np.where(lower, a * ((1.0 - p) * b - 1.0) * dlr - c0 * px * b, 0.0) - c1 * (x + 1.0) * a
-    return d_alpha, alpha * d_p
+    z = alpha * r
+    dlr = 1.0 / np.expm1(z)  # d log(1 - exp(-z)) / dz
+    a, b, lower = px / q1, x / (p * q0), x > 0  # b is inf at x = 0, where v's terms vanish
+    d_alpha = c1 * l1 + np.where(lower, c0 * l0 + r * dlr, 0.0)
+    d_p = alpha * (np.where(lower, a * ((1.0 - p) * b - 1.0) * dlr - c0 * px * b, 0.0) - c1 * (x + 1.0) * a)
+    if not z.all():  # r * dlr and a * dlr are 0 * inf there
+        d_alpha, d_p = np.where(z == 0.0, 0.0, d_alpha), np.where(z == 0.0, 0.0, d_p)
+    return d_alpha, d_p
 
 
-def _logpmf_and_grad(theta, coords):
+@_quiet_grad
+def _logpmf_and_grad(theta, alpha, p, x):
     """`_logpmf` and its partials in each coordinate's (shape, p), then in theta, stacked first, from one
-    `_base_logs` pass on all coordinates.
+    `_base_logs` pass on all coordinates, which come stacked as `_terms` takes them.
 
     With ``e = w / (1 - tau w)`` at each corner w of `_terms`, a coordinate's ``c1`` and ``c0`` (see
     `_coord_partials`) sum e over the corners at its u and at its v, and the theta-partial is ``1/theta - S``,
@@ -448,9 +463,9 @@ def _logpmf_and_grad(theta, coords):
     formulas serve every theta: at theta = 1 they give, bit for bit, ``c1`` = 1, ``c0`` = 0, e = w and the
     base laws' log-pmf.
     """
-    (alpha, p, x), logs, logpmf, corners, dens, lprod, den_p = _terms(theta, coords)
+    logs, logpmf, corners, dens, lprod, den_p = _terms(theta, alpha, p, x)
     tau, e = 1.0 - theta, np.exp(corners) / dens
-    if len(coords) == 1:
+    if len(x) == 1:
         c1, c0 = 1.0 + tau * e[:1], tau * e[1:]
         d_theta = 1.0 / theta - e[0] - e[1]
     else:

@@ -16,8 +16,13 @@ theta = 1) and logit coordinates for probabilities.  The kernel takes
 parameters as columns, so one call evaluates every start's trial point
 together with the neighbours that give its Hessian.  One acceptance rule
 and one stop rule serve every iteration, the last ones near the optimum
-included.  The theta = 1 submodel (pure base law / independence) wins
-ties.  Standard errors come from the same kind of Hessian.
+included.  The theta = 1 submodel (pure base law / independence) is
+fitted first and wins ties.  At theta = 1 the law is a sum of base-law
+terms per coordinate, so that search runs on each coordinate's distinct
+values rather than on the cells: counts on themselves, a bivariate law on
+its two margins side by side (`_margins_loglik`), the equal-margins law on
+the pooled counts (`_pooled_loglik`), each in one `_ll` call per iteration.
+Standard errors come from the same kind of Hessian.
 
 EM, the paper's algorithm, stays as `em_fit_uni`/`em_fit_biv`.  Given each
 observation's latent geometric count n_i, the complete-data likelihood
@@ -43,7 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bivariate import BgdgeParams
-from .dge import _base_logs, _coord_partials, _coords, _log_gap, _logpmf, _logpmf_and_grad, _nonneg
+from .dge import (_base_logs, _coord_partials, _coords, _log_gap, _logpmf, _logpmf_and_grad, _nonneg, _quiet_grad,
+                  _quiet_logs)
 from .univariate import UgdgeParams, _count_mean, _count_modes
 
 __all__ = [
@@ -164,47 +170,87 @@ class FitReport:
 def _distinct(*cols):
     """Distinct rows of equal-length columns, each row counted once.
 
-    Returns ``(*columns, weights, inverse)``: the distinct rows column by
-    column as floats, in sorted order, their multiplicities, and the index
-    taking each original row to its distinct row.  A likelihood of the rows
-    is then ``weights @ logpmf(columns)``.  One column's distinct rows are its
-    distinct values, from one `np.unique` call.
+    Returns ``(columns, weights, inverse, margins)``: the distinct rows column
+    by column as floats, in sorted order, their multiplicities, the index
+    taking each original row to its distinct row, and each column's distinct
+    values as floats with their counts, from the one `np.unique` call per
+    column.  A likelihood of the rows is then ``weights @ logpmf(columns)``.
+    One column's distinct rows are its distinct values.
     """
     if len(cols) == 1:
         cells, inv, w = np.unique(cols[0], return_inverse=True, return_counts=True)
-        return cells.astype(float), w.astype(float), inv.reshape(-1)
-    levels, idx = zip(*(np.unique(c, return_inverse=True) for c in cols))
+        cells, w = cells.astype(float), w.astype(float)
+        return (cells,), w, inv.reshape(-1), [(cells, w)]
+    levels, idx, counts = zip(*(np.unique(c, return_inverse=True, return_counts=True) for c in cols))
     dims = [lev.size for lev in levels]
     key = np.ravel_multi_index([i.reshape(-1) for i in idx], dims)
     keys, inv, w = np.unique(key, return_inverse=True, return_counts=True)
     rows = np.unravel_index(keys, dims)
-    cells = (np.asarray(lev, dtype=float)[r] for lev, r in zip(levels, rows))
-    return (*cells, w.astype(float), inv.reshape(-1))
+    levels = [np.asarray(lev, dtype=float) for lev in levels]
+    cells = tuple(lev[r] for lev, r in zip(levels, rows))
+    return cells, w.astype(float), inv.reshape(-1), [(lev, n.astype(float)) for lev, n in zip(levels, counts)]
 
 
 def _columns(q):
     """The parameters of ``q`` (rows of points, or one point) as columns that broadcast against cells."""
-    return np.asarray(q, dtype=float).T[..., None]
+    return np.ascontiguousarray(np.transpose(q), dtype=float)[..., None]
 
 
 def _ll_and_grad(logpmf, grad, w):
     """Weighted sums over cells (the last axis) of log-pmfs and of their partials (stacked first in
     ``grad``), floored at `_LOG_FLOOR`: one value and one gradient row per parameter point."""
     low = logpmf < _LOG_FLOOR
-    return np.where(low, _LOG_FLOOR, logpmf) @ w, (np.where(low, 0.0, grad) @ w).T
+    if low.any():
+        logpmf, grad = np.where(low, _LOG_FLOOR, logpmf), np.where(low, 0.0, grad)
+    return logpmf @ w, (grad @ w).T
 
 
 def _ll(cells, q):
-    """Log-likelihood on ``(*columns, weights)`` of one or two coordinates and its gradient in each coordinate's
-    (shape, p), then theta, per point of ``q``."""
-    *cols, w = cells
+    """Log-likelihood on ``(x, weights)`` and its gradient in each coordinate's (shape, p), then theta, per point
+    of ``q``; ``x`` holds the cells of one or two coordinates stacked first, (d, c).
+
+    Every likelihood of a fit is a call of this one function (the margins of `_margins_loglik` included), so
+    that wrapping it counts a fit's work.
+    """
+    x, w = cells
     q = _columns(q)
-    return _ll_and_grad(*_logpmf_and_grad(q[-1], _coords(q, cols)), w)
+    return _ll_and_grad(*_logpmf_and_grad(q[-1], q[:-1:2], q[1::2], x[..., None, :] if q.ndim > 2 else x), w)
+
+
+def _handle(cols, w):
+    """The log-likelihood with gradient (`_ll`) on the cells ``cols``, one array per coordinate, weighted by ``w``."""
+    cells = np.array(cols), w
+    return lambda q: _ll(cells, q)
+
+
+#: Each coordinate's (shape, p) and theta among the five bivariate parameters.
+_MARGINS = np.array([[0, 1, 4], [2, 3, 4]])
+
+
+def _margins_loglik(margins):
+    """The bivariate log-likelihood with gradient at theta = 1, from each coordinate's distinct values and counts.
+
+    At theta = 1 the law is the product of its margins' base laws, so the log-likelihood is the sum of the
+    margins' own.  One `_ll` call takes the margins side by side: values stacked (1, 2, c), the shorter padded
+    with zeros of count 0, each margin's taking its own (shape, p).  It holds at theta = 1 only: its
+    theta-partial is the margins' sum, not the bivariate law's.
+    """
+    size = max(len(v) for v, _ in margins)
+    x, w = np.zeros((1, 2, size)), np.zeros((2, size, 1))
+    for j, (v, n) in enumerate(margins):
+        x[0, j, :len(v)], w[j, :len(v), 0] = v, n
+
+    def ll(q):
+        value, (grad,) = _ll((x, w), np.asarray(q)[:, _MARGINS])  # (2, k, 1) and (1, k, 2, 3)
+        theta = grad[:, 0, 2:] + grad[:, 1, 2:]
+        return value[0, :, 0] + value[1, :, 0], np.concatenate([grad[..., :2].reshape(len(grad), 4), theta], axis=1)
+
+    return ll
 
 
 def _observed_loglik(params, data) -> float:
     """Observed-data log-likelihood of the law of one or two coordinates on its `_cols`."""
-    *cells, w, _ = _distinct(*_cols(data))
+    cells, w, *_ = _distinct(*_cols(data))
     q = params.as_tuple()
     logpmf = _logpmf(q[-1], _coords(q, cells))
     bad = ~np.isfinite(logpmf)
@@ -225,6 +271,7 @@ def observed_loglik_biv(params: BgdgeParams, data: BivDataset) -> float:
     return _observed_loglik(params, data)
 
 
+@_quiet_logs
 def latent_weighted_loglik(values, counts, alpha: float, p: float) -> float:
     """Weighted base log-likelihood: each value's shape is scaled by its count.
 
@@ -246,7 +293,7 @@ def _e_step(theta, coords, cfg: EmConfig | None):
     """Latent counts of the observations, given ``(shape, p, counts)`` per coordinate, per distinct cell:
     the conditional mode (`univariate._count_modes`, int64) or mean (`univariate._count_mean`, float)."""
     cfg = cfg or EmConfig()
-    *cells, _, inv = _distinct(*(x for _, _, x in coords))
+    cells, _, inv, _ = _distinct(*(x for _, _, x in coords))
     law = [(alpha, p, c) for (alpha, p, _), c in zip(coords, cells)]
     if cfg.e_step == "argmax":
         return _count_modes(theta, law)[inv]
@@ -278,9 +325,11 @@ def _latent_cells(values, counts):
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("empty observation set")
-    return _distinct(v, np.broadcast_to(np.asarray(counts, dtype=float), v.shape))[:3]
+    (x, n), w, *_ = _distinct(v, np.broadcast_to(np.asarray(counts, dtype=float), v.shape))
+    return x, n, w
 
 
+@_quiet_grad
 def _latent_ll(cells, q):
     """`latent_weighted_loglik` on (value, count, weight) cells and its gradient in (alpha, p), per point."""
     (x, n, w), (alpha, p) = cells, _columns(q)
@@ -360,8 +409,7 @@ def _finish_report(params, data, iters, trace, stop_reason, converged, method, n
 
 def _loglik(data):
     """The log-likelihood with gradient (`_ll`) of the law on ``data``, counts or a `BivDataset`."""
-    cells = _distinct(*_cols(data))[:-1]
-    return lambda q: _ll(cells, q)
+    return _handle(*_distinct(*_cols(data))[:2])
 
 
 def _em_fit(data, init, cfg: EmConfig | None, compute_se: bool) -> FitReport:
@@ -469,9 +517,7 @@ def _box(q, free=slice(None)):
 
 def _from_search(w, prob):
     """The values at search coordinates ``w`` (the last axis as in `_box`): exp, or expit where ``prob``."""
-    v = np.exp(w)
-    v[..., prob] = 1.0 / (1.0 + np.exp(-w[..., prob]))
-    return v
+    return np.where(prob, 1.0 / (1.0 + np.exp(-w)), np.exp(w))
 
 
 def _on_bound(q) -> np.ndarray:
@@ -512,31 +558,29 @@ def _shifted_newton(hess, grad, radius, move, eye=None):
     given.
     """
     eye = np.eye(move.shape[-1]) if eye is None else eye
-    hess = np.where(move[:, :, None] & move[:, None, :], hess, eye)
+    if not move.all():
+        hess, grad = np.where(move[:, :, None] & move[:, None, :], hess, eye), np.where(move, grad, 0.0)
     mu = np.maximum(0.0, _MIN_CURVATURE - 1.01 * np.linalg.eigvalsh(hess)[:, 0])
-    step = -np.linalg.solve(hess + mu[:, None, None] * eye, np.where(move, grad, 0.0)[..., None])[..., 0]
+    step = -np.linalg.solve(hess + mu[:, None, None] * eye, grad[..., None])[..., 0]
     return step * (radius / np.maximum(np.sqrt(np.add.reduce(step * step, axis=1)), radius))[:, None]
 
 
 def _held(w, g, lo, hi):
-    """Which coordinates sit on a bound that the descent direction ``-g`` pushes beyond."""
-    return ((w <= lo) & (g > 0.0)) | ((w >= hi) & (g < 0.0))
-
-
-def _passes(held, g):
-    """The projected-gradient test, per row, of the gradient ``g`` whose coordinates ``held`` are held."""
-    return np.logical_and.reduce(np.abs(np.where(held, 0.0, g)) <= _GTOL, axis=-1)
+    """Which coordinates sit on a bound that the descent direction ``-g`` pushes beyond, and the
+    projected-gradient test, per row, of ``g`` with those coordinates held."""
+    held = ((w <= lo) & (g > 0.0)) | ((w >= hi) & (g < 0.0))
+    return held, np.logical_and.reduce((np.abs(g) <= _GTOL) | held, axis=-1)
 
 
 def _shortened(w, step, lo, hi):
     """``w + t step`` for the largest ``t <= 1`` that stays in the box, with the first bound met exactly, per
-    row; cut back to the box instead where that ``t`` is 0, a step that leaves a bound it starts on."""
+    row; where that ``t`` is 0, a step that leaves a bound it starts on, the full step with each coordinate
+    that it takes past a bound put on that bound."""
     bound = np.where(step < 0.0, lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # how far along step each bound lies
-        room = np.where(step == 0.0, np.inf, (bound - w) / step)
+    room = np.divide(bound - w, step, out=np.full(w.shape, np.inf), where=step != 0.0)  # how far each bound lies
     t = np.minimum.reduce(room, axis=-1, keepdims=True)
     t = np.where(t > 0.0, np.minimum(t, 1.0), 1.0)
-    return np.clip(np.where(room <= t, bound, w + t * step), lo, hi)
+    return np.minimum(np.maximum(np.where(room <= t, bound, w + t * step), lo), hi)  # in the box to the last bit
 
 
 def _search(ll, starts, free, cfg: EmConfig):
@@ -563,10 +607,12 @@ def _search(ll, starts, free, cfg: EmConfig):
 
     A fit's few dozen cells make each iteration's cost mostly fixed numpy
     overhead, so the loop keeps only the running starts, in compact arrays in
-    start order, and updates a kept trial's rows in place; a start that stops
-    is written once into the per-start results.  Each iteration tests the
-    bounds once at the point and once at the trial, whose held coordinates
-    are the next iteration's.
+    start order, and updates a kept trial's rows in place, or takes the
+    trial's arrays whole when every trial is kept; a start that stops is
+    written once into the per-start results.  Each iteration tests the
+    bounds once at the point and once at the trial (`_held`, with the
+    projected-gradient test), whose held coordinates are the next
+    iteration's.
     """
     q0 = np.array(starts[0], dtype=float)
     lo, hi, role = _box(q0, free)[1:]
@@ -581,7 +627,7 @@ def _search(ll, starts, free, cfg: EmConfig):
     at = _with_hessian(f, np.full(lo.size, _HESS_STEP))
     w = np.clip([_box(q, free)[0] for q in starts], lo, hi)
     f_start, g, hess = at(w)
-    held = _held(w, g, lo, hi)
+    held, passed = _held(w, g, lo, hi)
     # per start, written when it stops: its point, value, projected-gradient test, and whether it still ran
     end = [np.empty_like(w), np.empty_like(f_start), np.empty(len(w), dtype=bool), np.empty(len(w), dtype=bool)]
 
@@ -592,7 +638,7 @@ def _search(ll, starts, free, cfg: EmConfig):
 
     # the running starts, in start order: index, point, value, gradient, Hessian, radius, whether the point
     # passes the projected-gradient test, and the coordinates that no bound holds
-    run = [np.arange(len(w)), w, f_start.copy(), g, hess, np.full(len(w), _RADIUS[0]), _passes(held, g), ~held]
+    run = [np.arange(len(w)), w, f_start.copy(), g, hess, np.full(len(w), _RADIUS[0]), passed, ~held]
     nit = 0
     while len(run[0]) and nit < cfg.max_iter:
         w, fw, g, hess, radius, passed, move = run[1:]
@@ -616,14 +662,16 @@ def _search(ll, starts, free, cfg: EmConfig):
         size = np.sqrt(np.add.reduce(step * step, axis=1))
         grown = np.where((rho > 0.75) & (size > 0.8 * radius), np.minimum(2.0 * radius, _RADIUS[1]), radius)
         run[5] = radius = np.where(rho >= 0.25, grown, 0.25 * size)  # a nan trial shrinks it too
-        held = _held(trial, gt, lo, hi)
-        trial_passes = _passes(held, gt)
+        held, trial_passes = _held(trial, gt, lo, hi)
         keep = (rho > 1e-4) | (trial_passes & (ft <= fw + 1e-14 * np.abs(fw)))
         stays = (keep | ~passed) & (radius >= _RADIUS[2])
-        rows = keep[:, None]
-        for a, b, where in ((w, trial, rows), (fw, ft, keep), (g, gt, rows), (hess, ht, rows[..., None]),
-                            (passed, trial_passes, keep), (move, ~held, rows)):
-            np.copyto(a, b, where=where)
+        if keep.all():
+            run[1:5], run[6:] = (trial, ft, gt, ht), (trial_passes, ~held)
+        else:
+            rows = keep[:, None]
+            for a, b, where in ((w, trial, rows), (fw, ft, keep), (g, gt, rows), (hess, ht, rows[..., None]),
+                                (passed, trial_passes, keep), (move, ~held, rows)):
+                np.copyto(a, b, where=where)
         if not stays.all():
             run = retire(run, ~stays)
     retire(run, np.ones(len(run[0]), dtype=bool), live=True)
@@ -647,19 +695,20 @@ class _Fit(NamedTuple):
     ll_base: float
 
 
-def _fit_mle(ll, init, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
+def _fit_mle(ll, ll_base, init, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
     """The maximum-likelihood search shared by every model.
 
     ``ll(params)`` is the model's log-likelihood with its gradient, one of
-    each per row of parameter points.  Its theta = 1 submodel is fitted
-    first, by `_search` with theta held at 1 from ``base``.  The starts, in
-    order: the parameter record ``init`` (by default that fit with
-    theta = 0.5), the fit moved to each theta of `_START_THETAS`, and
-    ``extra_starts``; one `_search` runs them all in lockstep.  Its best
-    endpoint wins, unless the theta = 1 fit comes within `_SNAP_SLACK` of it:
-    ties go to the smaller model.
+    each per row of parameter points, and ``ll_base`` the same at theta = 1,
+    where the law is a sum of base-law terms per coordinate.  The theta = 1
+    submodel is fitted first, by `_search` on ``ll_base`` with theta held at
+    1 from ``base``.  The starts, in order: the parameter record ``init`` (by
+    default that fit with theta = 0.5), the fit moved to each theta of
+    `_START_THETAS`, and ``extra_starts``; one `_search` runs them all in
+    lockstep.  Its best endpoint wins, unless the theta = 1 fit comes within
+    `_SNAP_SLACK` of it: ties go to the smaller model.
     """
-    base, ll_base, base_stop, base_iters, _ = _search(ll, [base], slice(-1), cfg)
+    base, ll_base, base_stop, base_iters, _ = _search(ll_base, [base], slice(-1), cfg)
     first = init.as_tuple() if init is not None else (*base[:-1], 0.5)
     starts = [first, *((*base[:-1], th) for th in _START_THETAS), *extra_starts]
     est, ll_best, stop, iters, trace = _search(ll, starts, slice(None), cfg)
@@ -673,10 +722,21 @@ def _fit_mle(ll, init, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _
 
 def _fit(data, cfg: EmConfig, init=None, extra_starts=()) -> _Fit:
     """`_fit_mle` of the law on ``data`` (counts or a `BivDataset`), its theta = 1 search from each
-    coordinate's geometric fit."""
+    coordinate's geometric fit, on the counts themselves or on the two margins (`_margins_loglik`)."""
     cols = _cols(data)
+    cells, w, _, margins = _distinct(*cols)
+    ll = _handle(cells, w)
     base = (*(v for c in cols for v in (1.0, _geometric_p(c))), 1.0)
-    return _fit_mle(_loglik(data), init, base, cfg, _LAWS[len(cols)][1], extra_starts)
+    return _fit_mle(ll, ll if len(cols) == 1 else _margins_loglik(margins), init, base, cfg, _LAWS[len(cols)][1],
+                    extra_starts)
+
+
+def _pooled_loglik(margins):
+    """The log-likelihood with gradient (`_ll`) of the equal-margins law at theta = 1, in its (shape, p, theta):
+    the base law of the pooled counts, whose distinct values and counts come from each coordinate's
+    (``margins``)."""
+    values, at = np.unique(np.concatenate([v for v, _ in margins]), return_inverse=True)
+    return _handle([values], np.bincount(at, weights=np.concatenate([n for _, n in margins])))
 
 
 _TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five bivariate parameters
@@ -685,16 +745,18 @@ _TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five 
 def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
     """`_fit_mle` of the bivariate law with one (shape, p) shared by both coordinates.
 
-    The fit's ``est`` and ``base`` are five-parameter tuples.
+    The fit's ``est`` and ``base`` are five-parameter tuples.  Its theta = 1 search runs on the pooled
+    counts (`_pooled_loglik`).
     """
-    ll = _loglik(data)
+    cells, w, _, margins = _distinct(data.x, data.y)
+    ll = _handle(cells, w)
 
     def tied(q):
         value, grad = ll(np.asarray(q)[..., _TIE])
         return value, np.concatenate([grad[..., :2] + grad[..., 2:4], grad[..., 4:]], axis=-1)
 
     base = (1.0, _geometric_p(np.concatenate([data.x, data.y])), 1.0)
-    fit = _fit_mle(tied, None, base, cfg, "equal-margins")
+    fit = _fit_mle(tied, _pooled_loglik(margins), None, base, cfg, "equal-margins")
     return fit._replace(est=tuple(np.asarray(fit.est)[_TIE]), base=tuple(np.asarray(fit.base)[_TIE]))
 
 

@@ -41,6 +41,8 @@ from .dge import (
     _logpmf,
     _maybe_scalar,
     _nonneg,
+    _quiet_logs,
+    _stacked,
     _survival,
     _terms,
     dge_cdf,
@@ -335,10 +337,11 @@ def ugdge_sample(params: UgdgeParams, rng: np.random.Generator, size=None):
 # in n, so its mode is found by bisection on the sign of its step.
 
 
+@_quiet_logs
 def _count_terms(theta, coords):
     """The kernel's `_base_logs` per coordinate, log-pmf and S at the cells (see `dge._logpmf_and_grad`), the
     corner terms summed in pairs."""
-    _, logs, logpmf, corners, dens, lprod, den_p = _terms(theta, coords)
+    logs, logpmf, corners, dens, lprod, den_p = _terms(theta, *_stacked(coords))
     e = np.exp(corners) / dens
     return list(zip(*logs)), logpmf, (e[0::2] + e[1::2]).sum(axis=0) - 2.0 * (1.0 - theta) * (np.exp(lprod) / den_p)
 
@@ -365,12 +368,14 @@ def _count_pmf(theta, coords, n):
     return np.exp(math.log(theta) + _log_weight(theta, coords, logs, n.astype(float)) - logpmf)
 
 
+@_quiet_logs
 def _log_weight(theta, coords, logs, n):
     """``log t(n) = (n-1) log tau + sum_j log(u_j^n - v_j^n)``, ``logs`` the `_base_logs` of each coordinate."""
     return (n - 1.0) * math.log1p(-theta) + sum(
         _log_gap(l1, r, n * alpha) for (alpha, _, _), (l1, _, r, *_) in zip(coords, logs))
 
 
+@_quiet_logs
 def _count_modes(theta, coords):
     """Smallest mode of N per cell: the least k >= 1 with ``log t(k+1) <= log t(k)`` (`_log_weight`).
 
@@ -381,8 +386,7 @@ def _count_modes(theta, coords):
     """
     coords = [(alpha, p, np.atleast_1d(x)) for alpha, p, x in coords]
     logs = [_base_logs(p, x) for _, p, x in coords]
-    with np.errstate(divide="ignore"):  # c = inf at theta = 1, where the mode is 1
-        c = -(np.log1p(-theta) + sum(alpha * l1 for (alpha, _, _), (l1, *_) in zip(coords, logs)))
+    c = -(np.log1p(-theta) + sum(alpha * l1 for (alpha, _, _), (l1, *_) in zip(coords, logs)))  # inf at theta = 1
     hi = np.maximum(np.ceil(len(coords) / c), 1.0)
     if np.any(hi > 2.0 ** 53):
         i = int(np.argmax(hi > 2.0 ** 53))

@@ -7,6 +7,8 @@ hold it to.
 
 import math
 
+import numpy as np
+
 from gdge import SERIES_CAP, SeriesCapError, bgdge_pmf, dge_cdf, ugdge_pmf
 from gdge.dge import _base_logs
 
@@ -21,7 +23,8 @@ def series_cond_n_mean(params, x, eps=1e-12):
     ``eps * (mean + 1)``.
     """
     al, p, th = params.as_tuple()
-    l1, _, lr = (float(t) for t in _base_logs(p, float(x))[:3])
+    with np.errstate(divide="ignore"):  # log(1 - p^0) = -inf; the formulas leave that policy to their caller
+        l1, _, lr = (float(t) for t in _base_logs(p, float(x))[:3])
     u, ar, tau = math.exp(al * l1), al * lr, 1.0 - th
     if tau == 0.0:
         return 1.0

@@ -33,7 +33,7 @@ from gdge import (
 )
 from gdge import fitting
 from gdge import test_independence as lrt_independence
-from gdge.dge import _base_logs, _log_gap, _logpmf_and_grad
+from gdge.dge import _base_logs, _log_gap, _logpmf_and_grad, _stacked
 from gdge.fitting import _fit, _fit_equal_margins
 from gdge.simulate import fast_sim_config
 
@@ -295,7 +295,7 @@ def test_search_drives_the_gradient_to_rounding_on_a_large_sample():
     cells = Counter(zip(bx.tolist(), by.tolist()))
     cx, cy = (np.array(c, dtype=float) for c in zip(*cells))
     a1, p1, a2, p2, theta = rep.estimates
-    grad = _logpmf_and_grad(theta, [(a1, p1, cx), (a2, p2, cy)])[1] @ np.array(list(cells.values()), dtype=float)
+    grad = _logpmf_and_grad(theta, *_stacked([(a1, p1, cx), (a2, p2, cy)]))[1] @ np.array(list(cells.values()), float)
     q = np.array(rep.estimates)
     assert rep.converged
     assert np.abs(grad * np.where([True, False, True, False, False], q, q * (1 - q))).max() <= 1e-9
@@ -357,14 +357,23 @@ def counted_kernel_calls(monkeypatch):
 
 
 def coordinate_columns(call):
-    """How many coordinate columns the cells ``(*columns, weights)`` of an `_ll` call hold."""
-    return len(call[0]) - 1
+    """How many coordinates the stacked cells ``(x, weights)`` of an `_ll` call hold."""
+    return len(call[0][0])
 
 
 def test_biv_mle_fits_no_margin_to_start(football, monkeypatch):
+    # no separate margin fit seeds the starts: a fit's likelihood calls are the theta = 1 search's, one per
+    # iteration (and one at its start) on the two margins side by side, then the full search's on the cells
+    cfg = EmConfig()
+    base = (1.0, fitting._geometric_p(football.x), 1.0, fitting._geometric_p(football.y), 1.0)
+    margins = fitting._margins_loglik(fitting._distinct(football.x, football.y)[3])
+    base_iters = fitting._search(margins, [base], slice(-1), cfg)[3]
     calls = counted_kernel_calls(monkeypatch)
-    assert fit_biv_mle(football).converged
-    assert calls and all(coordinate_columns(call) == 2 for call in calls)
+    rep = fit_biv_mle(football, cfg, compute_se=False)
+    assert rep.converged and rep.estimates[4] < 1.0  # the full search's end, not the theta = 1 fit
+    on_margins = [np.ndim(cells[0]) == 3 and np.shape(q)[1:] == (2, 3) for cells, q in calls]
+    assert on_margins == [True] * (base_iters + 1) + [False] * (rep.iters + 1)
+    assert all(coordinate_columns(call) == 2 for call in calls[base_iters + 1:])
 
 
 def test_uni_mle_calls_the_kernel_with_one_coordinate_only(football, monkeypatch):
@@ -414,8 +423,9 @@ def base_grid_max(x, size=400):
     alphas = np.geomspace(1e-3, 1e3, size)[:, None]
     best = -math.inf
     for p in np.linspace(1e-6, 1.0 - 1e-6, size):
-        l1, _, r, *_ = _base_logs(p, vals.astype(float))
-        best = max(best, float(np.max(_log_gap(l1, r, alphas) @ w)))
+        with np.errstate(divide="ignore"):  # the formulas leave the log of 0 to their caller
+            l1, _, r, *_ = _base_logs(p, vals.astype(float))
+            best = max(best, float(np.max(_log_gap(l1, r, alphas) @ w)))
     return best
 
 
@@ -440,6 +450,49 @@ def test_biv_fit_far_from_zero_converges_above_the_base_grid():
     rep = fit_biv_mle(data, fast_sim_config(), compute_se=False)
     assert rep.converged
     assert _fit(data, fast_sim_config()).ll_base >= base_grid_max(bx) + base_grid_max(by) - 1e-9
+
+
+def wide_span_data():
+    return BivDataset(*bgdge_sample(BgdgeParams.from_values(2.0, 0.99, 2.0, 0.99, 0.5), np.random.default_rng(3),
+                                    size=1000))
+
+
+def theta_one_points(data, corners=True):
+    """Points at theta = 1 around each margin's geometric fit and, with ``corners``, at the corners of the search
+    box but shape 1e3 at p = 1 - 1e-6, where every pmf underflows and the two likelihoods floor different cells."""
+    rng = np.random.default_rng(0)
+    pairs = [(math.exp(rng.normal()), expit(math.log(p / (1.0 - p)) + 0.1 * rng.normal()))
+             for p in (fitting._geometric_p(data.x), fitting._geometric_p(data.y)) for _ in range(3)]
+    if corners:
+        pairs += [(a, p) for a in (1e-3, 1e3) for p in fitting._UNIT if (a, p) != (1e3, fitting._UNIT[1])]
+    return np.array([(*c1, *c2, 1.0) for c1 in pairs for c2 in pairs])
+
+
+def assert_rel(got, want, tol=1e-13):
+    assert np.all(np.abs(got - want) <= tol * np.abs(want)), np.max(np.abs(got - want) / np.abs(want))
+
+
+def test_theta_one_handles_equal_the_full_likelihood_at_theta_1(football):
+    # independence: the two margins side by side; equal margins: the pooled counts
+    for data in [football, *gate_datasets(), wide_span_data()]:
+        ll = fitting._loglik(data)
+        margins = fitting._distinct(data.x, data.y)[3]
+        q = theta_one_points(data, corners=data.x.size < 1000)  # at p = 1e-6 the wide span's pmfs underflow
+        (value, grad), (want, want_grad) = fitting._margins_loglik(margins)(q), ll(q)
+        assert_rel(value, want)
+        assert_rel(grad[:, :4], want_grad[:, :4])
+        tied = q[:, [0, 1, 4]]
+        (value, grad), (want, want_grad) = fitting._pooled_loglik(margins)(tied), ll(tied[:, fitting._TIE])
+        assert_rel(value, want)
+        assert_rel(grad[:, :2], want_grad[:, :2] + want_grad[:, 2:4])
+
+
+def test_biv_theta_one_fit_is_each_margins_own_base_fit(football):
+    cfg = fast_sim_config()
+    for data in [football, *gate_datasets()]:
+        base = _fit(data, cfg).base
+        for column, est in ((data.x, base[:2]), (data.y, base[2:4])):
+            assert est == pytest.approx(_fit(column, cfg).base[:2], rel=1e-9, abs=0)
 
 
 def test_base_fits_reach_the_base_grid_on_serie_a(football):
@@ -695,9 +748,12 @@ def test_lockstep_starts_that_stop_at_different_iterations(search, max_iter, wan
 def test_distinct_of_one_column_is_the_general_result():
     x = ugdge_sample(UgdgeParams.from_values(1.0, 0.8, 0.02), np.random.default_rng([1, 10_000, 1]), size=10_000)
     for col in (x, x[:1], np.array([3, 0, 3, 3]), x.astype(float)):
-        one = fitting._distinct(col)
+        (values,), counts, at, margin = fitting._distinct(col)
         # the general path on two columns, the second constant
-        cells, _, w, inv = fitting._distinct(col, np.zeros_like(col))
-        assert one[0].dtype == one[1].dtype == float and one[2].shape == col.shape
-        assert np.array_equal(one[0], cells) and np.array_equal(one[1], w) and np.array_equal(one[2], inv)
-        assert np.array_equal(one[0][one[2]], col)
+        (cells, _), w, inv, margins = fitting._distinct(col, np.zeros_like(col))
+        assert values.dtype == counts.dtype == float and at.shape == col.shape
+        assert np.array_equal(values, cells) and np.array_equal(counts, w) and np.array_equal(at, inv)
+        assert np.array_equal(values[at], col)
+        # each column's distinct values with their counts
+        for (v, n), want in zip([*margin, *margins], [(values, counts), (values, counts), ([0.0], [col.size])]):
+            assert v.dtype == n.dtype == float and np.array_equal(v, want[0]) and np.array_equal(n, want[1])

@@ -6,22 +6,23 @@ log-likelihood of the law on counts or on a `BivDataset` (`_ll`, on the
 kernel `dge._logpmf_and_grad`), `_fit` fits it by maximum likelihood and
 `_em_fit` by EM.
 Every maximum-likelihood fit -- univariate (`fit_uni_mle`), bivariate
-(`fit_biv_mle`) and the equal-margins null of the likelihood-ratio test --
-runs through one search, `_fit_mle`: a trust-region Newton method whose step
-is a Newton step shifted just enough to make its matrix positive definite,
-on the analytic gradient of the `dge` kernel and a Hessian from differences
-of that gradient, with all starts advancing in lockstep.  It searches a
-bounded box in log coordinates for shapes and theta (up to exactly
+(`fit_biv_mle`) and the equal-margins null of the likelihood-ratio test, the
+bivariate law with one (shape, p) for both coordinates -- runs through one
+function, `_fit`, and one search, `_search`: a trust-region Newton method whose
+step is a Newton step shifted just enough to make its matrix positive
+definite, on the analytic gradient of the `dge` kernel and a Hessian from
+differences of that gradient, with all starts advancing in lockstep.  It
+searches a bounded box in log coordinates for shapes and theta (up to exactly
 theta = 1) and logit coordinates for probabilities.  The kernel takes
 parameters as columns, so one call evaluates every start's trial point
 together with the neighbours that give its Hessian.  One acceptance rule
 and one stop rule serve every iteration, the last ones near the optimum
 included.  The theta = 1 submodel (pure base law / independence) is
 fitted first and wins ties.  At theta = 1 the law is a sum of base-law
-terms per coordinate, so that search runs on each coordinate's distinct
-values rather than on the cells: counts on themselves, a bivariate law on
-its two margins side by side (`_margins_loglik`), the equal-margins law on
-the pooled counts (`_pooled_loglik`), each in one `_ll` call per iteration.
+terms per coordinate, so that search runs on the one base-law likelihood,
+`_base_ll`, on each coordinate's distinct values rather than on the cells:
+counts as one (shape, p) pair, a bivariate law's margins as two pairs, the
+equal-margins law's margins together as one pair.
 Standard errors come from the same kind of Hessian.
 
 EM, the paper's algorithm, stays as `em_fit_uni`/`em_fit_biv`.  Given each
@@ -30,7 +31,8 @@ separates into a Bernoulli-style factor for theta and, per coordinate, a
 base-law likelihood in which x_i carries shape n_i * alpha.  The E-step
 imputes each n_i by its conditional mode (or mean); the M-step sets
 theta = m / sum(n_i) and maximizes each coordinate's weighted likelihood in
-(alpha, p) by the same gradient search (`m_step_pair`).  Mode imputation is
+(alpha, p) by the same gradient search on the same base-law likelihood
+(`m_step_pair` on `_base_ll`, with shapes n_i * alpha).  Mode imputation is
 not monotone, so a step that lowers the observed log-likelihood by more than
 a slack ends EM.
 
@@ -209,8 +211,8 @@ def _ll(cells, q):
     """Log-likelihood on ``(x, weights)`` and its gradient in each coordinate's (shape, p), then theta, per point
     of ``q``; ``x`` holds the cells of one or two coordinates stacked first, (d, c).
 
-    Every likelihood of a fit is a call of this one function (the margins of `_margins_loglik` included), so
-    that wrapping it counts a fit's work.
+    With `_base_ll`, which takes every theta = 1 search and EM's M-step, it is every likelihood of a fit, so
+    that wrapping the two counts a fit's work.
     """
     x, w = cells
     q = _columns(q)
@@ -223,29 +225,26 @@ def _handle(cols, w):
     return lambda q: _ll(cells, q)
 
 
-#: Each coordinate's (shape, p) and theta among the five bivariate parameters.
-_MARGINS = np.array([[0, 1, 4], [2, 3, 4]])
+@_quiet_grad
+def _base_ll(pairs, q):
+    """The base-law log-likelihood and its gradient per point of ``q``, on cells grouped by (shape, p) pair.
 
-
-def _margins_loglik(margins):
-    """The bivariate log-likelihood with gradient at theta = 1, from each coordinate's distinct values and counts.
-
-    At theta = 1 the law is the product of its margins' base laws, so the log-likelihood is the sum of the
-    margins' own.  One `_ll` call takes the margins side by side: values stacked (1, 2, c), the shorter padded
-    with zeros of count 0, each margin's taking its own (shape, p).  It holds at theta = 1 only: its
-    theta-partial is the margins' sum, not the bivariate law's.
+    ``pairs`` holds each pair's (value, shape multiplier n, weight) cells, in which a value x carries shape
+    ``n * shape``: ``sum w log[(1 - p^(x+1))^(n shape) - (1 - p^x)^(n shape)]``.  Pair j takes its (shape, p)
+    from columns 2j and 2j + 1 of ``q``, and its block's gradient goes there; a further column, theta, gets
+    partial 0, since every theta = 1 search holds it.  With n = 1 this is the law's log-likelihood at
+    theta = 1: on counts one pair, on a bivariate law's margins two, with one (shape, p) for both margins one
+    pair of both margins' values.
     """
-    size = max(len(v) for v, _ in margins)
-    x, w = np.zeros((1, 2, size)), np.zeros((2, size, 1))
-    for j, (v, n) in enumerate(margins):
-        x[0, j, :len(v)], w[j, :len(v), 0] = v, n
-
-    def ll(q):
-        value, (grad,) = _ll((x, w), np.asarray(q)[:, _MARGINS])  # (2, k, 1) and (1, k, 2, 3)
-        theta = grad[:, 0, 2:] + grad[:, 1, 2:]
-        return value[0, :, 0] + value[1, :, 0], np.concatenate([grad[..., :2].reshape(len(grad), 4), theta], axis=1)
-
-    return ll
+    q = np.asarray(q, dtype=float)
+    cols, value, grad = _columns(q), 0.0, np.zeros(q.shape)
+    for j, (x, n, w) in enumerate(pairs):
+        shape, p = n * cols[2 * j], cols[2 * j + 1]
+        logs = l1, _, r, *_ = _base_logs(p, x)
+        d_shape, d_p = _coord_partials(shape, p, x, logs, 1.0, 0.0)
+        v, grad[..., 2 * j:2 * j + 2] = _ll_and_grad(_log_gap(l1, r, shape), np.array([n * d_shape, d_p]), w)
+        value = value + v
+    return value, grad
 
 
 def _observed_loglik(params, data) -> float:
@@ -329,15 +328,6 @@ def _latent_cells(values, counts):
     return x, n, w
 
 
-@_quiet_grad
-def _latent_ll(cells, q):
-    """`latent_weighted_loglik` on (value, count, weight) cells and its gradient in (alpha, p), per point."""
-    (x, n, w), (alpha, p) = cells, _columns(q)
-    logs = l1, _, r, *_ = _base_logs(p, x)
-    d_shape, d_p = _coord_partials(n * alpha, p, x, logs, 1.0, 0.0)
-    return _ll_and_grad(_log_gap(l1, r, n * alpha), np.array([n * d_shape, d_p]), w)
-
-
 def _geometric_p(values, w=None) -> float:
     """The geometric (shape 1) maximum-likelihood p, ``mean / (1 + mean)``, inside the search box."""
     mean = float(np.average(values, weights=w))
@@ -347,8 +337,8 @@ def _geometric_p(values, w=None) -> float:
 def m_step_pair(values, counts, cfg: EmConfig | None = None):
     """Joint maximizer of the weighted base log-likelihood over (shape, p).
 
-    `_search` from shape 1 / (mean count) and the geometric p, inside the
-    search box: shape in [1e-3, 1e3], p in [1e-6, 1 - 1e-6].  Returns
+    `_search` on `_base_ll` from shape 1 / (mean count) and the geometric p,
+    inside the search box: shape in [1e-3, 1e3], p in [1e-6, 1 - 1e-6].  Returns
     ``(alpha, p)``.
     """
     cells = _latent_cells(values, counts)
@@ -361,7 +351,7 @@ def m_step_pair(values, counts, cfg: EmConfig | None = None):
         )
         return 1.0, _UNIT[0]
     start = (1.0 / np.average(cells[1], weights=cells[2]), _geometric_p(cells[0], cells[2]))
-    return _search(lambda q: _latent_ll(cells, q), [start], slice(None), cfg or EmConfig())[0]
+    return _search(lambda q: _base_ll([cells], q), [start], slice(None), cfg or EmConfig())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +365,15 @@ _LAWS = {1: (UgdgeParams, "base-law"), 2: (BgdgeParams, "independence")}
 def _cols(data):
     """The count columns of ``data``: a `BivDataset`'s two, or the one array of counts."""
     return (data.x, data.y) if isinstance(data, BivDataset) else (data,)
+
+
+def _check_record(params, data):
+    """Raise `TypeError` unless ``params`` is the parameter record of the law on ``data``."""
+    if not isinstance(params, (UgdgeParams, BgdgeParams)):
+        raise TypeError(f"unsupported parameter record {type(params).__name__}")
+    if isinstance(params, BgdgeParams) != isinstance(data, BivDataset):
+        need = "a BivDataset" if isinstance(params, BgdgeParams) else "an array of counts"
+        raise TypeError(f"a {type(params).__name__} record needs {need}, got {type(data).__name__}")
 
 
 def _finish_report(params, data, iters, trace, stop_reason, converged, method, notes, compute_se):
@@ -418,6 +417,7 @@ def _em_fit(data, init, cfg: EmConfig | None, compute_se: bool) -> FitReport:
     Each iteration imputes the latent counts (`_e_step`), fits each coordinate's (shape, p) to them
     (`m_step_pair`) and sets theta to ``m / sum(counts)``.
     """
+    _check_record(init, data)
     cfg = cfg or EmConfig()
     ll, cols = _loglik(data), _cols(data)
     q = init.as_tuple()
@@ -683,7 +683,7 @@ def _search(ll, starts, free, cfg: EmConfig):
 
 
 class _Fit(NamedTuple):
-    """What `_fit_mle` found: the estimate, its search record and the theta = 1 fit."""
+    """What `_fit` found: the estimate, its search record and the theta = 1 fit."""
 
     est: tuple
     loglik: float
@@ -695,69 +695,50 @@ class _Fit(NamedTuple):
     ll_base: float
 
 
-def _fit_mle(ll, ll_base, init, base, cfg: EmConfig, submodel: str, extra_starts=()) -> _Fit:
-    """The maximum-likelihood search shared by every model.
+_TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five bivariate parameters
 
-    ``ll(params)`` is the model's log-likelihood with its gradient, one of
-    each per row of parameter points, and ``ll_base`` the same at theta = 1,
-    where the law is a sum of base-law terms per coordinate.  The theta = 1
-    submodel is fitted first, by `_search` on ``ll_base`` with theta held at
-    1 from ``base``.  The starts, in order: the parameter record ``init`` (by
-    default that fit with theta = 0.5), the fit moved to each theta of
-    `_START_THETAS`, and ``extra_starts``; one `_search` runs them all in
-    lockstep.  Its best endpoint wins, unless the theta = 1 fit comes within
-    `_SNAP_SLACK` of it: ties go to the smaller model.
+
+def _fit(data, cfg: EmConfig, init=None, extra_starts=(), tied=False) -> _Fit:
+    """The maximum-likelihood fit of the law on ``data``, counts or a `BivDataset`; with ``tied``, of the
+    bivariate law with one (shape, p) for both coordinates, searched in (shape, p, theta) at `_TIE`.
+
+    The theta = 1 submodel is fitted first, by `_search` with theta held at 1 from each coordinate's geometric
+    fit, on `_base_ll` with shape multiplier 1: the counts as one pair, the margins as two, or both margins'
+    values as one pair when ``tied``.  The starts, in order: the parameter record ``init`` (by default that
+    fit with theta = 0.5), the fit moved to each theta of `_START_THETAS`, and ``extra_starts``; one `_search`
+    runs them all in lockstep on the law's likelihood (`_ll`).  Its best endpoint wins, unless the theta = 1
+    fit comes within `_SNAP_SLACK` of it: ties go to the smaller model.  A tied fit's ``est`` and ``base`` are
+    five-parameter tuples.
     """
-    base, ll_base, base_stop, base_iters, _ = _search(ll_base, [base], slice(-1), cfg)
+    cols = _cols(data)
+    record, submodel = _LAWS[len(cols)]
+    if init is not None:
+        _check_record(init, data)
+    extra = [record.from_values(*s).as_tuple() for s in extra_starts]
+    cells, w, _, margins = _distinct(*cols)
+    ll = _handle(cells, w)
+    if tied:
+        full, submodel, cols = ll, "equal-margins", [np.concatenate(cols)]
+        margins = [tuple(map(np.concatenate, zip(*margins)))]
+
+        def ll(q):
+            value, grad = full(np.asarray(q)[..., _TIE])
+            return value, np.concatenate([grad[..., :2] + grad[..., 2:4], grad[..., 4:]], axis=-1)
+
+    pairs = [(v, 1.0, n) for v, n in margins]
+    base = (*(v for c in cols for v in (1.0, _geometric_p(c))), 1.0)
+    base, ll_base, base_stop, base_iters, _ = _search(lambda q: _base_ll(pairs, q), [base], slice(-1), cfg)
     first = init.as_tuple() if init is not None else (*base[:-1], 0.5)
-    starts = [first, *((*base[:-1], th) for th in _START_THETAS), *extra_starts]
+    starts = [first, *((*base[:-1], th) for th in _START_THETAS), *extra]
     est, ll_best, stop, iters, trace = _search(ll, starts, slice(None), cfg)
     notes = []
     if ll_base >= ll_best - _SNAP_SLACK:
         est, ll_best, stop, iters = base, ll_base, base_stop, base_iters
         trace.append(ll_base)
         notes.append(f"theta at boundary 1 ({submodel} submodel at least as likely)")
+    if tied:
+        est, base = tuple(np.asarray(est)[_TIE]), tuple(np.asarray(base)[_TIE])
     return _Fit(est, ll_best, stop, iters, trace, notes, base, ll_base)
-
-
-def _fit(data, cfg: EmConfig, init=None, extra_starts=()) -> _Fit:
-    """`_fit_mle` of the law on ``data`` (counts or a `BivDataset`), its theta = 1 search from each
-    coordinate's geometric fit, on the counts themselves or on the two margins (`_margins_loglik`)."""
-    cols = _cols(data)
-    cells, w, _, margins = _distinct(*cols)
-    ll = _handle(cells, w)
-    base = (*(v for c in cols for v in (1.0, _geometric_p(c))), 1.0)
-    return _fit_mle(ll, ll if len(cols) == 1 else _margins_loglik(margins), init, base, cfg, _LAWS[len(cols)][1],
-                    extra_starts)
-
-
-def _pooled_loglik(margins):
-    """The log-likelihood with gradient (`_ll`) of the equal-margins law at theta = 1, in its (shape, p, theta):
-    the base law of the pooled counts, whose distinct values and counts come from each coordinate's
-    (``margins``)."""
-    values, at = np.unique(np.concatenate([v for v, _ in margins]), return_inverse=True)
-    return _handle([values], np.bincount(at, weights=np.concatenate([n for _, n in margins])))
-
-
-_TIE = [0, 1, 0, 1, 2]  # where the shared (shape, p, theta) sit among the five bivariate parameters
-
-
-def _fit_equal_margins(data: BivDataset, cfg: EmConfig) -> _Fit:
-    """`_fit_mle` of the bivariate law with one (shape, p) shared by both coordinates.
-
-    The fit's ``est`` and ``base`` are five-parameter tuples.  Its theta = 1 search runs on the pooled
-    counts (`_pooled_loglik`).
-    """
-    cells, w, _, margins = _distinct(data.x, data.y)
-    ll = _handle(cells, w)
-
-    def tied(q):
-        value, grad = ll(np.asarray(q)[..., _TIE])
-        return value, np.concatenate([grad[..., :2] + grad[..., 2:4], grad[..., 4:]], axis=-1)
-
-    base = (1.0, _geometric_p(np.concatenate([data.x, data.y])), 1.0)
-    fit = _fit_mle(tied, _pooled_loglik(margins), None, base, cfg, "equal-margins")
-    return fit._replace(est=tuple(np.asarray(fit.est)[_TIE]), base=tuple(np.asarray(fit.base)[_TIE]))
 
 
 _METHOD = "trust-newton"
@@ -771,7 +752,7 @@ def _mle_report(data, cfg: EmConfig | None, init, extra_starts, compute_se: bool
 
 
 def fit_uni_mle(x, cfg: EmConfig | None = None, init: UgdgeParams | None = None, compute_se: bool = True) -> FitReport:
-    """Univariate maximum likelihood through `_fit_mle`.
+    """Univariate maximum likelihood through `_fit`.
 
     The search starts from ``init`` or, by default, from the theta = 1 fit
     with theta = 0.5.  The theta = 1 submodel (pure base law) wins ties
@@ -787,11 +768,12 @@ def fit_biv_mle(
     extra_starts=(),
     compute_se: bool = True,
 ) -> FitReport:
-    """Bivariate maximum likelihood through `_fit_mle`.
+    """Bivariate maximum likelihood through `_fit`.
 
     The search starts from ``init`` or, by default, from the theta = 1
-    (independence) fit with theta = 0.5.  ``extra_starts`` (5-tuples) are
-    further starts; the independence submodel wins ties within a slack.
+    (independence) fit with theta = 0.5.  ``extra_starts`` (5-tuples, each
+    checked by `BgdgeParams.from_values`) are further starts; the
+    independence submodel wins ties within a slack.
     """
     return _mle_report(data, cfg, init, extra_starts, compute_se)
 
@@ -810,11 +792,7 @@ def std_errors(params, data):
     information is taken over the rest.  Non-invertible or non-positive
     information yields NaNs with an explanatory note, not an exception.
     """
-    if not isinstance(params, (UgdgeParams, BgdgeParams)):
-        raise TypeError(f"unsupported parameter record {type(params).__name__}")
-    if isinstance(params, BgdgeParams) != isinstance(data, BivDataset):
-        need = "a BivDataset" if isinstance(params, BgdgeParams) else "an array of counts"
-        raise TypeError(f"a {type(params).__name__} record needs {need}, got {type(data).__name__}")
+    _check_record(params, data)
     ll = _loglik(data if isinstance(params, BgdgeParams) else _as_counts(data))
     q = np.array(params.as_tuple())
     free = ~_on_bound(q)

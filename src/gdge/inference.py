@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivariate import BgdgeParams, bgdge_cdf, bgdge_pmf, marginal_params
-from .fitting import BivDataset, EmConfig, _as_counts, _fit, _fit_equal_margins
+from .fitting import BivDataset, EmConfig, _as_counts, _fit
 from .univariate import UgdgeParams, ugdge_cdf, ugdge_pmf
 
 __all__ = [
@@ -147,7 +147,7 @@ def _lrt(data: BivDataset, full, null_params, ll_null, reference: str, p_value) 
 
 def _equal_fits(data: BivDataset, cfg: EmConfig):
     """The equal-margins null and the full fit, whose starts include the null optimum."""
-    null = _fit_equal_margins(data, cfg)
+    null = _fit(data, cfg, tied=True)
     return null, _fit(data, cfg, extra_starts=[null.est])
 
 

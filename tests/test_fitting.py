@@ -34,7 +34,7 @@ from gdge import (
 from gdge import fitting
 from gdge import test_independence as lrt_independence
 from gdge.dge import _base_logs, _log_gap, _logpmf_and_grad, _stacked
-from gdge.fitting import _fit, _fit_equal_margins
+from gdge.fitting import _fit
 from gdge.simulate import fast_sim_config
 
 
@@ -349,37 +349,45 @@ def test_biv_mle_meets_its_convergence_test_on_the_ridge():
 
 
 def counted_kernel_calls(monkeypatch):
-    """The list that every later call of the fitter's likelihood kernel `fitting._ll` appends to."""
+    """The list that every later call of the fitter's likelihoods, `fitting._ll` on the cells and the base-law
+    `fitting._base_ll`, appends to, as the name with the arguments."""
     calls = []
-    kernel = fitting._ll
-    monkeypatch.setattr(fitting, "_ll", lambda *a: calls.append(a) or kernel(*a))
+    for name in ("_ll", "_base_ll"):
+        f = getattr(fitting, name)
+        monkeypatch.setattr(fitting, name, lambda *a, name=name, f=f: calls.append((name, *a)) or f(*a))
     return calls
 
 
 def coordinate_columns(call):
     """How many coordinates the stacked cells ``(x, weights)`` of an `_ll` call hold."""
-    return len(call[0][0])
+    return len(call[1][0])
+
+
+def theta_one_pairs(margins):
+    """The `_base_ll` pairs of the values and counts ``margins``, shape multiplier 1."""
+    return [(v, 1.0, n) for v, n in margins]
 
 
 def test_biv_mle_fits_no_margin_to_start(football, monkeypatch):
     # no separate margin fit seeds the starts: a fit's likelihood calls are the theta = 1 search's, one per
-    # iteration (and one at its start) on the two margins side by side, then the full search's on the cells
+    # iteration (and one at its start) on the two margins as two pairs, then the full search's on the cells
     cfg = EmConfig()
     base = (1.0, fitting._geometric_p(football.x), 1.0, fitting._geometric_p(football.y), 1.0)
-    margins = fitting._margins_loglik(fitting._distinct(football.x, football.y)[3])
-    base_iters = fitting._search(margins, [base], slice(-1), cfg)[3]
+    pairs = theta_one_pairs(fitting._distinct(football.x, football.y)[3])
+    base_iters = fitting._search(lambda q: fitting._base_ll(pairs, q), [base], slice(-1), cfg)[3]
     calls = counted_kernel_calls(monkeypatch)
     rep = fit_biv_mle(football, cfg, compute_se=False)
     assert rep.converged and rep.estimates[4] < 1.0  # the full search's end, not the theta = 1 fit
-    on_margins = [np.ndim(cells[0]) == 3 and np.shape(q)[1:] == (2, 3) for cells, q in calls]
-    assert on_margins == [True] * (base_iters + 1) + [False] * (rep.iters + 1)
+    assert [name for name, *_ in calls] == ["_base_ll"] * (base_iters + 1) + ["_ll"] * (rep.iters + 1)
+    assert all(len(call[1]) == 2 for call in calls[:base_iters + 1])
     assert all(coordinate_columns(call) == 2 for call in calls[base_iters + 1:])
 
 
 def test_uni_mle_calls_the_kernel_with_one_coordinate_only(football, monkeypatch):
     calls = counted_kernel_calls(monkeypatch)
     assert fit_uni_mle(football.x).converged
-    assert calls and all(coordinate_columns(call) == 1 for call in calls)
+    on_cells = [call for call in calls if call[0] == "_ll"]
+    assert on_cells and all(coordinate_columns(call) == 1 for call in on_cells)
 
 
 def test_a_search_rising_to_theta_1_lands_there(monkeypatch):
@@ -473,18 +481,48 @@ def assert_rel(got, want, tol=1e-13):
 
 
 def test_theta_one_handles_equal_the_full_likelihood_at_theta_1(football):
-    # independence: the two margins side by side; equal margins: the pooled counts
+    # `_base_ll` at theta = 1: on counts one pair; independence: the two margins as two pairs; equal margins:
+    # both margins' values as one pair
     for data in [football, *gate_datasets(), wide_span_data()]:
-        ll = fitting._loglik(data)
         margins = fitting._distinct(data.x, data.y)[3]
         q = theta_one_points(data, corners=data.x.size < 1000)  # at p = 1e-6 the wide span's pmfs underflow
-        (value, grad), (want, want_grad) = fitting._margins_loglik(margins)(q), ll(q)
+        for x, margin, cols in ((data.x, margins[0], [0, 1, 4]), (data.y, margins[1], [2, 3, 4])):
+            (value, grad), (want, want_grad) = fitting._base_ll(theta_one_pairs([margin]), q[:, cols]), \
+                fitting._loglik(x)(q[:, cols])
+            assert_rel(value, want)
+            assert_rel(grad[:, :2], want_grad[:, :2])
+            assert not grad[:, 2].any()
+        ll = fitting._loglik(data)
+        (value, grad), (want, want_grad) = fitting._base_ll(theta_one_pairs(margins), q), ll(q)
         assert_rel(value, want)
         assert_rel(grad[:, :4], want_grad[:, :4])
+        assert not grad[:, 4].any()
         tied = q[:, [0, 1, 4]]
-        (value, grad), (want, want_grad) = fitting._pooled_loglik(margins)(tied), ll(tied[:, fitting._TIE])
+        pooled = theta_one_pairs([tuple(map(np.concatenate, zip(*margins)))])
+        (value, grad), (want, want_grad) = fitting._base_ll(pooled, tied), ll(tied[:, fitting._TIE])
         assert_rel(value, want)
         assert_rel(grad[:, :2], want_grad[:, :2] + want_grad[:, 2:4])
+        assert not grad[:, 2].any()
+
+
+def test_base_ll_on_one_pair_is_the_theta_1_likelihood_bit_for_bit(football):
+    # the cells of counts are their distinct values, so with shape multiplier 1 the two handles evaluate the
+    # same log-gaps and (shape, p) partials and sum them alike
+    x4 = ugdge_sample(UgdgeParams.from_values(1.0, 0.8, 0.02), np.random.default_rng([1, 10_000, 1]), size=10_000)
+    columns = [football.x, football.y, *(c for data in list(gate_datasets())[5:7] for c in (data.x, data.y)), x4]
+    for x in columns:
+        (cells,), w, _, margins = fitting._distinct(x)
+        q = theta_one_points(BivDataset(x, x))[:, [0, 1, 4]]
+        value, grad = fitting._base_ll(theta_one_pairs(margins), q)
+        want, want_grad = fitting._ll((np.array([cells]), w), q)
+        assert np.array_equal(value, want) and np.array_equal(grad[:, :2], want_grad[:, :2])
+
+
+def test_m_step_with_unit_counts_is_the_theta_1_fit(football):
+    cfg = EmConfig()
+    for data in [football, *gate_datasets()]:
+        for x in (data.x, data.y):
+            assert m_step_pair(x, 1, cfg) == pytest.approx(_fit(x, cfg).base[:2], rel=1e-9, abs=0)
 
 
 def test_biv_theta_one_fit_is_each_margins_own_base_fit(football):
@@ -499,7 +537,7 @@ def test_base_fits_reach_the_base_grid_on_serie_a(football):
     for x in (football.x, football.y):
         assert _fit(x, EmConfig()).ll_base >= base_grid_max(x) - 1e-9
     pooled = np.concatenate([football.x, football.y])
-    assert _fit_equal_margins(football, EmConfig()).ll_base >= base_grid_max(pooled) - 1e-9
+    assert _fit(football, EmConfig(), tied=True).ll_base >= base_grid_max(pooled) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +623,34 @@ def test_std_errors_rejects_a_record_of_the_other_dimension(football):
 
 # ---------------------------------------------------------------------------
 # input validation
+
+
+BIV_START, UNI_START = (4.6587, 0.2618, 6.8029, 0.1683, 0.6638), (4.6587, 0.2618, 0.6638)
+
+
+@pytest.mark.parametrize("fit, start", [
+    (lambda data, init: fit_uni_mle(data.x, init=init, compute_se=False), BgdgeParams.from_values(*BIV_START)),
+    (lambda data, init: fit_biv_mle(data, init=init, compute_se=False), UgdgeParams.from_values(*UNI_START)),
+    (lambda data, init: em_fit_uni(data.x, init, compute_se=False), BgdgeParams.from_values(*BIV_START)),
+    (lambda data, init: em_fit_biv(data, init, compute_se=False), UgdgeParams.from_values(*UNI_START)),
+    (lambda data, init: fit_biv_mle(data, init=init, compute_se=False), BIV_START),
+], ids=["fit_uni_mle", "fit_biv_mle", "em_fit_uni", "em_fit_biv", "tuple"])
+def test_fits_reject_a_start_of_the_other_law(football, fit, start):
+    with pytest.raises(TypeError, match=f"record needs|unsupported parameter record {type(start).__name__}"):
+        fit(football, start)
+
+
+@pytest.mark.parametrize("start, error, match", [
+    ((math.nan, 0.2618, 6.8029, 0.1683, 0.6638), ValueError, "alpha must be positive"),
+    ((4.6587, 0.2618, -6.8029, 0.1683, 0.6638), ValueError, "alpha must be positive"),
+    ((4.6587, 1.0, 6.8029, 0.1683, 0.6638), ValueError, "p must lie in"),
+    ((4.6587, 0.2618, 6.8029, 0.1683, 1.5), ValueError, "theta must lie in"),
+    ((4.6587, 0.2618, 6.8029, 0.1683), TypeError, "theta"),
+], ids=["nan-shape", "negative-shape", "p-1", "theta-1.5", "four-values"])
+def test_biv_mle_rejects_a_bad_extra_start(football, start, error, match):
+    # each failed deep in the search or in numpy, or, theta 1.5, was clipped to 1
+    with pytest.raises(error, match=match):
+        fit_biv_mle(football, extra_starts=[BIV_START, start], compute_se=False)
 
 
 def test_observed_loglik_uni_matches_pmf_sum():

@@ -57,7 +57,7 @@ from gdge import (
 )
 from gdge import bivariate, dge, fitting, univariate
 from gdge.dge import _logpmf, _logpmf_and_grad, _stacked
-from gdge.fitting import _latent_ll
+from gdge.fitting import _base_ll
 from latent_series import series_cond_n_mean
 
 #: Working precision of the reference: 120 digits beyond the smallest pmf
@@ -285,12 +285,12 @@ def test_loglik_on_cells_equals_per_observation_sum():
     assert observed_loglik_uni(uni, x) == pytest.approx(per_obs, rel=1e-12)
 
 
-def test_latent_ll_on_cells_equals_latent_loglik_per_observation():
+def test_base_ll_on_latent_cells_equals_latent_loglik_per_observation():
     rng = np.random.default_rng(33)
     values = rng.integers(0, 9, size=2000)
     counts = rng.integers(1, 5, size=2000)
     points = [(0.3, 0.4), (1.0, 0.4), (2.5, 0.7)]
-    on_cells = fitting._latent_ll(fitting._latent_cells(values, counts), points)[0]
+    on_cells = _base_ll([fitting._latent_cells(values, counts)], points)[0]
     direct = [latent_weighted_loglik(values, counts, alpha, p) for alpha, p in points]
     assert on_cells == pytest.approx(direct, rel=1e-12)
 
@@ -560,7 +560,7 @@ def ref_latent_logpmf(alpha, p, x, n):
 )
 def test_latent_gradient_matches_reference(params, grid):
     counts = 1.0 + np.arange(grid.size) % 5
-    got = [_latent_ll((np.array([x], dtype=float), np.array([n]), np.ones(1)), params)[1]
+    got = [_base_ll([(np.array([x], dtype=float), np.array([n]), np.ones(1))], params)[1]
            for x, n in zip(grid, counts)]
     want = [ref_partials(ref_latent_logpmf, params, (int(x), int(n))) for x, n in zip(grid, counts)]
     assert_partials_close(got, want)

@@ -348,10 +348,11 @@ def test_cli_test_both_fits_the_full_model_once(capsys, monkeypatch):
     fit = inference._fit
     monkeypatch.setattr(inference, "_fit", lambda *a, **k: calls.append(k) or fit(*a, **k))
     rc, both = run_cli(capsys, ["test", bundled_data_path(), "--test", "both"])
-    assert rc == 0 and len(calls) == 1
+    # the equal-margins null is the tied fit, the other the full one
+    assert rc == 0 and [k.get("tied", False) for k in calls] == [True, False]
     # the independence test run alone fits afresh and reports the same lines
     rc, alone = run_cli(capsys, ["test", bundled_data_path(), "--test", "indep"])
-    assert rc == 0 and len(calls) == 2
+    assert rc == 0 and [k.get("tied", False) for k in calls] == [True, False, False]
     shared = both.split("test_2 = independence\n")[1]
     assert shared.replace("indep_", "") == alone.split("test = independence\n")[1]
 

@@ -21,9 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .dge import (
-    SERIES_CAP,
     DgeParams,
-    SeriesCapError,
     _cdf_logs,
     _coords,
     _den,
@@ -35,14 +33,14 @@ from .dge import (
     _nonneg,
 )
 from .univariate import (
-    _SERIES_TOL,
     UgdgeParams,
     _compound_cdf,
     _count_mean,
     _count_modes,
     _count_pmf,
     _latent_max,
-    _power_weighted_sum,
+    _lattice_sum,
+    _pgf_rates,
 )
 
 __all__ = [
@@ -225,71 +223,14 @@ def biv_compound_geometric_params(params: BgdgeParams, q: float) -> BgdgeParams:
     return BgdgeParams(params.m1, params.m2, q * params.theta)
 
 
-def _joint_power_sum(params: BgdgeParams, z1: float, z2: float, eps: float) -> float:
-    """``E z1^X z2^Y`` for ``p_i |z_i| < 1`` by conditioning on the latent count.
-
-    Given the count n the coordinates are independent base maxima of shape
-    ``n alpha_i``, so the sum runs over n of ``theta tau^(n-1) g1(n) g2(n)``,
-    each ``g_i(n)`` a certified one-coordinate sum (`_power_weighted_sum`).
-    Counts come in blocks of growing length, one shape column per coordinate
-    and block, and the sum stops at the first n whose tail is certified below
-    ``0.8 eps`` times the total (the g_i take ``0.1 eps`` each):
-    - for |z_i| <= 1, ``|g_i| <= 1``, and for 0 <= z_i <= 1 ``g_i`` does not
-      increase in n (the maximum grows), so the tail past n is at most
-      ``tau^n h1 h2`` with ``h_i = g_i(n)`` there and 1 where z_i < 0, which
-      lets the total vanish and so adds ``eps`` to it;
-    - for z_i > 1 (a positive mgf rate), ``g_i(n) <= n c_i`` with c_i the
-      base law's mgf (a maximum is bounded by a sum), a
-      geometric-times-quadratic tail.
-    A coordinate with z = 1 contributes 1: the sum is the other's marginal
-    (1 if both are 1).
-    """
-    a1, p1, a2, p2, th = params.as_tuple()
-    if z1 == 1.0 or z2 == 1.0:
-        alpha, p, z = (a2, p2, z2) if z1 == 1.0 else (a1, p1, z1)
-        return float(_power_weighted_sum([alpha], p, th, z, eps)[0])
-    tau = 1.0 - th
-    if z1 < 1.0 and z2 < 1.0:
-        floor = eps if min(z1, z2) < 0.0 else 0.0
-
-        def tail(ns, g1, g2):
-            return tau ** ns * (g1 if z1 >= 0.0 else 1.0) * (g2 if z2 >= 0.0 else 1.0)
-    else:
-        floor = 0.0
-        c1, c2 = (max(float(_power_weighted_sum([a], p, 1.0, z, eps)[0]), 1.0) for a, p, z in
-                  ((a1, p1, z1), (a2, p2, z2)))
-
-        def tail(ns, g1, g2):
-            rho = tau * ((ns + 2.0) / (ns + 1.0)) ** 2
-            with np.errstate(divide="ignore"):
-                return np.where(rho < 1.0, th * c1 * c2 * (ns + 1.0) ** 2 * tau ** ns / (1.0 - rho), np.inf)
-    total, n0, block = 0.0, 1, 16
-    while n0 <= SERIES_CAP:
-        ns = np.arange(n0, n0 + block, dtype=float)
-        g1 = _power_weighted_sum(ns * a1, p1, 1.0, z1, 0.1 * eps)
-        g2 = _power_weighted_sum(ns * a2, p2, 1.0, z2, 0.1 * eps)
-        # running totals, added in order of n
-        totals = np.cumsum(np.concatenate(([total], th * tau ** (ns - 1.0) * g1 * g2)))[1:]
-        done = tail(ns, g1, g2) <= 0.8 * eps * (np.abs(totals) + floor)
-        if done.any():
-            return float(totals[done.argmax()])
-        total, n0, block = totals[-1], n0 + block, min(2 * block, 256)
-    raise SeriesCapError("joint generating-function series exceeded the term cap")
-
-
 def bgdge_pgf(params: BgdgeParams, z1: float, z2: float) -> float:
-    """Joint probability generating function ``E z1^X z2^Y``, |z_i| < 1."""
-    if not (abs(z1) < 1.0 and abs(z2) < 1.0):
-        raise ValueError("pgf arguments must satisfy |z| < 1")
-    if z1 == 0.0 and z2 == 0.0:
-        return float(bgdge_pmf(params, 0, 0))
-    return _joint_power_sum(params, float(z1), float(z2), _SERIES_TOL)
+    """Joint probability generating function ``E z1^X z2^Y``, |z_i| < 1 (`univariate._lattice_sum`)."""
+    return _lattice_sum(params.theta, [(m.alpha, m.p) for m in (params.m1, params.m2)], *_pgf_rates([z1, z2]))
 
 
 def bgdge_mgf(params: BgdgeParams, t1: float, t2: float) -> float:
-    """Joint moment generating function ``E exp(t1 X + t2 Y)``.
+    """Joint moment generating function ``E exp(t1 X + t2 Y)``, the lattice series (`univariate._lattice_sum`).
 
-    Finite iff ``p_i * exp(t_i) < 1`` for both coordinates; the power sum
-    (`_joint_power_sum`) at ``z_i = exp(t_i)``.
+    Finite iff ``t_i + log p_i < 0`` for both coordinates, else `ValueError`.
     """
-    return _joint_power_sum(params, math.exp(float(t1)), math.exp(float(t2)), _SERIES_TOL)
+    return _lattice_sum(params.theta, [(m.alpha, m.p) for m in (params.m1, params.m2)], [float(t1), float(t2)])

@@ -12,8 +12,10 @@ that family (cdf/pmf/hazard/quantile/moments/generating functions), samples
 from it, and exposes the conditional law of the latent count N given the
 observed maximum — the ingredient the EM fitter imputes.
 
-All series are truncated with explicit, certified error bounds and give up
-with `SeriesCapError` rather than return an uncertified partial sum.
+The moments and the generating functions, of this law and of the bivariate
+one, are one series over the lattice (`_lattice_sum`), truncated on a
+certified tail bound at every theta; past its term cap it gives up with
+`SeriesCapError` rather than return an uncertified partial sum.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .dge import (
     _base_logs,
     _cdf_logs,
     _coords,
+    _corners,
     _den,
     _evaluate,
     _floor,
@@ -194,80 +197,153 @@ def ugdge_quantile(params: UgdgeParams, gamma: float) -> int:
 
 
 def ugdge_moment(params: UgdgeParams, r: int) -> float:
-    """r-th raw moment by survival summation.
-
-    ``E X^r = sum_{x>=1} (x^r - (x-1)^r) * P(X >= x)``, the survival formed
-    from the log of the base CDF B at x - 1 as ``(1-B)/(1-(1-theta)B)``.  The
-    blocks stop once the tail past the last term L is certified below `_SERIES_TOL`
-    times the total: for ``p^(L+1) <= 1e-3``, ``P(X >= x) <= 1.01 * alpha *
-    p^x / theta`` (as in `_power_weighted_sum`) and the weights grow by at most
-    ``((L+2)/L)^(r-1)`` a step.  Past the global term cap, `SeriesCapError`.
-    """
-    if not (isinstance(r, (int, np.integer)) and r >= 1):
+    """r-th raw moment ``E X^r``, the lattice series (`_lattice_sum`) of the pmf against ``x^r``."""
+    if isinstance(r, bool) or not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ValueError(f"moment order must be a positive integer, got {r!r}")
-    al, p, th = params.as_tuple()
-    total, start, block = 0.0, 1, 2048
-    while start <= SERIES_CAP:
-        xs = np.arange(start, start + block, dtype=float)
-        lb = _log_cdf(al, p, xs - 1.0)
-        total += float(((xs ** r - (xs - 1.0) ** r) * -np.expm1(lb) / _den(th, lb)).sum())
-        last = start + block - 1.0
-        q = p * ((last + 2.0) / last) ** (r - 1)
-        if p ** (last + 1.0) <= 1e-3 and q < 1.0:
-            tail = 1.01 * al / th * ((last + 1.0) ** r - last ** r) * p ** (last + 1.0) / (1.0 - q)
-            if tail <= _SERIES_TOL * total:
-                return total
-        start += block
-    raise SeriesCapError("moment series exceeded the term cap")
+    return _lattice_sum(params.theta, [(params.alpha, params.p)], [0.0], power=int(r))
 
 
-def _power_weighted_sum(shapes, p: float, theta: float, z: float, eps: float) -> np.ndarray:
-    """``sum_x pmf(x) * z**x`` for each law (shape, p, theta) of the 1-D array ``shapes``.
+@_quiet_logs
+def _lattice_sum(theta, laws, rates, negative=(False, False), power=0, tol=_SERIES_TOL):
+    """``E prod_j w_j(X_j)`` under the compounded law of one or two coordinates, one base ``(alpha, p)`` each in
+    ``laws``: ``w_j(x) = x^power e^(rates_j x)``, negated at odd x where ``negative`` flags the axis (a pgf
+    argument z is the rate ``log|z|``, -inf at z = 0 as ``0^0 = 1``, and the flag ``z < 0``).  One coordinate's
+    alpha may be a column of shapes, one total each.
 
-    Requires ``p * |z| < 1``.  The laws share `dge._base_logs` at each block of
-    x, which grow from 64 to at most `_CHUNK` elements a law.  A law's tail past
-    x is bounded in absolute value using ``P(X >= x) <= 1.01 * shape * p^x /
-    theta``, valid once ``p^x <= 1e-3``, and the sum stops once every tail is
-    below ``eps`` times its total; where z < 0 lets a total vanish, below
-    ``eps`` times the total plus ``eps``.
+    The pmf is the kernel's product of positive factors (`dge._terms`) multiplied out, each over one corner's
+    ``1 - tau w`` so that no partial product under- or overflows, not `dge._logpmf`'s sum of their logs, whose
+    rounding the cancellation of alternating weights would show; ``pmf(x) w(x)`` is formed in log space, where
+    a positive rate's weight cannot overflow alone.  The sum runs over boxes
+    [0, a_1) x [0, a_2), 16 cells a side and then grown, only the new cells summed, in `_CHUNK` slices, until
+    the terms outside are certified below ``tol`` times the total (plus ``tol`` where a sign lets it vanish):
+    each axis grows to within a quarter of the least end at which its bound below meets its share, given the
+    total so far, but at most doubles.  Where a box would need more than `SERIES_CAP` cells, or more than the
+    count series, about ``log(tol) / log(1 - theta)`` counts times the sum of its sides, two coordinates go to
+    that series (`_count_series`) if it needs at most `SERIES_CAP` counts; past `SERIES_CAP` cells,
+    `SeriesCapError`.  An axis whose weight is 1 sums out.  With
+    ``q = p e^t < 1`` (else `ValueError`: the series diverges) and r the power, the terms outside are bounded
+    (compared in logs, where theta^-2 or q^a need not be a float):
+    - for the base law, ``P(X_1 = x) <= 1 - (1 - p^x)^alpha <= -alpha log(1 - p^x) <= alpha p^x / (1 - p^a)``
+      at ``x >= a >= 1``, and past a the ratio of ``|w(x)| p^x`` is at most ``q ((a+1)/a)^r``, so the weighted
+      tail ``h(a) = E |w(X_1)| 1{X_1 >= a}`` is at most ``alpha a^r q^a / ((1 - p^a)(1 - q ((a+1)/a)^r))``;
+    - given N = n the coordinates are independent maxima of n base draws, and a maximum is one of its draws, so
+      ``|w(max)| 1{max >= a} <= sum_i |w(X_i)| 1{X_i >= a}``, of mean ``n h(a)``, and ``E |w(max)| <= n G``, G
+      the base law's ``E |w(X_1)|``, or ``<= 1`` where ``|w| <= 1`` (take G = 1 there);
+    - a term outside the box has some ``x_j >= a_j``, so the terms outside sum in absolute value to at most
+      ``sum_j E[N^(1+m_j)] h_j(a_j) prod_(i != j) G_i``, m_j the number of the other axes with ``G_i > 1``, and
+      ``E N = 1/theta``, ``E N^2 = (2 - theta) / theta^2``; one coordinate's is ``P(X >= a) <= alpha p^a /
+      ((1 - p^a) theta)``, weighted.  G_i is 1.01 times this sum at theta = 1, which is within `_SERIES_TOL`.
     """
-    q = p * abs(z)
-    if not q < 1.0:
-        raise ValueError(f"series diverges: p * |weight| = {q:g} >= 1")
-    shapes = np.asarray(shapes, dtype=float)[:, None]
-    if z == 1.0:  # the total mass
-        return np.ones(shapes.shape[0])
-    if z == 0.0:
-        return np.exp(_logpmf(theta, [(shapes, p, np.zeros(1))]))[:, 0]
-    lz, floor = math.log(abs(z)), (eps if z < 0.0 else 0.0)
-    tail_const = 1.01 * shapes[:, 0] / theta
-    total = np.zeros(shapes.shape[0])
-    start, block = 0, 64
-    while start <= SERIES_CAP:
-        xs = np.arange(start, start + block, dtype=float)
-        # pmf * z**x in log space: the factors can under/overflow separately
-        # (z = e^t may exceed 1) while their product stays tame
-        terms = np.exp(_logpmf(theta, [(shapes, p, xs)]) + xs * lz)
-        if z < 0.0:
-            terms = np.where(xs % 2 == 0, terms, -terms)
-        total += terms.sum(axis=1)
-        start += block
-        if p ** (start - 1) <= 1e-3 and np.all(tail_const * q ** start / (1.0 - q) <= eps * (np.abs(total) + floor)):
-            return total
-        block = min(2 * block, max(64, _CHUNK // shapes.shape[0]))
-    raise SeriesCapError("generating-function series exceeded the term cap")
+    if not all(t + math.log(p) < 0.0 for (_, p), t in zip(laws, rates)):
+        raise ValueError(f"series diverges: p * exp(rate) >= 1 at the rates {rates!r}")
+    keep = [j for j, t in enumerate(rates) if t or power or negative[j]]
+    if not keep:
+        return 1.0
+    laws, rates, negative = ([v[j] for j in keep] for v in (laws, rates, negative))
+    d = len(laws)
+    g = [1.01 * _lattice_sum(1.0, [law], [t], power=power) if d > 1 and (t > 0.0 or power) else 1.0
+         for law, t in zip(laws, rates)]
+
+    def tail(j, a):
+        """The log of the bound on the terms past a on axis j."""
+        (alpha, p), others = laws[j], math.prod(g) / g[j]
+        lq = rates[j] + math.log(p)
+        ratio = math.exp(lq + power * math.log1p(1.0 / a))
+        if ratio >= 1.0:
+            return math.inf
+        count = math.log(2.0 - theta) - 2.0 * math.log(theta) if others > 1.0 else -math.log(theta)
+        return (count + math.log(others * np.max(alpha)) + power * math.log(a) + a * lq
+                - math.log((1.0 - p ** a) * (1.0 - ratio)))
+
+    def reach(j, a, bound):
+        """The first end ``a 1.25^k``, rounded up, at which ``tail(j, .) <= bound``, or one past `SERIES_CAP`."""
+        while a <= SERIES_CAP and tail(j, a) > bound:
+            a = -(-5 * a // 4)
+        return a
+
+    def box(lows, ends):
+        axes = [np.arange(lo, a, dtype=float) for lo, a in zip(lows, ends)]
+        if not all(map(len, axes)):
+            return 0.0
+        logw = [np.multiply(x, t, out=np.zeros_like(x), where=x > 0.0) + (power * np.log(x) if power else 0.0)
+                for x, t in zip(axes, rates)]
+        rows, total = max(1, _CHUNK * len(axes[0]) // (np.size(laws[0][0]) * math.prod(map(len, axes)))), 0.0
+        for i in range(0, len(axes[0]), rows):
+            xs, lws = (np.ix_(v[0][i:i + rows], *v[1:]) for v in (axes, logw))
+            shapes, ps, cells = _stacked([(*law, x) for law, x in zip(laws, xs)])
+            l1, l0, r, *_ = _base_logs(ps, cells)
+            lw, lw_ = shapes * l1, shapes * l0  # log u, log v per coordinate
+            factors = [*(np.exp(lw) * -np.expm1(-shapes * r)), theta]  # u_j - v_j as in `dge._log_gap`, theta
+            if theta < 1.0:  # the other factors of `dge._terms`, each over one corner's den
+                if d > 1:
+                    lprod = lw.sum(axis=0) + lw_.sum(axis=0)
+                    factors.append(theta * (2.0 - theta) - (1.0 - theta) ** 2 * np.expm1(lprod))
+                factors = [f / e for f, e in zip(factors, _den(theta, _corners(lw, lw_)))]
+            terms = np.exp(np.log(math.prod(factors)) + sum(lws))
+            odd = sum(x for x, neg in zip(xs, negative) if neg) % 2  # 0 where no axis is negated
+            total = total + (terms * (1.0 - 2.0 * odd)).sum(axis=tuple(range(-d, 0)))
+        return total
+
+    ends, want, total, floor = [0] * d, [16] * d, 0.0, tol if any(negative) else 0.0
+    counts = math.log(tol) / math.log1p(-theta) if theta < 1.0 else 1.0  # about the count series' length
+    while want != ends:
+        if d > 1 and math.prod(want) > min(SERIES_CAP, counts * sum(want)) and counts <= SERIES_CAP:
+            return _count_series(theta, laws, rates, negative, g, tol)
+        want = [min(b, max(2 * a, 16)) for a, b in zip(ends, want)]
+        if math.prod(want) > SERIES_CAP:
+            raise SeriesCapError("lattice series exceeded the term cap")
+        # the new cells, as strips: [0, b_i) on the axes before j, [a_j, b_j) on j, [0, a_i) after it
+        total = total + sum(box([0] * j + [a] + [0] * (d - j - 1), want[:j + 1] + ends[j + 1:])
+                            for j, a in enumerate(ends))
+        ends, budget = want, np.log(tol * (np.min(np.abs(total)) + floor) / d)
+        want = [reach(j, a, budget) for j, a in enumerate(ends)]
+    return _maybe_scalar(total)
+
+
+def _count_series(theta, laws, rates, negative, g, tol):
+    """`_lattice_sum` of two coordinates where its box would pass the cap or cost more, by the latent count:
+    ``sum_n theta tau^(n-1) g_1(n) g_2(n)``, g_j(n) the one-coordinate sum at shape ``n alpha_j`` and theta = 1
+    (given N = n the coordinates are independent maxima of n base draws), within ``0.1 tol`` each.  Counts come
+    in blocks of growing length, and the sum stops at the first n whose tail is certified below ``0.8 tol``
+    times the total (plus ``tol`` where a sign lets it vanish).  For m > n, ``|g_j(m)| <= m G_j`` where
+    ``G_j > 1`` (a maximum is bounded by the sum of its draws), ``g_j(m) <= g_j(n)`` where ``0 <= w_j <= 1``
+    falls in x (the maximum grows with m), and ``|g_j(m)| <= 1`` elsewhere, so with c_j these constants and k
+    the number of G_j > 1 the terms past n sum to at most ``theta prod_j c_j tau^n (n+1)^k / (1 - rho)``,
+    ``rho = tau ((n+2)/(n+1))^k`` the largest ratio of two consecutive terms past n.  The g_j's errors add at
+    most ``0.2 tol`` times the sum of the terms' absolute values, which is the total where no axis is negated.
+    """
+    tau, k, floor = 1.0 - theta, sum(c > 1.0 for c in g), tol if any(negative) else 0.0
+    total, n0, block = 0.0, 1, 16
+    while n0 <= SERIES_CAP:
+        ns = np.arange(n0, n0 + block, dtype=float)
+        gs = [_lattice_sum(1.0, [(ns[:, None] * alpha, p)], [t], [neg], tol=0.1 * tol)
+              for (alpha, p), t, neg in zip(laws, rates, negative)]
+        totals = total + np.cumsum(theta * tau ** (ns - 1.0) * gs[0] * gs[1])
+        c = math.prod(g) * math.prod(gj for gj, t, neg in zip(gs, rates, negative) if t <= 0.0 and not neg)
+        rho = tau * ((ns + 2.0) / (ns + 1.0)) ** k
+        tails = np.where(rho < 1.0, theta * c * (ns + 1.0) ** k * tau ** ns / (1.0 - rho), np.inf)
+        done = tails <= 0.8 * tol * (np.abs(totals) + floor)
+        if done.any():
+            return float(totals[done.argmax()])
+        total, n0, block = totals[-1], n0 + block, min(2 * block, 256)
+    raise SeriesCapError("count series exceeded the term cap")
+
+
+def _pgf_rates(zs):
+    """The rates and signs of the pgf arguments ``zs`` as `_lattice_sum` takes them; each needs |z| < 1."""
+    if not all(abs(z) < 1.0 for z in zs):
+        raise ValueError(f"pgf arguments must satisfy |z| < 1, got {zs!r}")
+    return [math.log(abs(z)) if z else -math.inf for z in zs], [z < 0.0 for z in zs]
 
 
 def ugdge_pgf(params: UgdgeParams, z: float) -> float:
-    """Probability generating function ``E z^X`` for |z| < 1."""
-    if not abs(z) < 1.0:
-        raise ValueError(f"pgf argument must satisfy |z| < 1, got {z!r}")
-    return float(_power_weighted_sum([params.alpha], params.p, params.theta, float(z), _SERIES_TOL)[0])
+    """Probability generating function ``E z^X`` for |z| < 1, the lattice series (`_lattice_sum`)."""
+    return _lattice_sum(params.theta, [(params.alpha, params.p)], *_pgf_rates([z]))
 
 
 def ugdge_mgf(params: UgdgeParams, t: float) -> float:
-    """Moment generating function ``E exp(t X)``; finite iff ``p*e^t < 1``."""
-    return float(_power_weighted_sum([params.alpha], params.p, params.theta, math.exp(float(t)), _SERIES_TOL)[0])
+    """Moment generating function ``E exp(t X)`` (`_lattice_sum`), finite iff ``t + log p < 0``, else `ValueError`."""
+    return _lattice_sum(params.theta, [(params.alpha, params.p)], [float(t)])
 
 
 def mixture_cdf_approx(params: UgdgeParams, x, n_terms: int):

@@ -308,13 +308,25 @@ def test_pgf_at_one_zero_argument_is_a_count_sum_of_the_other():
     assert ugdge_pgf(marginal_params(params, "x"), 0.0) == ugdge_pmf(marginal_params(params, "x"), 0)
 
 
-def test_mgf_domain():
-    params = CASES[0]  # p = 0.25 on both axes
-    t_hi = -math.log(0.25)
-    with pytest.raises(ValueError):
-        bgdge_mgf(params, t_hi, 0.0)
-    with pytest.raises(ValueError):
-        bgdge_mgf(params, 0.0, t_hi + 0.1)
+@pytest.mark.parametrize("ts", [(-math.log(0.25), 0.0), (0.0, 0.1 - math.log(0.25)), (800.0, 0.0), (0.0, 1e308)],
+                         ids=repr)
+def test_mgf_domain(ts):
+    # p = 0.25 on both axes; a rate whose exp overflows is past the boundary too
+    with pytest.raises(ValueError, match="series diverges"):
+        bgdge_mgf(CASES[0], *ts)
+
+
+@pytest.mark.parametrize("law,fn,args,want", [
+    ((2.0, 0.99, 2.0, 0.99, 0.5), bgdge_pgf, (0.999, 0.999), 0.6924155082333437),
+    ((2.0, 0.9, 2.0, 0.9, 0.05), bgdge_mgf, (0.1, 0.1), 649891.3931011595),
+    ((2.0, 0.5, 2.0, 0.5, 0.5), bgdge_mgf, (0.68, 0.68), 31993.55540946461),
+    ((2.0, 0.99, 2.0, 0.99, 0.01), bgdge_pgf, (0.99, 0.99), 0.0022678819980211304),
+], ids=repr)
+def test_long_axes_sum_over_the_latent_count(law, fn, args, want):
+    # each axis needs thousands of cells, so a box of the lattice would pass the term cap, and at theta = 0.01
+    # the count series needs some 3000 counts; the values are those of the former count series
+    # (`_joint_power_sum`), certified within 1e-12 of the total as these are
+    assert fn(BgdgeParams.from_values(*law), *args) == pytest.approx(want, rel=2e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -730,8 +730,8 @@ PAIRS = [
 
 # (alpha, p, theta) of the moments: the grids' laws, and p near 1, where the
 # tail is about 1 / (1 - p) times the last term summed
-MOMENT_LAWS = [(0.4, 0.3, 1e-6), (1.5, 0.4, 1e-6), (2.0, 0.9, 1e-6), (2.0, 0.9, 0.5), (0.7, 0.9999, 1e-6),
-               (2.0, 0.999, 0.01)]
+MOMENT_LAWS = [*((*law, theta) for law in ((1.5, 0.4), (2.0, 0.9)) for theta in (1e-2, 1e-4, 1e-6)),
+               (0.4, 0.3, 1e-6), (2.0, 0.9, 0.5), (0.7, 0.9999, 1e-6), (2.0, 0.999, 0.01)]
 
 
 def check_cond_n_pmf(q, xs):
@@ -845,13 +845,16 @@ def check_prob_eq_le(q, xs, ys):
 
 # generating functions: the references sum the pmf against the weights over
 # x < 300 (one coordinate) and the cells [0, 100)^2 (a pair), which leaves tails
-# below 1e-20 of every total at these laws and arguments
-GF_UNI = [(1.5, 0.4, theta) for theta in (0.05, 0.5, 1.0)]
-GF_BIV = [(2.0, 0.25, 1.5, 0.4, theta) for theta in (0.05, 0.5, 1.0)]
+# below 1e-20 of every total at these laws and arguments, theta = 1e-6 included:
+# the log-space kernel's terms past them, summed over x < 1000 and [0, 400)^2,
+# come to at most 1.1e-39 and 6.3e-23 of a total
+GF_THETAS = (1e-6, 1e-4, 1e-2, 0.05, 0.5, 1.0)
+GF_UNI = [(1.5, 0.4, theta) for theta in GF_THETAS]
+GF_BIV = [(2.0, 0.25, 1.5, 0.4, theta) for theta in GF_THETAS]
 GF_ZS = (-0.9, -0.3, 0.0, 0.4, 0.95)
 GF_TS = (-1.0, 0.0, 0.6)  # p e^t = 0.73 at t = 0.6
 GF_Z_PAIRS = ((0.5, 0.5), (0.0, 0.6), (0.7, 0.0), (-0.6, 0.8), (0.9, -0.3), (-0.5, -0.5))
-GF_T_PAIRS = ((0.0, 0.0), (0.0, 0.3), (-0.4, 0.0), (0.3, 0.2), (0.5, -0.4), (-0.5, -1.0))
+GF_T_PAIRS = ((0.0, 0.0), (0.0, 0.3), (-0.4, 0.0), (0.3, 0.2), (0.5, -0.4), (-0.5, -1.0), (0.8, 0.3))
 
 
 @functools.lru_cache(maxsize=None)
@@ -874,7 +877,11 @@ def ref_pmf_grid(q):
 
 
 def ref_weighted(row, z):
-    return mp.fsum(f * z ** x for x, f in enumerate(row))
+    """``sum_x row[x] z^x``, the powers by running products."""
+    powers = [mp.mpf(1)]
+    for _ in row[1:]:
+        powers.append(powers[-1] * z)
+    return mp.fdot(row, powers)
 
 
 def check_ugdge_pgf(q, zs):

@@ -181,11 +181,10 @@ def test_higher_moments_match_grid():
         assert ugdge_moment(params, r) == pytest.approx((xs**r * pm).sum(), rel=1e-8)
 
 
-def test_moment_validation():
+@pytest.mark.parametrize("r", [0, -1, True, 2.0], ids=repr)
+def test_moment_validation(r):
     with pytest.raises(ValueError):
-        ugdge_moment(CASES[0], 0)
-    with pytest.raises(ValueError):
-        ugdge_moment(CASES[0], -1)
+        ugdge_moment(CASES[0], r)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +219,27 @@ def test_mgf_matches_grid_sum(params):
         assert ugdge_mgf(params, t) == pytest.approx(oracle, rel=1e-8)
 
 
-def test_mgf_domain_boundary():
+@pytest.mark.parametrize("excess", [0.0, 0.5, 800.0, 1e308], ids=repr)
+def test_mgf_domain_boundary(excess):
+    # a rate whose exp overflows is past the boundary too
     params = CASES[0]
-    t_hi = -math.log(params.base.p)
-    with pytest.raises(ValueError):
-        ugdge_mgf(params, t_hi)
-    with pytest.raises(ValueError):
-        ugdge_mgf(params, t_hi + 0.5)
+    with pytest.raises(ValueError, match="series diverges"):
+        ugdge_mgf(params, -math.log(params.base.p) + excess)
 
 
 def test_mgf_at_zero_is_one():
     for params in CASES:
         assert ugdge_mgf(params, 0.0) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("fn,arg,want", [(ugdge_moment, 1, 502.53082599692528097),
+                                         (ugdge_mgf, 0.5, 2.3241845376950265665e109),
+                                         (ugdge_pgf, 0.5, 1.8504389772266276128e-151)], ids=["moment", "mgf", "pgf"])
+def test_series_at_a_theta_whose_square_is_no_float(fn, arg, want):
+    # theta = 1e-200: the mass sits near x = 500, where p^x ~ theta; theta^2 underflows, and so do a product of
+    # two corner denominators near theta and the tail bound's q^a past the mass.  References: the pmf summed
+    # over x < 2500 in mpmath at 450 digits
+    assert fn(UgdgeParams.from_values(1.5, 0.4, 1e-200), arg) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
